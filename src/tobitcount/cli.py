@@ -370,7 +370,6 @@ def build_parser() -> _Parser:
     fit.add_argument("-p", type=int, default=1)
     fit.add_argument("-q", type=int, default=0)
     fit.add_argument("--method", choices=["mle", "clade", "cls"], default="mle")
-    fit.add_argument("--scenario1", action="store_true", default=False)
     fit.add_argument("--scenario2", action="store_true", default=False)
     fit.add_argument("--delta", type=float, default=None)
     fit.add_argument("--bound", type=int, default=None)
@@ -397,7 +396,6 @@ def build_parser() -> _Parser:
     mc.add_argument("--n", type=int, required=True)
     mc.add_argument("--replications", type=int, required=True)
     mc.add_argument("--methods", type=str, default="mle,clade,cls")
-    mc.add_argument("--scenario1", action="store_true", default=False)
     mc.add_argument("--scenario2", action="store_true", default=False)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--jobs", type=int, default=None)
@@ -418,8 +416,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "scenario1", False) and getattr(args, "scenario2", False):
-            raise ConfigError("--scenario1 and --scenario2 are mutually exclusive")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

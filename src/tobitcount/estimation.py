@@ -26,8 +26,6 @@ import numpy as np
 from scipy import optimize
 
 from . import skellam
-from .skellam import SkellamStar
-from .specialfn import log_bessel_i
 from .stingarch import (
     CountSeries,
     ModelSpec,
@@ -51,6 +49,8 @@ __all__ = [
 ]
 
 _PENALTY = 1e12
+# |log delta| beyond this lets delta**2 in the score under- or overflow
+_LOG_DELTA_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -214,62 +214,16 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
 # ---------------------------------------------------------------------------
 
 
-def _lnpmf_derivs(x: int, m: float, delta: float):
+def _term_derivs_arr(x: np.ndarray, m: np.ndarray, delta: float):
     """First/second partial derivatives of ``ln P(X* = x | m, delta)``.
 
     Returns ``(g_m, g_d, h_mm, h_dd, h_md)`` for the latent Skellam
-    log-density at signed integer ``x``.  The two ``m``-sign branches share
-    the Bessel ratio terms ``b = I'_n/I_n`` and ``c = (I''/I) - b^2`` with
-    order ``n = |x|``; the knife edge ``m == 0`` is evaluated on the
-    ``m >= 0`` branch, with which the ``m < 0`` branch agrees in the limit.
-    """
-    n = abs(int(x))
-    if m >= 0.0:
-        sign = 1.0
-        a = 2.0 * m + delta
-    else:
-        sign = -1.0
-        a = -2.0 * m + delta
-    z = math.sqrt(delta * a)
-    log_i_n = log_bessel_i(n, z)
-    r_up = math.exp(log_bessel_i(n + 1, z) - log_i_n)
-    r_down = math.exp(log_bessel_i(n - 1, z) - log_i_n)
-    b = n / z + r_up
-    ipp_over_i = 1.0 + ((n - 1) * r_down - (n + 1) * r_up) / (2.0 * z)
-    c = ipp_over_i - b * b
-    sqrt_da = z
-    sd_over_sa = delta / sqrt_da  # sqrt(delta)/sqrt(a)
-    if sign > 0:
-        g_m = -1.0 + x / a + sd_over_sa * b
-        g_d = -1.0 + 0.5 * x * (1.0 / a - 1.0 / delta) + (m + delta) / sqrt_da * b
-        h_mm = (-2.0 * x / a + delta * c - sd_over_sa * b) / a
-        h_dd = (
-            -0.5 * x / (a * a)
-            + 0.5 * x / (delta * delta)
-            - m * m * b / (delta * a) ** 1.5
-            + (m + delta) ** 2 * c / (delta * a)
-        )
-        h_md = (-x / a + m / sqrt_da * b + (m + delta) * c) / a
-    else:
-        g_m = 1.0 + x / a - sd_over_sa * b
-        g_d = -1.0 - 0.5 * x * (1.0 / a - 1.0 / delta) + (delta - m) / sqrt_da * b
-        h_mm = (2.0 * x / a + delta * c - sd_over_sa * b) / a
-        h_dd = (
-            0.5 * x / (a * a)
-            - 0.5 * x / (delta * delta)
-            - m * m * b / (delta * a) ** 1.5
-            + (m - delta) ** 2 * c / (delta * a)
-        )
-        h_md = (-x / a + m / sqrt_da * b + (m - delta) * c) / a
-    return g_m, g_d, h_mm, h_dd, h_md
-
-
-def _term_derivs_arr(x: np.ndarray, m: np.ndarray, delta: float):
-    """Vectorized :func:`_lnpmf_derivs` for signed integer arguments.
-
-    ``x`` holds latent outcomes (any sign; Bessel order ``|x|``) and ``m``
-    the conditional means; the two ``m``-sign branches are evaluated
-    jointly with masked arithmetic.
+    log-density at signed integer ``x`` (Bessel order ``n = |x|``) and
+    conditional means ``m``.  The two ``m``-sign branches share the Bessel
+    ratio terms ``b = I'_n/I_n`` and ``c = (I''/I) - b^2`` and are evaluated
+    jointly with masked arithmetic; the knife edge ``m == 0`` is evaluated
+    on the ``m >= 0`` branch, with which the ``m < 0`` branch agrees in the
+    limit.
     """
     x = np.asarray(x, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -612,10 +566,20 @@ def fit_mle(
             return np.concatenate([internal[:k_dyn], [math.exp(internal[-1])]])
         return internal
 
-    def objective(internal: np.ndarray) -> float:
+    def penalty(internal: np.ndarray) -> float:
+        # 0 inside the search domain: the stationarity region and, under
+        # scenario 2, a log-delta of moderate size
         violation = _stationarity_violation(internal, p, q)
         if violation >= 0.0:
             return _PENALTY * (1.0 + violation)
+        if scenario.estimates_delta and not abs(internal[-1]) < _LOG_DELTA_LIMIT:
+            return _PENALTY
+        return 0.0
+
+    def objective(internal: np.ndarray) -> float:
+        outside = penalty(internal)
+        if outside:
+            return outside
         value = loglik(to_natural(internal), series, (p, q, r), scenario)
         if not math.isfinite(value):
             return _PENALTY
@@ -632,9 +596,9 @@ def fit_mle(
     if polish:
 
         def obj_grad(internal: np.ndarray):
-            violation = _stationarity_violation(internal, p, q)
-            if violation >= 0.0:
-                return _PENALTY * (1.0 + violation), np.zeros_like(internal)
+            outside = penalty(internal)
+            if outside:
+                return outside, np.zeros_like(internal)
             natural = to_natural(internal)
             value = loglik(natural, series, (p, q, r), scenario)
             if not math.isfinite(value):

@@ -34,7 +34,6 @@ from .stingarch import CountSeries, ModelSpec
 
 __all__ = [
     "TinarsSpec",
-    "BoundedSpec",
     "signed_binomial_thinning",
     "simulate_tinars1",
     "tinars1_transition",
@@ -61,20 +60,6 @@ class TinarsSpec:
             raise ValueError(f"alpha1 must lie in (-1, 1), got {self.alpha1!r}")
         if not (self.innovation_mean > 0.0):
             raise ValueError("innovation mean must be positive")
-
-
-def BoundedSpec(
-    alpha0: float,
-    alphas=(),
-    betas=(),
-    delta: float = 0.25,
-    bound: int = 1,
-    kappa: float = 0.0,
-) -> ModelSpec:
-    """Convenience constructor for a bounded, one-inflated model spec."""
-    return ModelSpec(
-        alpha0=alpha0, alphas=alphas, betas=betas, delta=delta, bound=bound, kappa=kappa
-    )
 
 
 def _sgn(value: float) -> int:
@@ -222,6 +207,11 @@ def _transition_pair_counts(x: np.ndarray) -> dict[tuple[int, int], int]:
 def _tinars_loglik_pairs(
     spec: TinarsSpec, pairs: dict[tuple[int, int], int]
 ) -> float:
+    """Conditional log-likelihood of the Markov chain given ``X_1``.
+
+    The sample visits few distinct ``(previous, next)`` pairs, so each
+    transition probability is computed once per evaluation.
+    """
     total = 0.0
     for (prev, nxt), count in pairs.items():
         prob = tinars1_transition(nxt, prev, spec)
@@ -229,15 +219,6 @@ def _tinars_loglik_pairs(
             return -math.inf
         total += count * math.log(prob)
     return total
-
-
-def _tinars_loglik(spec: TinarsSpec, x: np.ndarray) -> float:
-    """Conditional log-likelihood of the Markov chain given ``X_1``.
-
-    The sample visits few distinct ``(previous, next)`` pairs, so each
-    transition probability is computed once per evaluation.
-    """
-    return _tinars_loglik_pairs(spec, _transition_pair_counts(x))
 
 
 def fit_tinars1_mle(series: CountSeries) -> FitResult:
@@ -491,4 +472,4 @@ def covariate_design(series: CountSeries, covariates) -> CountSeries:
         raise ValueError(
             f"covariate rows ({z.shape[0]}) do not match series length ({len(series)})"
         )
-    return CountSeries(series.counts, covariates=z, timestamps=series.timestamps)
+    return CountSeries(series.counts, covariates=z)

@@ -6,6 +6,12 @@ additive variance decomposition ``sigma^2 = |mu| + delta``.  Besides the
 PMF/CDF/sampler, the module provides the Stein-identity test harness and the
 closed-form first and second partial moments of ``max(0, X*)``, which drive
 every censored-moment computation elsewhere in the package.
+
+Each quantity has one array kernel over ``(mu, delta)``: the log-pmf
+(:func:`_log_pmf_arr`), the upper tail (:func:`_survival_arr`), the
+censored zero mass (:func:`_cdf0_arr`) and the censored moments
+(:func:`_censored_moments_arr`).  The scalar public functions are thin
+wrappers over them.
 """
 
 from __future__ import annotations
@@ -16,12 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .specialfn import (
-    _log_bessel_i_arr,
-    _poisson_mixture_survival,
-    log_bessel_i,
-    noncentral_chisq_cdf,
-)
+# ``log_bessel_i`` stays importable from this module, as the profiling
+# harness wraps it here.
+from .specialfn import _log_bessel_i_arr, _poisson_mixture, log_bessel_i  # noqa: F401
 
 __all__ = [
     "SkellamParams",
@@ -98,16 +101,14 @@ class CensoredMoments:
     prob_zero_or_less: float
 
 
+def _star(params: SkellamParams) -> tuple[float, float]:
+    # (mu, delta) for the array kernels; delta = 2 min(lambda1, lambda2)
+    return params.mean, 2.0 * min(params.lambda1, params.lambda2)
+
+
 def log_pmf(x: int, params: SkellamParams) -> float:
     """Log of ``P(X* = x)``, evaluated fully in the log domain."""
-    lam1, lam2 = params.lambda1, params.lambda2
-    z = 2.0 * math.sqrt(lam1 * lam2)
-    return (
-        -lam1
-        - lam2
-        + 0.5 * x * (math.log(lam1) - math.log(lam2))
-        + log_bessel_i(x, z)
-    )
+    return float(_log_pmf_arr(int(x), *_star(params)))
 
 
 def pmf(x: int, params: SkellamParams) -> float:
@@ -115,32 +116,18 @@ def pmf(x: int, params: SkellamParams) -> float:
     return math.exp(log_pmf(x, params))
 
 
-def _survival(x: int, params: SkellamParams) -> float:
-    """``P(X* >= x)`` for x >= 1, accurate in the far upper tail."""
-    if x < 1:
-        raise ValueError("survival form only used for x >= 1")
-    return noncentral_chisq_cdf(2.0 * params.lambda1, 2.0 * x, 2.0 * params.lambda2)
-
-
 def cdf(x: int, params: SkellamParams) -> float:
     """``P(X* <= x)`` via the noncentral chi-square connection.
 
-    The chi-square route is used for ``x <= -1`` and ``x >= 1``;
-    ``cdf(0)`` is resolved as ``cdf(-1) + pmf(0)``, which sidesteps the
-    zero-degrees-of-freedom boundary of the chi-square formula.
+    For ``x <= 0`` this is the upper tail of ``-X*`` at ``-x``, accurate in
+    the far lower tail; for ``x >= 1`` it is the complement of the upper tail
+    of ``X*`` at ``x + 1``.
     """
     x = int(x)
-    if x <= -1:
-        return min(
-            1.0,
-            noncentral_chisq_cdf(2.0 * params.lambda2, -2.0 * x, 2.0 * params.lambda1),
-        )
-    if x == 0:
-        below = noncentral_chisq_cdf(
-            2.0 * params.lambda2, 2.0, 2.0 * params.lambda1
-        )
-        return min(1.0, below + pmf(0, params))
-    return max(0.0, 1.0 - _survival(x + 1, params))
+    mu, delta = _star(params)
+    if x <= 0:
+        return float(_survival_arr(-x, -mu, delta))
+    return max(0.0, 1.0 - float(_survival_arr(x + 1, mu, delta)))
 
 
 def sample(params: SkellamParams, rng: np.random.Generator, size=None):
@@ -199,7 +186,7 @@ def stein_lhs_rhs(
     """
     radius = int(support_radius)
     xs = np.arange(-radius, radius + 1)
-    probs = np.array([pmf(int(x), params) for x in xs])
+    probs = np.exp(_log_pmf_arr(xs, *_star(params)))
     outside = 1.0 - probs.sum()
     if outside > 1e-12:
         raise ValueError(
@@ -216,52 +203,20 @@ def stein_lhs_rhs(
 def censored_moments(star: SkellamStar) -> CensoredMoments:
     """Partial mean and second moment of ``max(0, X*)`` for ``X* ~ Sk*(mu, delta)``.
 
-    Uses the closed forms
-
-    * ``E[X* 1{X*>0}] = mu P(X* >= 0) + lambda2 (p(0) + p(1))``
-    * ``E[(X*)^2 1{X*>0}] = (sigma^2 + mu^2) P(X* >= 1)
-      + lambda2 mu p(1) + lambda1 (1 + mu) p(0)``
-
-    with the survival probabilities computed directly from the noncentral
-    chi-square mixture so the far-left-mean regime (``mu << 0``) keeps full
-    relative accuracy.  ``delta == 0`` dispatches to the Poisson boundary.
+    See :func:`_censored_moments_arr` for the closed forms; ``delta == 0``
+    is the Poisson boundary.
     """
-    if star.delta == 0.0:
-        return _poisson_boundary_moments(star.mu)
-    params = star.to_params()
-    lam1, lam2 = params.lambda1, params.lambda2
-    mu = params.mean
-    sigma2 = params.variance
-    p0 = pmf(0, params)
-    p1 = pmf(1, params)
-    surv1 = _survival(1, params)
-    surv0 = surv1 + p0
-    mean = mu * surv0 + lam2 * (p0 + p1)
-    second = (sigma2 + mu * mu) * surv1 + lam2 * mu * p1 + lam1 * (1.0 + mu) * p0
-    variance = max(0.0, second - mean * mean)
+    mean, second, variance, prob_zero = _censored_moments_arr(star.mu, star.delta)
     return CensoredMoments(
-        mean=mean,
-        second_moment=second,
-        variance=variance,
-        prob_zero_or_less=max(0.0, 1.0 - surv1),
+        mean=float(mean),
+        second_moment=float(second),
+        variance=float(variance),
+        prob_zero_or_less=float(prob_zero),
     )
 
 
-def _poisson_boundary_moments(mu: float) -> CensoredMoments:
-    # delta -> 0 turns Sk*(mu, delta) into sgn(mu) * Poi(|mu|); censoring
-    # leaves a plain Poisson for mu > 0 and a point mass at zero otherwise.
-    if mu > 0.0:
-        return CensoredMoments(
-            mean=mu,
-            second_moment=mu + mu * mu,
-            variance=mu,
-            prob_zero_or_less=math.exp(-mu),
-        )
-    return CensoredMoments(mean=0.0, second_moment=0.0, variance=0.0, prob_zero_or_less=1.0)
-
-
 # ---------------------------------------------------------------------------
-# vectorized companions over the (mu, delta) parametrization
+# array kernels over the (mu, delta) parametrization
 # ---------------------------------------------------------------------------
 
 
@@ -285,14 +240,45 @@ def _log_pmf_arr(x: np.ndarray, mu: np.ndarray, delta: float) -> np.ndarray:
     )
 
 
-def _cdf0_arr(mu: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized ``P(X* <= 0)`` (the censored zero probability)."""
-    lam1, lam2 = _lambdas(mu, delta)
-    below = _poisson_mixture_survival(1, lam2, lam1)
-    return np.minimum(1.0, below + np.exp(_log_pmf_arr(0, mu, delta)))
-
-
 def _survival_arr(x: int, mu: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized ``P(X* >= x)`` for fixed integer ``x >= 1``."""
+    """Vectorized ``P(X* >= x)`` for fixed integer ``x >= 0``, ``delta > 0``."""
     lam1, lam2 = _lambdas(mu, delta)
-    return _poisson_mixture_survival(int(x), lam1, lam2)
+    return _poisson_mixture(int(x), lam1, lam2)
+
+
+def _cdf0_arr(mu: np.ndarray, delta: float) -> np.ndarray:
+    """Vectorized ``P(X* <= 0)`` (the censored zero probability).
+
+    This is ``P(-X* >= 0)`` with ``-X* ~ Sk*(-mu, delta)``.
+    """
+    return _survival_arr(0, np.negative(mu), delta)
+
+
+def _censored_moments_arr(mu: np.ndarray, delta: float):
+    """Vectorized ``(mean, second moment, variance, P(X* <= 0))`` of ``max(0, X*)``.
+
+    Uses the closed forms
+
+    * ``E[X* 1{X*>0}] = mu P(X* >= 0) + lambda2 (p(0) + p(1))``
+    * ``E[(X*)^2 1{X*>0}] = (sigma^2 + mu^2) P(X* >= 1)
+      + lambda2 mu p(1) + lambda1 (1 + mu) p(0)``
+
+    with ``P(X* >= 1)`` from the Poisson-mixture kernel, which stays
+    accurate in the far-left-mean regime (``mu << 0``); the closed forms
+    cancel there and keep about eleven significant digits at ``mu = -60``.
+    ``delta == 0`` turns ``Sk*(mu, delta)`` into ``sgn(mu) Poi(|mu|)``:
+    censoring leaves a plain Poisson for ``mu > 0`` and a point mass at zero
+    otherwise.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if delta == 0.0:
+        rate = np.maximum(mu, 0.0)
+        return rate, rate + rate * rate, rate, np.exp(-rate)
+    lam1, lam2 = _lambdas(mu, delta)
+    orders = np.arange(2).reshape((2,) + (1,) * mu.ndim)
+    p0, p1 = np.exp(_log_pmf_arr(orders, mu, delta))
+    surv1 = _survival_arr(1, mu, delta)
+    mean = mu * (surv1 + p0) + lam2 * (p0 + p1)
+    second = (lam1 + lam2 + mu * mu) * surv1 + lam2 * mu * p1 + lam1 * (1.0 + mu) * p0
+    variance = np.maximum(second - mean * mean, 0.0)
+    return mean, second, variance, np.maximum(1.0 - surv1, 0.0)

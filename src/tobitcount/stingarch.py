@@ -61,6 +61,7 @@ class ModelSpec:
     kappa: Optional[float] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha0", float(self.alpha0))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
@@ -95,7 +96,6 @@ class CountSeries:
 
     counts: np.ndarray
     covariates: Optional[np.ndarray] = None
-    timestamps: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
@@ -119,8 +119,6 @@ class CountSeries:
                     f"({counts.shape[0]})"
                 )
             object.__setattr__(self, "covariates", z)
-        if self.timestamps is not None and len(self.timestamps) != counts.shape[0]:
-            raise ValueError("timestamps must match series length")
 
     def __len__(self) -> int:
         return int(self.counts.shape[0])

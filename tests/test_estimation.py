@@ -327,3 +327,14 @@ class TestMcStudy:
         spec = ModelSpec(alpha0=5.0, delta=0.25)
         with pytest.raises(ValueError):
             mc_study(spec, n=100, replications=2, methods=("bogus",))
+
+    def test_scenario2_survives_log_delta_underflow(self):
+        # on this replication Nelder-Mead drives log(delta) far below -745,
+        # where exp() underflows to 0 and the likelihood is undefined
+        spec = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
+        result = mc_study(
+            spec, n=250, replications=1, methods=("mle",), scenario=None, seed=3234541379
+        )
+        assert result.failures == {"mle": 0}
+        assert np.all(np.isfinite(result.means["mle"]))
+        assert result.means["mle"][-1] > 0.0

@@ -9,9 +9,6 @@ from tobitcount.skellam import (
     CensoredMoments,
     SkellamParams,
     SkellamStar,
-    _cdf0_arr,
-    _log_pmf_arr,
-    _survival_arr,
     cdf,
     censored_moments,
     chernoff_tail_radius,
@@ -253,34 +250,6 @@ class TestCensoredMoments:
 
 
 class TestVectorizedHelpers:
-    def test_log_pmf_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        mus = rng.uniform(-12.0, 12.0, 50)
-        for delta in (0.05, 0.25, 1.0):
-            xs = rng.integers(-15, 20, 50)
-            vec = _log_pmf_arr(xs, mus, delta)
-            for i in range(50):
-                params = SkellamStar(float(mus[i]), delta).to_params()
-                ref = math.log(pmf(int(xs[i]), params))
-                assert vec[i] == pytest.approx(ref, rel=1e-11, abs=1e-11)
-
-    def test_cdf0_matches_scalar(self):
-        mus = np.linspace(-6.0, 9.0, 31)
-        for delta in (0.1, 0.5, 2.0):
-            vec = _cdf0_arr(mus, delta)
-            for i, mu in enumerate(mus):
-                ref = cdf(0, SkellamStar(float(mu), delta).to_params())
-                assert vec[i] == pytest.approx(ref, rel=1e-11, abs=1e-13)
-
-    def test_survival_matches_scalar(self):
-        mus = np.linspace(-4.0, 10.0, 29)
-        for delta, level in ((0.25, 1), (0.25, 5), (1.5, 3)):
-            vec = _survival_arr(level, mus, delta)
-            for i, mu in enumerate(mus):
-                params = SkellamStar(float(mu), delta).to_params()
-                ref = 1.0 - cdf(level - 1, params)
-                assert vec[i] == pytest.approx(ref, rel=1e-9, abs=1e-13)
-
     def test_chernoff_radius_bounds_tail(self):
         for lam1, lam2 in ((0.5, 0.5), (6.0, 1.0), (0.2, 9.0)):
             params = SkellamParams(lam1, lam2)

@@ -1,4 +1,8 @@
-"""Tests for the scalar special-function layer."""
+"""Tests for the public special functions and their array kernels.
+
+Accuracy across the whole parameter range is checked against mpmath in
+``test_oracle_grid.py``.
+"""
 
 import math
 
@@ -6,9 +10,7 @@ import numpy as np
 import pytest
 
 from tobitcount.specialfn import (
-    PrecisionError,
     _log_bessel_i_arr,
-    _poisson_mixture_survival,
     bessel_recurrence_residual,
     log_bessel_i,
     noncentral_chisq_cdf,
@@ -17,6 +19,8 @@ from tobitcount.specialfn import (
 
 # ln I_0(1) from 30-term series summation in 40-digit arithmetic
 LN_I0_1 = 0.23591435850717864869
+# ln I_0(5000) from mpmath.besseli in 30-digit arithmetic
+LN_I0_5000 = 4994.8224898735877
 # regularized lower gamma P(2.5, 3.7) from adaptive quadrature of the integrand
 P_25_37 = 0.8074495669206041
 # P(Q <= 4), Q ~ noncentral chi-square(3, 2): 4e7 draws of (Z1+sqrt(2))^2+Z2^2+Z3^2
@@ -50,9 +54,8 @@ class TestLogBesselI:
             ref = math.log(ive(n, z)) + z
             assert log_bessel_i(n, z) == pytest.approx(ref, rel=1e-13)
 
-    def test_term_cap_reports_precision_loss(self):
-        with pytest.raises(PrecisionError):
-            log_bessel_i(0, 5000.0)
+    def test_far_argument_matches_mpmath(self):
+        assert log_bessel_i(0, 5000.0) == pytest.approx(LN_I0_5000, rel=1e-14)
 
 
 class TestBesselRecurrence:
@@ -167,26 +170,6 @@ class TestNoncentralChisqCdf:
 
 
 class TestVectorizedCompanions:
-    def test_log_bessel_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        ns = rng.integers(0, 80, 250)
-        zs = rng.uniform(1e-5, 90.0, 250)
-        vec = _log_bessel_i_arr(ns, zs)
-        for i in range(ns.shape[0]):
-            ref = log_bessel_i(int(ns[i]), float(zs[i]))
-            assert vec[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
     def test_log_bessel_zero_argument(self):
         vec = _log_bessel_i_arr(np.array([0, 2]), np.array([0.0, 0.0]))
         assert vec[0] == 0.0 and vec[1] == -math.inf
-
-    def test_poisson_mixture_matches_scalar_cdf(self):
-        # sum_j Pois(j; m) P(Poi(g) >= s0 + j) == ncx2 CDF(2g; 2 s0, 2 m)
-        rng = np.random.default_rng(11)
-        g = rng.uniform(0.01, 25.0, 40)
-        m = rng.uniform(0.0, 30.0, 40)
-        for s0 in (1, 3, 6):
-            vec = _poisson_mixture_survival(s0, g, m)
-            for i in range(g.shape[0]):
-                ref = noncentral_chisq_cdf(2.0 * g[i], 2.0 * s0, 2.0 * m[i])
-                assert vec[i] == pytest.approx(ref, abs=5e-13)

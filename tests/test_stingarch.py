@@ -30,6 +30,12 @@ class TestSpecValidation:
             ModelSpec(alpha0=1.0, kappa=0.1)
         ModelSpec(alpha0=1.0, bound=5, kappa=0.1)
 
+    def test_integer_intercept_is_coerced(self):
+        spec = ModelSpec(alpha0=20)
+        assert isinstance(spec.alpha0, float)
+        path = conditional_mean_path(spec, CountSeries(np.array([1, 0, 4])))
+        assert np.array_equal(path, np.full(4, 20.0))
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(alpha0=1.0, delta=-0.1)
