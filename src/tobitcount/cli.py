@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import pearson_residuals
-from .estimation import EstimationScenario, FitResult, fit_clade, fit_cls, fit_mle, mc_study
+from .estimation import FitResult, fit_clade, fit_cls, fit_mle, mc_study
 from .extensions import fit_stbingarch_mle, fit_tinars1_mle
 from .stingarch import (
     CountSeries,
@@ -146,6 +145,13 @@ def _spec_from_args(args, require_delta: bool = True) -> ModelSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _scenario_from_args(args) -> Optional[float]:
+    """``None`` (scenario 2) under ``--scenario2``, else the fixed dispersion."""
+    if args.scenario2:
+        return None
+    return args.delta if args.delta is not None else 0.25
+
+
 def _json_dump(payload: dict, path: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
@@ -234,22 +240,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     series = ingest_csv(args.input)
-    if args.model == "stingarch":
-        scenario = (
-            EstimationScenario.free()
-            if args.scenario2
-            else EstimationScenario.fixed(args.delta if args.delta is not None else 0.25)
-        )
-        r = 0 if series.covariates is None else series.covariates.shape[1]
-        if args.method == "mle":
-            fit = fit_mle(series, (args.p, args.q, r), scenario)
-        elif args.method == "clade":
-            fit = fit_clade(series, (args.p, args.q, r))
-        else:
-            fit = fit_cls(series, (args.p, args.q, r))
-        residuals = None
-        if fit.spec is not None and fit.method.startswith("mle"):
-            residuals = _residual_summary(fit.spec, series)
+    if args.model == "tinars1":
+        fit = fit_tinars1_mle(series)
     elif args.model == "stbingarch":
         if args.bound is None:
             raise ConfigError("--bound is required for the bounded model")
@@ -259,13 +251,17 @@ def _cmd_fit(args) -> int:
             bound=args.bound,
             delta=args.delta if args.delta is not None else 0.01,
         )
-        residuals = _residual_summary(fit.spec, series) if fit.spec else None
-    else:  # tinars1
-        fit = fit_tinars1_mle(series)
-        from .extensions import TinarsSpec
-
-        spec = TinarsSpec(alpha1=float(fit.estimates[1]), innovation_mean=float(fit.estimates[0]))
-        residuals = _residual_summary(spec, series)
+    else:
+        r = 0 if series.covariates is None else series.covariates.shape[1]
+        if args.method == "mle":
+            fit = fit_mle(series, (args.p, args.q, r), _scenario_from_args(args))
+        elif args.method == "clade":
+            fit = fit_clade(series, (args.p, args.q, r))
+        else:
+            fit = fit_cls(series, (args.p, args.q, r))
+    residuals = None
+    if fit.method.startswith("mle"):
+        residuals = _residual_summary(fit.spec, series)
     _json_dump(_fit_payload(fit, residuals), args.output)
     return EXIT_OK if fit.converged else EXIT_NONCONVERGED
 
@@ -324,16 +320,13 @@ def _cmd_mc_study(args) -> int:
         _json_dump({"replications": 0, "methods": {}}, args.output)
         return EXIT_OK
     methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
-    scenario = EstimationScenario.free() if args.scenario2 else EstimationScenario.fixed(
-        args.delta if args.delta is not None else 0.25
-    )
     jobs = args.jobs or int(os.environ.get("TOBITCOUNT_JOBS", "1"))
     result = mc_study(
         spec,
         n=args.n,
         replications=args.replications,
         methods=methods,
-        scenario=scenario,
+        scenario=_scenario_from_args(args),
         seed=args.seed,
         jobs=jobs,
     )

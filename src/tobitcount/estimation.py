@@ -19,18 +19,18 @@ log-likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import optimize
 
 from . import skellam
+from .diagnostics import information_criteria, sample_acf
 from .stingarch import (
     CountSeries,
     ModelSpec,
     _mean_recursion,
-    check_stationarity,
     simulate,
 )
 
@@ -95,7 +95,8 @@ class FitResult:
     converged: bool
     iterations: int
     n_effective: int
-    spec: Optional[ModelSpec] = None
+    # the fitted model: a ModelSpec, or a TinarsSpec for the TINARS(1) fit
+    spec: Optional[object] = None
     std_errors: Optional[np.ndarray] = None
     loglik: Optional[float] = None
     aic: Optional[float] = None
@@ -359,19 +360,17 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     return g_m, g_d, h_mm, h_dd, h_md
 
 
-def analytic_score_hessian(theta, series: CountSeries, orders, scenario):
-    """Closed-form score vector and Hessian matrix of :func:`loglik`.
+def _score_parts(theta, series: CountSeries, orders, scenario):
+    """Shared core of the analytic score and Hessian over the likelihood window.
 
-    Both are derivatives of the conditional log-likelihood with respect to
-    the natural parameters (dynamics block, then delta under scenario 2);
-    the Hessian is returned as ``d^2 L / dtheta dtheta'`` (negative definite
-    near the optimum).
+    Returns ``(dm_w, g_m, g_d, hess)``: the mean derivatives, the
+    per-observation log-density derivatives in ``m`` and ``delta``, and the
+    summed Hessian of :func:`loglik` with respect to the natural parameters.
     """
     p, q, r = _orders(orders, series)
     _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
     if not (delta > 0.0):
         raise ValueError("score requires delta > 0")
-    n = len(series)
     start = max(p, q)
     m, dm, d2m = _mean_derivatives(theta, series, p, q, r, scenario)
     k_dyn = 1 + p + q + r
@@ -380,18 +379,31 @@ def analytic_score_hessian(theta, series: CountSeries, orders, scenario):
         series.counts[start:], m[start:], delta
     )
     dm_w = dm[start:]
-    grad = np.zeros(k_all)
     hess = np.zeros((k_all, k_all))
-    grad[:k_dyn] = dm_w.T @ g_m
     hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None])
     if d2m is not None:
         hess[:k_dyn, :k_dyn] += np.einsum("t,tij->ij", g_m, d2m[start:])
     if scenario.estimates_delta:
-        grad[-1] = g_d.sum()
         cross = dm_w.T @ h_md
         hess[:k_dyn, -1] = cross
         hess[-1, :k_dyn] = cross
         hess[-1, -1] = h_dd.sum()
+    return dm_w, g_m, g_d, hess
+
+
+def analytic_score_hessian(theta, series: CountSeries, orders, scenario):
+    """Closed-form score vector and Hessian matrix of :func:`loglik`.
+
+    Both are derivatives of the conditional log-likelihood with respect to
+    the natural parameters (dynamics block, then delta under scenario 2);
+    the Hessian is returned as ``d^2 L / dtheta dtheta'`` (negative definite
+    near the optimum).
+    """
+    dm_w, g_m, g_d, hess = _score_parts(theta, series, orders, scenario)
+    grad = np.zeros(hess.shape[0])
+    grad[: dm_w.shape[1]] = dm_w.T @ g_m
+    if scenario.estimates_delta:
+        grad[-1] = g_d.sum()
     return grad, hess
 
 
@@ -403,46 +415,35 @@ def information_matrices(theta, series: CountSeries, orders, scenario):
     ``theta``.  Exposed for inspection; reported standard errors use the
     plain inverse numerical Hessian instead.
     """
-    p, q, r = _orders(orders, series)
-    _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
-    n = len(series)
-    start = max(p, q)
-    m, dm, d2m = _mean_derivatives(theta, series, p, q, r, scenario)
-    k_dyn = 1 + p + q + r
-    k_all = k_dyn + (1 if scenario.estimates_delta else 0)
-    g_m, g_d, h_mm, h_dd, h_md = _per_term_derivs(
-        series.counts[start:], m[start:], delta
-    )
-    dm_w = dm[start:]
-    per_term_grad = np.zeros((n - start, k_all))
-    per_term_grad[:, :k_dyn] = dm_w * g_m[:, None]
-    u_hat = np.zeros((k_all, k_all))
-    u_hat[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None])
-    if d2m is not None:
-        u_hat[:k_dyn, :k_dyn] += np.einsum("t,tij->ij", g_m, d2m[start:])
+    dm_w, g_m, g_d, hess = _score_parts(theta, series, orders, scenario)
+    count = dm_w.shape[0]
+    per_term_grad = np.zeros((count, hess.shape[0]))
+    per_term_grad[:, : dm_w.shape[1]] = dm_w * g_m[:, None]
     if scenario.estimates_delta:
         per_term_grad[:, -1] = g_d
-        cross = dm_w.T @ h_md
-        u_hat[:k_dyn, -1] = cross
-        u_hat[-1, :k_dyn] = cross
-        u_hat[-1, -1] = h_dd.sum()
-    count = n - start
     v_hat = per_term_grad.T @ per_term_grad / count
-    return -u_hat / count, v_hat
+    return -hess / count, v_hat
 
 
 def _se_from_loglik_hessian(hess: np.ndarray):
     """Standard errors from a log-likelihood Hessian, or ``None``.
 
     The Hessian counts as invertible only when it is negative definite and
-    well conditioned (condition number below 1e6); near-singular curvature
-    (e.g. collinear covariates, boundary dispersion estimates) is reported
-    as non-invertible rather than turned into meaningless standard errors.
+    well conditioned; near-singular curvature (e.g. collinear covariates,
+    boundary dispersion estimates) is reported as non-invertible rather
+    than turned into meaningless standard errors.  The condition number
+    (below 1e6) is taken of the unit-diagonal (correlation-scaled) matrix,
+    so it does not depend on the units of the parameters.
     """
     neg = -np.asarray(hess, dtype=float)
     if not np.all(np.isfinite(neg)):
         return None, False
-    eigenvalues = np.linalg.eigvalsh(0.5 * (neg + neg.T))
+    scale = np.diag(neg)
+    if np.any(scale <= 0.0):
+        return None, False
+    scale = 1.0 / np.sqrt(scale)
+    scaled = neg * scale[:, None] * scale[None, :]
+    eigenvalues = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
     if eigenvalues.min() <= 0.0 or eigenvalues.max() / eigenvalues.min() > 1e6:
         return None, False
     diag = np.diag(np.linalg.inv(neg))
@@ -491,8 +492,6 @@ def _moment_start(series: CountSeries, p: int, q: int, r: int) -> np.ndarray:
     the level implied by the sample mean, feedback and covariate
     coefficients at zero.
     """
-    from .diagnostics import sample_acf
-
     x = series.counts.astype(float)
     xbar = max(float(x.mean()), 0.05)
     start = np.zeros(1 + p + q + r)
@@ -514,27 +513,104 @@ def _stationarity_violation(theta_dyn: np.ndarray, p: int, q: int) -> float:
     return total - 1.0
 
 
-def _nelder_mead(fun, x0, fatol=1e-10, xatol=1e-8, maxiter=None):
-    res = optimize.minimize(
+def _nelder_mead(fun, x0, fatol=1e-10):
+    budget = 400 * len(x0)
+    return optimize.minimize(
         fun,
         x0,
         method="Nelder-Mead",
-        options={
-            "fatol": fatol,
-            "xatol": xatol,
-            "maxiter": maxiter or 400 * len(x0),
-            "maxfev": maxiter or 400 * len(x0),
-        },
+        options={"fatol": fatol, "xatol": 1e-8, "maxiter": budget, "maxfev": budget},
     )
-    return res
+
+
+def _fit(
+    objective,
+    x0: np.ndarray,
+    to_natural,
+    natural_loglik,
+    steps,
+    names: tuple[str, ...],
+    method: str,
+    window: np.ndarray,
+    spec=None,
+    obj_grad=None,
+) -> FitResult:
+    """Maximum-likelihood pipeline shared by every likelihood fitter.
+
+    Two Nelder-Mead passes on the penalized negative log-likelihood over the
+    internal parameters, then, given ``obj_grad``, a BFGS polish kept only if
+    it lowers the objective.  ``converged`` is the success flag of the stage
+    whose point is returned; a polish that raises leaves the simplex point
+    unconverged.  Standard errors invert the numerical Hessian of
+    ``natural_loglik`` at ``to_natural(x)`` with ``steps(theta)``, which is
+    ``None`` for an estimate on its domain boundary.  ``window`` holds the
+    counts after the conditioning prefix.  Raises ``ValueError`` when none
+    of them is positive (the likelihood then has no maximum) and
+    ``ArithmeticError`` when the best point is a penalty value.
+    """
+    if not np.any(window > 0):
+        raise ValueError(
+            "no positive count after the conditioning prefix: the likelihood has no maximum"
+        )
+    res = _nelder_mead(objective, x0)
+    res = _nelder_mead(objective, res.x)
+    best_x, best_f = res.x, res.fun
+    iterations, converged = int(res.nit), bool(res.success)
+    if obj_grad is not None:
+        try:
+            pol = optimize.minimize(
+                obj_grad, best_x, method="BFGS", jac=True, options={"maxiter": 200}
+            )
+        except (ArithmeticError, ValueError):
+            converged = False
+        else:
+            if math.isfinite(pol.fun) and pol.fun < best_f:
+                best_x, best_f = pol.x, pol.fun
+                iterations += int(pol.nit)
+                converged = bool(pol.success)
+    if not best_f < _PENALTY / 2:
+        raise ArithmeticError("no admissible point found: the optimum is a penalty value")
+    theta_hat = to_natural(best_x)
+    ll = -best_f
+    std_errors, invertible = None, False
+    h = steps(theta_hat)
+    if h is not None:
+        try:
+            hess = numerical_hessian(natural_loglik, theta_hat, steps=h)
+            std_errors, invertible = _se_from_loglik_hessian(hess)
+        except (np.linalg.LinAlgError, ValueError, ArithmeticError):
+            std_errors, invertible = None, False
+    n_eff = window.shape[0]
+    aic, bic = information_criteria(ll, len(names), n_eff)
+    return FitResult(
+        estimates=theta_hat,
+        param_names=names,
+        method=method,
+        converged=converged,
+        iterations=iterations,
+        n_effective=n_eff,
+        spec=None if spec is None else spec(theta_hat),
+        std_errors=std_errors,
+        loglik=ll,
+        aic=aic,
+        bic=bic,
+        hessian_invertible=invertible,
+    )
+
+
+def _as_scenario(scenario: EstimationScenario | float | None) -> EstimationScenario:
+    """A float is a fixed scenario-1 dispersion and ``None`` means scenario 2."""
+    if isinstance(scenario, EstimationScenario):
+        return scenario
+    if scenario is None:
+        return EstimationScenario.free()
+    return EstimationScenario.fixed(float(scenario))
 
 
 def fit_mle(
     series: CountSeries,
     orders=(1, 0),
     scenario: EstimationScenario | float | None = 0.25,
-    start: Optional[np.ndarray] = None,
-    polish: bool = True,
 ) -> FitResult:
     """Conditional MLE by simplex search with a quasi-Newton polish.
 
@@ -546,19 +622,8 @@ def fit_mle(
     numerical Hessian's diagonal; a singular (non positive-definite)
     Hessian flags ``hessian_invertible=False`` instead of failing.
     """
-    if not isinstance(scenario, EstimationScenario):
-        scenario = (
-            EstimationScenario.free()
-            if scenario is None
-            else EstimationScenario.fixed(float(scenario))
-        )
+    scenario = _as_scenario(scenario)
     p, q, r = _orders(orders, series)
-    n = len(series)
-    n_eff = n - max(p, q)
-    if start is None:
-        start_dyn = _moment_start(series, p, q, r)
-    else:
-        start_dyn = np.asarray(start, dtype=float)[: 1 + p + q + r]
     k_dyn = 1 + p + q + r
 
     def to_natural(internal: np.ndarray) -> np.ndarray:
@@ -576,84 +641,49 @@ def fit_mle(
             return _PENALTY
         return 0.0
 
+    def natural_loglik(theta: np.ndarray) -> float:
+        return loglik(theta, series, (p, q, r), scenario)
+
     def objective(internal: np.ndarray) -> float:
         outside = penalty(internal)
         if outside:
             return outside
-        value = loglik(to_natural(internal), series, (p, q, r), scenario)
+        value = natural_loglik(to_natural(internal))
         if not math.isfinite(value):
             return _PENALTY
         return -value
 
-    x0 = start_dyn
-    if scenario.estimates_delta:
-        x0 = np.concatenate([start_dyn, [math.log(0.25)]])
-    res = _nelder_mead(objective, x0)
-    res = _nelder_mead(objective, res.x)
-    iterations = int(res.nit)
-    best_x, best_f = res.x, res.fun
-    converged = bool(res.success)
-    if polish:
-
-        def obj_grad(internal: np.ndarray):
-            outside = penalty(internal)
-            if outside:
-                return outside, np.zeros_like(internal)
-            natural = to_natural(internal)
-            value = loglik(natural, series, (p, q, r), scenario)
-            if not math.isfinite(value):
-                return _PENALTY, np.zeros_like(internal)
-            grad, _ = analytic_score_hessian(natural, series, (p, q, r), scenario)
-            if scenario.estimates_delta:
-                grad = grad.copy()
-                grad[-1] *= natural[-1]  # chain rule through log-delta
-            return -value, -grad
-
-        try:
-            pol = optimize.minimize(
-                obj_grad, best_x, method="BFGS", jac=True, options={"maxiter": 200}
-            )
-            if math.isfinite(pol.fun) and pol.fun < best_f:
-                best_x, best_f = pol.x, pol.fun
-                iterations += int(pol.nit)
-                converged = True
-        except (ArithmeticError, ValueError, OverflowError):
-            pass
-    theta_hat = to_natural(best_x)
-    ll = -best_f if best_f < _PENALTY / 2 else -math.inf
-    k_free = k_dyn + (1 if scenario.estimates_delta else 0)
-    from .diagnostics import information_criteria
-
-    aic, bic = information_criteria(ll, k_free, n_eff)
-
-    def natural_loglik(theta_nat: np.ndarray) -> float:
-        return loglik(theta_nat, series, (p, q, r), scenario)
-
-    std_errors = None
-    invertible = False
-    if math.isfinite(ll):
-        steps = 1e-4 * (1.0 + np.abs(theta_hat))
+    def obj_grad(internal: np.ndarray):
+        value = objective(internal)
+        if value >= _PENALTY / 2:
+            return value, np.zeros_like(internal)
+        natural = to_natural(internal)
+        grad, _ = analytic_score_hessian(natural, series, (p, q, r), scenario)
         if scenario.estimates_delta:
-            steps[-1] = min(steps[-1], max(theta_hat[-1] / 3.0, 1e-8))
-        try:
-            hess = numerical_hessian(natural_loglik, theta_hat, steps=steps)
-            std_errors, invertible = _se_from_loglik_hessian(hess)
-        except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-            invertible = False
-    method = "mle-s2" if scenario.estimates_delta else "mle-s1"
-    return FitResult(
-        estimates=theta_hat,
-        param_names=_param_names(p, q, r, scenario.estimates_delta),
-        method=method,
-        converged=converged,
-        iterations=iterations,
-        n_effective=n_eff,
-        spec=_spec_from_theta(theta_hat, p, q, r, scenario),
-        std_errors=std_errors,
-        loglik=ll,
-        aic=aic,
-        bic=bic,
-        hessian_invertible=invertible,
+            grad = grad.copy()
+            grad[-1] *= natural[-1]  # chain rule through log-delta
+        return value, -grad
+
+    def steps(theta: np.ndarray) -> np.ndarray:
+        h = 1e-4 * (1.0 + np.abs(theta))
+        if scenario.estimates_delta:
+            h[-1] = min(h[-1], max(theta[-1] / 3.0, 1e-8))
+        return h
+
+    x0 = _moment_start(series, p, q, r)
+    if scenario.estimates_delta:
+        x0 = np.concatenate([x0, [math.log(0.25)]])
+    return _fit(
+        objective,
+        x0,
+        to_natural,
+        natural_loglik,
+        steps,
+        _param_names(p, q, r, scenario.estimates_delta),
+        "mle-s2" if scenario.estimates_delta else "mle-s1",
+        series.counts[max(p, q):],
+        spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario),
+        obj_grad=obj_grad,
     )
 
 
@@ -857,12 +887,7 @@ def mc_study(
     processes execute them.  Per-replication estimation failures are
     tallied, not raised.
     """
-    if not isinstance(scenario, EstimationScenario):
-        scenario = (
-            EstimationScenario.free()
-            if scenario is None
-            else EstimationScenario.fixed(float(scenario))
-        )
+    scenario = _as_scenario(scenario)
     methods = tuple(methods)
     unknown = set(methods) - set(_METHOD_FITTERS)
     if unknown:

@@ -15,19 +15,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from . import skellam
+from .diagnostics import sample_acf
 from .estimation import (
+    _PENALTY,
     EstimationScenario,
     FitResult,
+    _fit,
     _mean_path,
-    _nelder_mead,
+    _moment_start,
     _orders,
     _param_names,
-    _se_from_loglik_hessian,
     _stationarity_violation,
-    numerical_hessian,
 )
 from .specialfn import _log_factorials
 from .stingarch import CountSeries, ModelSpec
@@ -44,8 +44,6 @@ __all__ = [
     "fit_stbingarch_mle",
     "covariate_design",
 ]
-
-_PENALTY = 1e12
 
 
 @dataclass(frozen=True)
@@ -226,67 +224,50 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
 
     The search runs on ``(log innovation_mean, atanh alpha1)`` so both
     constraints are automatic; standard errors come from the numerical
-    Hessian in the natural parametrization.
+    Hessian in the natural parametrization.  ``spec`` holds the fitted
+    :class:`TinarsSpec`.
     """
     x = series.counts
-    n = len(series)
-    if n < 3:
+    if len(series) < 3:
         raise ValueError("series too short")
 
     pairs = _transition_pair_counts(x)
 
-    def natural(internal: np.ndarray) -> TinarsSpec:
-        return TinarsSpec(
-            alpha1=math.tanh(internal[1]), innovation_mean=math.exp(internal[0])
-        )
+    def natural(theta: np.ndarray) -> TinarsSpec:
+        return TinarsSpec(alpha1=theta[1], innovation_mean=theta[0])
+
+    def natural_loglik(theta: np.ndarray) -> float:
+        return _tinars_loglik_pairs(natural(theta), pairs)
 
     def objective(internal: np.ndarray) -> float:
-        value = _tinars_loglik_pairs(natural(internal), pairs)
+        spec = TinarsSpec(
+            alpha1=math.tanh(internal[1]), innovation_mean=math.exp(internal[0])
+        )
+        value = _tinars_loglik_pairs(spec, pairs)
         return -value if math.isfinite(value) else _PENALTY
 
-    from .diagnostics import sample_acf
+    def steps(theta: np.ndarray):
+        if not (theta[0] > 0.0 and abs(theta[1]) < 1.0):
+            return None
+        return np.array(
+            [
+                min(1e-4 * (1.0 + theta[0]), theta[0] / 3.0),
+                min(1e-4, (1.0 - abs(theta[1])) / 3.0),
+            ]
+        )
 
     rho1 = float(np.clip(sample_acf(x.astype(float), 1)[0], -0.9, 0.9)) if x.std() else 0.0
     mean0 = max(float(x.mean()) * (1.0 - rho1), 0.1)
-    x0 = np.array([math.log(mean0), math.atanh(rho1)])
-    res = _nelder_mead(objective, x0)
-    res = _nelder_mead(objective, res.x)
-    spec_hat = natural(res.x)
-    theta_hat = np.array([spec_hat.innovation_mean, spec_hat.alpha1])
-    ll = -res.fun
-
-    def natural_loglik(theta: np.ndarray) -> float:
-        return _tinars_loglik_pairs(
-            TinarsSpec(alpha1=theta[1], innovation_mean=theta[0]), pairs
-        )
-
-    steps = np.array(
-        [
-            min(1e-4 * (1.0 + theta_hat[0]), theta_hat[0] / 3.0),
-            min(1e-4, (1.0 - abs(theta_hat[1])) / 3.0),
-        ]
-    )
-    try:
-        hess = numerical_hessian(natural_loglik, theta_hat, steps=steps)
-        std_errors, invertible = _se_from_loglik_hessian(hess)
-    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-        std_errors, invertible = None, False
-    from .diagnostics import information_criteria
-
-    aic, bic = information_criteria(ll, 2, n - 1)
-    return FitResult(
-        estimates=theta_hat,
-        param_names=("innovation_mean", "alpha1"),
-        method="mle-tinars1",
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        n_effective=n - 1,
-        spec=None,
-        std_errors=std_errors,
-        loglik=ll,
-        aic=aic,
-        bic=bic,
-        hessian_invertible=invertible,
+    return _fit(
+        objective,
+        np.array([math.log(mean0), math.atanh(rho1)]),
+        lambda internal: np.array([math.exp(internal[0]), math.tanh(internal[1])]),
+        natural_loglik,
+        steps,
+        ("innovation_mean", "alpha1"),
+        "mle-tinars1",
+        x[1:],
+        spec=natural,
     )
 
 
@@ -388,14 +369,14 @@ def fit_stbingarch_mle(
     p, q, r = _orders(orders, series)
     if np.any(series.counts > bound):
         raise ValueError("series exceeds the declared bound")
-    n = len(series)
-    n_eff = n - max(p, q)
     bound = int(bound)
-    from .estimation import _moment_start
-
     start_dyn = _moment_start(series, p, q, r)
-    x0 = np.concatenate([start_dyn, [math.log(0.1 / 0.9)]])
     k_dyn = start_dyn.shape[0]
+
+    def natural_loglik(theta: np.ndarray) -> float:
+        return _stbingarch_loglik(
+            theta[:k_dyn], theta[-1], series, p, q, r, bound, delta
+        )
 
     def objective(internal: np.ndarray) -> float:
         violation = _stationarity_violation(internal[:k_dyn], p, q)
@@ -407,55 +388,39 @@ def fit_stbingarch_mle(
         )
         return -value if math.isfinite(value) else _PENALTY
 
-    res = _nelder_mead(objective, x0)
-    res = _nelder_mead(objective, res.x)
-    logit_kappa = res.x[-1]
-    kappa_hat = 0.0 if logit_kappa < -12.0 else 1.0 / (1.0 + math.exp(-logit_kappa))
-    theta_hat = np.concatenate([res.x[:k_dyn], [kappa_hat]])
-    ll = -res.fun
+    def to_natural(internal: np.ndarray) -> np.ndarray:
+        logit = internal[-1]
+        kappa = 0.0 if logit < -12.0 else 1.0 / (1.0 + math.exp(-logit))
+        return np.concatenate([internal[:k_dyn], [kappa]])
 
-    def natural_loglik(theta: np.ndarray) -> float:
-        return _stbingarch_loglik(
-            theta[:k_dyn], theta[-1], series, p, q, r, bound, delta
+    def steps(theta: np.ndarray):
+        kappa = theta[-1]
+        if not kappa > 1e-5:
+            return None
+        h = 1e-4 * (1.0 + np.abs(theta))
+        h[-1] = min(h[-1], kappa / 3.0, (1.0 - kappa) / 3.0)
+        return h
+
+    def spec(theta: np.ndarray) -> ModelSpec:
+        return ModelSpec(
+            alpha0=float(theta[0]),
+            alphas=tuple(theta[1 : 1 + p]),
+            betas=tuple(theta[1 + p : 1 + p + q]),
+            delta=delta,
+            bound=bound,
+            kappa=float(theta[-1]),
         )
 
-    std_errors = None
-    invertible = False
-    if kappa_hat > 1e-5:
-        steps = 1e-4 * (1.0 + np.abs(theta_hat))
-        steps[-1] = min(steps[-1], kappa_hat / 3.0, (1.0 - kappa_hat) / 3.0)
-        try:
-            hess = numerical_hessian(natural_loglik, theta_hat, steps=steps)
-            std_errors, invertible = _se_from_loglik_hessian(hess)
-        except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-            std_errors, invertible = None, False
-    from .diagnostics import information_criteria
-
-    k_free = k_dyn + 1
-    aic, bic = information_criteria(ll, k_free, n_eff)
-    names = _param_names(p, q, r, with_delta=False) + ("kappa",)
-    alphas = tuple(theta_hat[1 : 1 + p])
-    betas = tuple(theta_hat[1 + p : 1 + p + q])
-    return FitResult(
-        estimates=theta_hat,
-        param_names=names,
-        method="mle-stbingarch",
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        n_effective=n_eff,
-        spec=ModelSpec(
-            alpha0=float(theta_hat[0]),
-            alphas=alphas,
-            betas=betas,
-            delta=delta,
-            bound=int(bound),
-            kappa=float(kappa_hat),
-        ),
-        std_errors=std_errors,
-        loglik=ll,
-        aic=aic,
-        bic=bic,
-        hessian_invertible=invertible,
+    return _fit(
+        objective,
+        np.concatenate([start_dyn, [math.log(0.1 / 0.9)]]),
+        to_natural,
+        natural_loglik,
+        steps,
+        _param_names(p, q, r, with_delta=False) + ("kappa",),
+        "mle-stbingarch",
+        series.counts[max(p, q):],
+        spec=spec,
     )
 
 

@@ -249,9 +249,10 @@ def _survival_arr(x: int, mu: np.ndarray, delta: float) -> np.ndarray:
 def _cdf0_arr(mu: np.ndarray, delta: float) -> np.ndarray:
     """Vectorized ``P(X* <= 0)`` (the censored zero probability).
 
-    This is ``P(-X* >= 0)`` with ``-X* ~ Sk*(-mu, delta)``.
+    This is ``P(-X* >= 0)`` with ``-X* ~ Sk*(-mu, delta)``, clipped at 1:
+    near certainty the mixture sum rounds a few ulps above it.
     """
-    return _survival_arr(0, np.negative(mu), delta)
+    return np.minimum(_survival_arr(0, np.negative(mu), delta), 1.0)
 
 
 def _censored_moments_arr(mu: np.ndarray, delta: float):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tobitcount import cli, estimation
 from tobitcount.diagnostics import information_criteria
 from tobitcount.estimation import (
     EstimationScenario,
@@ -202,6 +203,14 @@ class TestAnalyticDerivatives:
         assert np.all(ratio > 0.3) and np.all(ratio < 3.0)
 
 
+    def test_curvature_information_is_scaled_analytic_hessian(self, series_11):
+        theta = np.array([8.4, -0.44, -0.26, 0.3])
+        u_hat, _ = information_matrices(theta, series_11, (1, 1), SC2)
+        _, hess = analytic_score_hessian(theta, series_11, (1, 1), SC2)
+        n_eff = len(series_11) - 1
+        assert np.array_equal(u_hat, -hess / n_eff)
+
+
 class TestInformationCriteria:
     def test_hand_computed_example(self):
         # 3 observations from the i.i.d. model, k = 1 free parameter
@@ -267,6 +276,53 @@ class TestFitMle:
             ):
                 hits += 1
         assert hits >= int(0.95 * reps) - 1
+
+
+class TestFitDriver:
+    @pytest.fixture(scope="class")
+    def series(self):
+        spec = ModelSpec(alpha0=7.5, alphas=(-0.5,), delta=0.25)
+        return simulate(spec, 300, rng=np.random.default_rng(76))
+
+    def test_polish_failure_reports_not_converged(self, series, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ArithmeticError("score failed")
+
+        monkeypatch.setattr(estimation, "analytic_score_hessian", broken)
+        fit = fit_mle(series, (1, 0), SC1)
+        assert not fit.converged
+        assert math.isfinite(fit.loglik)
+        assert fit.loglik == pytest.approx(loglik(fit.estimates, series, (1, 0), SC1))
+
+    def test_penalty_valued_optimum_raises(self, series, monkeypatch):
+        monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)
+        with pytest.raises(ArithmeticError):
+            fit_mle(series, (1, 0), SC1)
+
+    @pytest.mark.parametrize(
+        "counts", [np.zeros(200, dtype=np.int64), np.r_[3, np.zeros(199, dtype=np.int64)]]
+    )
+    def test_all_zero_window_refused(self, counts):
+        # the likelihood keeps rising as alpha0 -> -inf, so there is no MLE
+        with pytest.raises(ValueError, match="no positive count"):
+            fit_mle(CountSeries(counts), (1, 0), 0.25)
+
+    def test_all_zero_window_cli_exit_code(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("count\n" + "0\n" * 200)
+        assert cli.main(["fit", "--input", str(path)]) == cli.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_large_mean_hessian_is_invertible(self, i):
+        # the raw eigenvalue ratio is about 5.7e6 here only because alpha0 is
+        # in the hundreds; the correlation-scaled ratio is about 570
+        spec = ModelSpec(alpha0=100.0, alphas=(0.5,), delta=2.0)
+        rng = np.random.default_rng(np.random.SeedSequence([7, i]))
+        series = simulate(spec, 1000, rng=rng)
+        fit = fit_mle(series, (1, 0), EstimationScenario.fixed(2.0))
+        assert fit.hessian_invertible
+        assert np.all(np.isfinite(fit.std_errors)) and np.all(fit.std_errors > 0.0)
+        assert np.all(np.abs(fit.estimates - [100.0, 0.5]) < 4.0 * fit.std_errors)
 
 
 class TestCensoredDeviationFits:

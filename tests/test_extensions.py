@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tobitcount import extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
 from tobitcount.estimation import EstimationScenario, fit_mle
 from tobitcount.extensions import (
@@ -112,6 +113,15 @@ class TestTinarsFit:
         x = series.counts.astype(float)
         assert x.var() / x.mean() > 2.0
 
+    def test_all_zero_series_refused(self):
+        with pytest.raises(ValueError, match="no positive count"):
+            fit_tinars1_mle(CountSeries(np.zeros(200, dtype=np.int64)))
+
+    def test_penalty_valued_optimum_raises(self, monkeypatch):
+        monkeypatch.setattr(extensions, "_tinars_loglik_pairs", lambda *args: -math.inf)
+        with pytest.raises(ArithmeticError):
+            fit_tinars1_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])))
+
     def test_pearson_residuals_dispatch(self):
         spec = TinarsSpec(alpha1=-0.4, innovation_mean=5.0)
         series = simulate_tinars1(spec, 20_000, rng=np.random.default_rng(44))
@@ -195,6 +205,15 @@ class TestBoundedFit:
         series = simulate(spec, 800, burn_in=100, rng=np.random.default_rng(52))
         fit = fit_stbingarch_mle(series, (1, 0), bound=1, delta=0.25)
         assert fit.converged
+
+    def test_all_zero_series_refused(self):
+        with pytest.raises(ValueError, match="no positive count"):
+            fit_stbingarch_mle(CountSeries(np.zeros(200, dtype=np.int64)), (1, 1), bound=5)
+
+    def test_penalty_valued_optimum_raises(self, monkeypatch):
+        monkeypatch.setattr(extensions, "_stbingarch_loglik", lambda *args: -math.inf)
+        with pytest.raises(ArithmeticError):
+            fit_stbingarch_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])), (1, 0), bound=5)
 
     def test_bound_violation_rejected(self):
         series = CountSeries(np.array([0, 3, 7]))

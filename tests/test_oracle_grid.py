@@ -126,6 +126,12 @@ class TestSkellamTails:
         assert float(ref) == pytest.approx(5.63e-33, rel=1e-3)
         assert rel_err(value, ref) < 1e-14
 
+    @pytest.mark.parametrize("delta", [0.01, 0.25, 1.0, 2.0])
+    def test_zero_mass_is_a_probability(self, delta):
+        # the mixture sum rounds up to 1 + 6.7e-16 for means near -31 .. -78
+        got = _cdf0_arr(np.linspace(-80.0, 5.0, 8501), delta)
+        assert np.all(got >= 0.0) and np.all(got <= 1.0)
+
     def test_zero_mass_at_large_mean(self):
         lam1, lam2 = mp_lambdas(40.0, 0.25)
         value = float(_cdf0_arr(np.array([40.0]), 0.25)[0])
