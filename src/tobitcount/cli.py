@@ -239,6 +239,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.model != "stingarch":
+        # the tinars1 and stbingarch fits have one method and no free dispersion
+        if args.method != "mle":
+            raise ConfigError(f"--method {args.method} applies only to --model stingarch")
+        if args.scenario2:
+            raise ConfigError("--scenario2 applies only to --model stingarch")
     series = ingest_csv(args.input)
     if args.model == "tinars1":
         fit = fit_tinars1_mle(series)

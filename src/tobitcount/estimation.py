@@ -215,85 +215,66 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
 # ---------------------------------------------------------------------------
 
 
-def _term_derivs_arr(x: np.ndarray, m: np.ndarray, delta: float):
-    """First/second partial derivatives of ``ln P(X* = x | m, delta)``.
+# Coefficients of p(x-2) .. p(x+2) in the lambda-derivatives
+# (Q1, Q2, Q11, Q12, Q22) of a likelihood term Q, from the Skellam difference
+# identities dp(x)/dlambda1 = p(x-1) - p(x) and dp(x)/dlambda2 = p(x+1) - p(x).
+# A positive count has Q = p(x); a zero has Q = F(0), so that
+# dF(0)/dlambda1 = -p(0) and dF(0)/dlambda2 = p(1).
+_SHIFTS = np.arange(-2, 3)
+_POSITIVE_TERM = np.array(
+    [
+        [0, 1, -1, 0, 0],
+        [0, 0, -1, 1, 0],
+        [1, -2, 1, 0, 0],
+        [0, -1, 2, -1, 0],
+        [0, 0, 1, -2, 1],
+    ],
+    dtype=float,
+)
+_ZERO_TERM = np.array(
+    [
+        [0, 0, -1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, -1, 1, 0, 0],
+        [0, 0, 1, -1, 0],
+        [0, 0, 0, -1, 1],
+    ],
+    dtype=float,
+)
 
-    Returns ``(g_m, g_d, h_mm, h_dd, h_md)`` for the latent Skellam
-    log-density at signed integer ``x`` (Bessel order ``n = |x|``) and
-    conditional means ``m``.  The two ``m``-sign branches share the Bessel
-    ratio terms ``b = I'_n/I_n`` and ``c = (I''/I) - b^2`` and are evaluated
-    jointly with masked arithmetic; the knife edge ``m == 0`` is evaluated
-    on the ``m >= 0`` branch, with which the ``m < 0`` branch agrees in the
-    limit.
+
+def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
+    """First and second derivatives of each likelihood term's log.
+
+    Returns ``(g_m, g_d, h_mm, h_dd, h_md)`` for ``ln Q`` in ``(m, delta)``,
+    where ``Q = P(X* = x)`` for a positive count and ``Q = P(X* <= 0)`` for a
+    zero.  The lambda-derivatives of ``Q`` are fixed combinations of
+    ``p(x-2) .. p(x+2)``, so ``g_i = Q_i/Q`` and ``h_ij = Q_ij/Q - g_i g_j``
+    are sums of pmf ratios.  ``lambda1,2 = (|m| +- m + delta)/2`` is linear
+    on each side of ``m = 0``: ``dlambda/dm`` is ``(1, 0)`` for ``m >= 0``
+    (the knife edge included) and ``(0, -1)`` below, and ``dlambda/ddelta``
+    is ``(1/2, 1/2)``.  Raises ``ArithmeticError`` when a term's probability
+    underflows to zero.
     """
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    x, m = np.broadcast_arrays(x, m)
-    n = np.abs(x)  # Bessel order
-    pos = m >= 0.0
-    a = 2.0 * np.abs(m) + delta
-    z = np.sqrt(delta * a)
-    orders = np.abs(x).astype(np.int64)
-    log_i = skellam._log_bessel_i_arr(
-        np.stack([np.abs(orders - 1), orders, orders + 1]),
-        np.broadcast_to(z, (3,) + z.shape),
-    )
-    r_dn = np.exp(log_i[0] - log_i[1])
-    r_up = np.exp(log_i[2] - log_i[1])
-    b = n / z + r_up
-    c = 1.0 + ((n - 1.0) * r_dn - (n + 1.0) * r_up) / (2.0 * z) - b * b
-    sd = delta / z  # sqrt(delta)/sqrt(a)
-    da_pow = (delta * a) ** 1.5
-    sign = np.where(pos, 1.0, -1.0)
-    g_m = sign * (-1.0 + sd * b) + x / a
-    half_diff = 0.5 * x * (1.0 / a - 1.0 / delta)
-    g_d = -1.0 + sign * half_diff + (sign * m + delta) / z * b
-    h_mm = (-sign * 2.0 * x / a + delta * c - sd * b) / a
-    shifted = m + sign * delta
-    h_dd = (
-        sign * (-0.5 * x / (a * a) + 0.5 * x / (delta * delta))
-        - m * m * b / da_pow
-        + shifted * shifted * c / (delta * a)
-    )
-    h_md = (-x / a + m / z * b + shifted * c) / a
+    zero = x <= 0
+    log_p = skellam._log_pmf_arr(x + _SHIFTS[:, None], m, delta)
+    log_q = log_p[2].copy()
+    with np.errstate(divide="ignore"):
+        log_q[zero] = np.log(skellam._cdf0_arr(m[zero], delta))
+    if not np.all(np.isfinite(log_q)):
+        raise ArithmeticError("likelihood term probability underflowed")
+    ratios = np.exp(log_p - log_q)
+    g1, g2, q11, q12, q22 = np.where(zero, _ZERO_TERM @ ratios, _POSITIVE_TERM @ ratios)
+    h11 = q11 - g1 * g1
+    h12 = q12 - g1 * g2
+    h22 = q22 - g2 * g2
+    up = m >= 0.0
+    g_m = np.where(up, g1, -g2)
+    g_d = 0.5 * (g1 + g2)
+    h_mm = np.where(up, h11, h22)
+    h_dd = 0.25 * (h11 + 2.0 * h12 + h22)
+    h_md = 0.5 * np.where(up, h11 + h12, -(h12 + h22))
     return g_m, g_d, h_mm, h_dd, h_md
-
-
-def _zero_term_derivs(m: float, delta: float):
-    """Derivatives of ``ln P(X* <= 0 | m, delta)``.
-
-    The nonpositive mass is differentiated term by term over ``x = 0..-R``;
-    the radius doubles until the neglected terms (weighted by the largest
-    derivative factors, which grow polynomially in ``|x|``) fall below
-    1e-17 of the total mass.
-    """
-    radius = int(math.ceil(abs(min(m, 0.0)) + 8.0 * math.sqrt(abs(m) + delta))) + 12
-    for _ in range(8):
-        xs = -np.arange(0, radius + 1, dtype=np.int64)
-        probs = np.exp(skellam._log_pmf_arr(xs, np.full(xs.shape, m), delta))
-        f = float(probs.sum())
-        if f <= 0.0:
-            raise ArithmeticError("zero-probability mass underflowed")
-        if float(probs[-1]) * (1.0 + radius * radius) < 1e-17 * f:
-            break
-        radius *= 2
-    else:
-        raise ArithmeticError("zero-term derivative summation did not converge")
-    g_m, g_d, h_mm, h_dd, h_md = _term_derivs_arr(xs, np.full(xs.shape, m), delta)
-    s_m = float(probs @ g_m)
-    s_d = float(probs @ g_d)
-    s_mm = float(probs @ (g_m * g_m + h_mm))
-    s_dd = float(probs @ (g_d * g_d + h_dd))
-    s_md = float(probs @ (g_m * g_d + h_md))
-    d_m = s_m / f
-    d_d = s_d / f
-    return (
-        d_m,
-        d_d,
-        s_mm / f - d_m * d_m,
-        s_dd / f - d_d * d_d,
-        s_md / f - d_m * d_d,
-    )
 
 
 def _mean_derivatives(theta, series, p, q, r, scenario):
@@ -335,29 +316,6 @@ def _mean_derivatives(theta, series, p, q, r, scenario):
             for j, b in enumerate(betas, start=1):
                 hh += b * d2m[t - j]
     return m, dm, d2m
-
-
-def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
-    """Per-observation derivative scalars for the full likelihood window.
-
-    Positive counts use the vectorized closed forms; zero counts fall back
-    to the term-wise differentiated nonpositive mass.
-    """
-    count = x.shape[0]
-    g_m = np.empty(count)
-    g_d = np.empty(count)
-    h_mm = np.empty(count)
-    h_dd = np.empty(count)
-    h_md = np.empty(count)
-    pos = x > 0
-    if np.any(pos):
-        vals = _term_derivs_arr(x[pos], m[pos], delta)
-        for target, block in zip((g_m, g_d, h_mm, h_dd, h_md), vals):
-            target[pos] = block
-    for idx in np.flatnonzero(~pos):
-        vals = _zero_term_derivs(float(m[idx]), delta)
-        g_m[idx], g_d[idx], h_mm[idx], h_dd[idx], h_md[idx] = vals
-    return g_m, g_d, h_mm, h_dd, h_md
 
 
 def _score_parts(theta, series: CountSeries, orders, scenario):

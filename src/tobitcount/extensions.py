@@ -406,6 +406,7 @@ def fit_stbingarch_mle(
             alpha0=float(theta[0]),
             alphas=tuple(theta[1 : 1 + p]),
             betas=tuple(theta[1 + p : 1 + p + q]),
+            gammas=tuple(theta[1 + p + q : k_dyn]),
             delta=delta,
             bound=bound,
             kappa=float(theta[-1]),

@@ -120,13 +120,14 @@ def cdf(x: int, params: SkellamParams) -> float:
     """``P(X* <= x)`` via the noncentral chi-square connection.
 
     For ``x <= 0`` this is the upper tail of ``-X*`` at ``-x``, accurate in
-    the far lower tail; for ``x >= 1`` it is the complement of the upper tail
-    of ``X*`` at ``x + 1``.
+    the far lower tail, clipped at 1 because near certainty the mixture sum
+    rounds a few ulps above it; for ``x >= 1`` it is the complement of the
+    upper tail of ``X*`` at ``x + 1``.
     """
     x = int(x)
     mu, delta = _star(params)
     if x <= 0:
-        return float(_survival_arr(-x, -mu, delta))
+        return min(1.0, float(_survival_arr(-x, -mu, delta)))
     return max(0.0, 1.0 - float(_survival_arr(x + 1, mu, delta)))
 
 

@@ -192,6 +192,13 @@ class TestAnalyticDerivatives:
         numeric = numerical_hessian(fun, theta)
         assert np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic))) < 1e-3
 
+    def test_underflowed_zero_mass_raises(self):
+        # at M_t = 800 the positive counts keep a finite log-pmf, but
+        # P(X* <= 0) is about e^-780 and underflows to zero
+        series = CountSeries(np.array([5, 0, 3, 2]))
+        with pytest.raises(ArithmeticError):
+            analytic_score_hessian(np.array([800.0, 0.0]), series, (1, 0), SC1)
+
     def test_information_matrices_shapes(self, series_10):
         theta = np.array([7.5, -0.5, 0.25])
         u_hat, v_hat = information_matrices(theta, series_10, (1, 0), SC2)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tobitcount import extensions
+from tobitcount import cli, extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
 from tobitcount.estimation import EstimationScenario, fit_mle
 from tobitcount.extensions import (
@@ -215,6 +215,16 @@ class TestBoundedFit:
         with pytest.raises(ArithmeticError):
             fit_stbingarch_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])), (1, 0), bound=5)
 
+    def test_spec_keeps_covariate_coefficients(self):
+        z = (np.arange(400) % 2).astype(float).reshape(-1, 1)
+        spec = ModelSpec(
+            alpha0=0.5, alphas=(0.4,), betas=(0.1,), gammas=(1.0,), delta=0.01, bound=5, kappa=0.1
+        )
+        series = simulate(spec, 400, burn_in=0, rng=np.random.default_rng(54), covariates=z)
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert fit.param_names[3] == "gamma1"
+        assert fit.spec.gammas == tuple(fit.estimates[3:4])
+
     def test_bound_violation_rejected(self):
         series = CountSeries(np.array([0, 3, 7]))
         with pytest.raises(ValueError):
@@ -274,3 +284,17 @@ class TestCovariates:
         fit = fit_mle(augmented, (0, 0, 1), EstimationScenario.fixed(0.25))
         assert not fit.hessian_invertible
         assert fit.std_errors is None
+
+
+class TestFitCliFlags:
+    """``fit`` refuses flags that the tinars1 and stbingarch fits would ignore."""
+
+    @pytest.mark.parametrize("model", ["tinars1", "stbingarch"])
+    @pytest.mark.parametrize(
+        "flags", [["--method", "clade"], ["--method", "cls"], ["--scenario2"]]
+    )
+    def test_ignored_flag_is_a_config_error(self, tmp_path, model, flags):
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "1\n0\n2\n" * 20)
+        argv = ["fit", "--model", model, "--bound", "5", "--input", str(path), *flags]
+        assert cli.main(argv) == cli.EXIT_CONFIG

@@ -15,12 +15,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tobitcount.estimation import _per_term_derivs
 from tobitcount.skellam import (
     SkellamStar,
     _cdf0_arr,
     _censored_moments_arr,
     _log_pmf_arr,
     _survival_arr,
+    cdf,
     censored_moments,
 )
 from tobitcount.specialfn import _log_bessel_i_arr, noncentral_chisq_cdf
@@ -67,6 +69,35 @@ def mp_censored_moments(mu, delta):
     mean = mu * (surv1 + p0) + lam2 * (p0 + p1)
     second = (lam1 + lam2 + mu * mu) * surv1 + lam2 * mu * p1 + lam1 * (1 + mu) * p0
     return mean, second
+
+
+def mp_log_term(x, mu, delta):
+    """``ln Q``: ``Q = p(x)`` for a positive count, ``Q = P(X* <= 0)`` for a zero."""
+    lam1, lam2 = mp_lambdas(mu, delta)
+    return mp.log(mp_pmf(x, lam1, lam2) if x > 0 else mp_mixture(0, lam2, lam1))
+
+
+def mp_term_derivs(x, mu, delta):
+    """``(g_m, g_d, h_mm, h_dd, h_md)`` of ``ln Q`` from the Skellam difference
+    identities ``dp(x)/dlambda1 = p(x-1) - p(x)``, ``dp(x)/dlambda2 = p(x+1) - p(x)``."""
+    lam1, lam2 = mp_lambdas(mu, delta)
+    p = {k: mp_pmf(x + k, lam1, lam2) for k in range(-2, 3)}
+    if x > 0:
+        q = p[0]
+        q1, q2 = p[-1] - p[0], p[1] - p[0]
+        q11 = p[-2] - 2 * p[-1] + p[0]
+        q12 = 2 * p[0] - p[-1] - p[1]
+        q22 = p[0] - 2 * p[1] + p[2]
+    else:
+        q = mp_mixture(0, lam2, lam1)
+        q1, q2 = -p[0], p[1]
+        q11, q12, q22 = p[0] - p[-1], p[0] - p[1], p[2] - p[1]
+    g1, g2 = q1 / q, q2 / q
+    h11, h12, h22 = q11 / q - g1 * g1, q12 / q - g1 * g2, q22 / q - g2 * g2
+    g_d, h_dd = (g1 + g2) / 2, (h11 + 2 * h12 + h22) / 4
+    if mu >= 0:
+        return g1, g_d, h11, h_dd, (h11 + h12) / 2
+    return -g2, g_d, h22, h_dd, -(h12 + h22) / 2
 
 
 def rel_err(got, ref):
@@ -132,6 +163,11 @@ class TestSkellamTails:
         got = _cdf0_arr(np.linspace(-80.0, 5.0, 8501), delta)
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
+    def test_public_cdf_is_a_probability(self):
+        # the mixture sum rounds up to 1 + 4.4e-16 at some means
+        for mu in np.linspace(-100.0, 0.0, 2001):
+            assert 0.0 <= cdf(0, SkellamStar(mu, 0.25).to_params()) <= 1.0, mu
+
     def test_zero_mass_at_large_mean(self):
         lam1, lam2 = mp_lambdas(40.0, 0.25)
         value = float(_cdf0_arr(np.array([40.0]), 0.25)[0])
@@ -178,3 +214,42 @@ class TestCensoredMoments:
         assert variance.tolist() == [0.0, 0.0, 3.0]
         assert second.tolist() == [0.0, 0.0, 12.0]
         assert zero.tolist() == [1.0, 1.0, math.exp(-3.0)]
+
+
+class TestTermDerivatives:
+    """Derivatives of each log-likelihood term in ``(m, delta)``.
+
+    The tolerance is ``1e-10 (1 + |v|)``: small dispersions make the
+    derivatives large, and a Bessel-ratio form of them loses digits there
+    (2e-10 at ``x = 7, m = 7.3, delta = 0.01`` and 9e-8 in ``h_dd`` at
+    ``x = 60, m = 20``).
+    """
+
+    XS = [0, 1, 2, 5, 7, 20, 60]
+    MUS = [-30.0, -3.0, -0.2, 0.2, 3.0, 7.3, 20.0, 40.0]
+
+    def assert_close(self, got, ref, where):
+        for name, value, exact in zip(("g_m", "g_d", "h_mm", "h_dd", "h_md"), got, ref):
+            err = float(abs(mp.mpf(float(value)) - exact))
+            assert err <= 1e-10 * (1.0 + abs(float(exact))), (where, name)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.25, 2.0])
+    def test_grid(self, delta):
+        xs = np.repeat(self.XS, len(self.MUS))
+        mus = np.tile(self.MUS, len(self.XS))
+        got = _per_term_derivs(xs, mus, delta)
+        for i, (x, mu) in enumerate(zip(xs, mus)):
+            ref = mp_term_derivs(int(x), float(mu), delta)
+            self.assert_close([g[i] for g in got], ref, (int(x), float(mu)))
+
+    @pytest.mark.parametrize(
+        "x, mu, delta", [(7, 7.3, 0.01), (60, 20.0, 0.01), (0, 20.0, 0.1), (0, -3.0, 0.25)]
+    )
+    def test_identities_match_numerical_derivatives(self, x, mu, delta):
+        ref = mp_term_derivs(x, mu, delta)
+        orders = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+        for exact, order in zip(ref, orders):
+            numeric = mp.diff(lambda m, d: mp_log_term(x, m, d), (mu, delta), order)
+            assert abs(exact - numeric) <= mp.mpf(10) ** -30 * (1 + abs(exact))
+        got = _per_term_derivs(np.array([x]), np.array([mu]), delta)
+        self.assert_close([g[0] for g in got], ref, (x, mu))
