@@ -239,12 +239,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.model != "stingarch":
-        # the tinars1 and stbingarch fits have one method and no free dispersion
-        if args.method != "mle":
-            raise ConfigError(f"--method {args.method} applies only to --model stingarch")
-        if args.scenario2:
-            raise ConfigError("--scenario2 applies only to --model stingarch")
+    # refuse every flag the chosen model or method would ignore
+    given = {"-p": args.p, "-q": args.q, "--delta": args.delta, "--bound": args.bound}
+    given["--method"] = None if args.method == "mle" else args.method
+    given["--scenario2"] = args.scenario2 or None
+    if args.model == "tinars1":
+        unused = tuple(given)
+    elif args.model == "stbingarch":
+        unused = ("--method", "--scenario2")
+    else:
+        unused = ("--bound",) if args.method == "mle" else ("--bound", "--delta", "--scenario2")
+    for flag in unused:
+        if given[flag] is not None:
+            raise ConfigError(
+                f"{flag} does not apply to --model {args.model}, --method {args.method}"
+            )
+    p = 1 if args.p is None else args.p
+    q = 0 if args.q is None else args.q
     series = ingest_csv(args.input)
     if args.model == "tinars1":
         fit = fit_tinars1_mle(series)
@@ -253,18 +264,18 @@ def _cmd_fit(args) -> int:
             raise ConfigError("--bound is required for the bounded model")
         fit = fit_stbingarch_mle(
             series,
-            (args.p, args.q),
+            (p, q),
             bound=args.bound,
             delta=args.delta if args.delta is not None else 0.01,
         )
     else:
         r = 0 if series.covariates is None else series.covariates.shape[1]
         if args.method == "mle":
-            fit = fit_mle(series, (args.p, args.q, r), _scenario_from_args(args))
+            fit = fit_mle(series, (p, q, r), _scenario_from_args(args))
         elif args.method == "clade":
-            fit = fit_clade(series, (args.p, args.q, r))
+            fit = fit_clade(series, (p, q, r))
         else:
-            fit = fit_cls(series, (args.p, args.q, r))
+            fit = fit_cls(series, (p, q, r))
     residuals = None
     if fit.method.startswith("mle"):
         residuals = _residual_summary(fit.spec, series)
@@ -366,8 +377,8 @@ def build_parser() -> _Parser:
 
     fit = sub.add_parser("fit", help="fit a model to a CSV series")
     fit.add_argument("--model", choices=["stingarch", "tinars1", "stbingarch"], default="stingarch")
-    fit.add_argument("-p", type=int, default=1)
-    fit.add_argument("-q", type=int, default=0)
+    fit.add_argument("-p", type=int, default=None)  # unset: (1, 0), refused by tinars1
+    fit.add_argument("-q", type=int, default=None)
     fit.add_argument("--method", choices=["mle", "clade", "cls"], default="mle")
     fit.add_argument("--scenario2", action="store_true", default=False)
     fit.add_argument("--delta", type=float, default=None)

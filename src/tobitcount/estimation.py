@@ -9,11 +9,12 @@ Three estimators are provided:
 * the censored conditional least-squares estimator minimizing
   ``sum (X_t - max(0, M_t))^2``.
 
-The likelihood layer also exposes the analytic score and Hessian (including
-the conditional-mean recursion derivatives) and the outer-product /
-curvature information matrices.  Approximate standard errors follow the
-usual practice of inverting a numerical Hessian of the maximized
-log-likelihood.
+The likelihood layer also exposes the analytic score and Hessian and the
+outer-product / curvature information matrices.  The conditional mean, its
+gradient and the nonzero beta rows of its Hessian each come from one banded
+triangular solve of the recursion's feedback ``1 - sum_j beta_j B^j``.
+Approximate standard errors follow the usual practice of inverting a
+numerical Hessian of the maximized log-likelihood.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .diagnostics import information_criteria, sample_acf
 from .stingarch import (
     CountSeries,
     ModelSpec,
+    _ar_filter,
     _mean_recursion,
     simulate,
 )
@@ -152,17 +154,19 @@ def _spec_from_theta(theta, p, q, r, scenario) -> ModelSpec:
     return ModelSpec(alpha0=alpha0, alphas=alphas, betas=betas, delta=delta, gammas=gammas)
 
 
-def _mean_path(theta, series: CountSeries, p, q, r, scenario) -> np.ndarray:
-    alpha0, alphas, betas, gammas, _ = _unpack(theta, p, q, r, scenario)
+def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
+    """``M_1..M_n`` of the dynamics block, pre-sample means pinned to alpha0."""
+    theta_dyn = np.asarray(theta_dyn, dtype=float)
+    if theta_dyn.shape[0] != 1 + p + q + r:
+        raise ValueError(f"dynamics block has {theta_dyn.shape[0]} entries")
     return _mean_recursion(
-        alpha0,
-        alphas,
-        betas,
-        gammas,
-        series.counts,
-        series.covariates,
+        theta_dyn[0],
+        theta_dyn[1 : 1 + p],
+        theta_dyn[1 + p : 1 + p + q],
+        theta_dyn[1 + p + q :],
+        series,
         extend=False,
-        presample_mean=alpha0,
+        presample_mean=theta_dyn[0],
     )
 
 
@@ -182,7 +186,7 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
     start = max(p, q)
     if n <= start:
         raise ValueError("series shorter than the conditioning prefix")
-    m = _mean_path(theta, series, p, q, r, scenario)[start:]
+    m = _mean_path(theta[: 1 + p + q + r], series, p, q, r)[start:]
     x = series.counts[start:]
     if not np.all(np.isfinite(m)):
         return -math.inf
@@ -277,45 +281,38 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     return g_m, g_d, h_mm, h_dd, h_md
 
 
-def _mean_derivatives(theta, series, p, q, r, scenario):
-    """``dM_t/dtheta*`` and ``d2M_t/dtheta* dtheta*`` along the recursion.
+def _mean_derivatives(theta_dyn, series, p, q, r):
+    """``M``, ``dM/dtheta*`` and the beta rows of ``d2M/dtheta* dtheta*``.
 
-    theta* is the dynamics block (everything except delta).  Pre-sample
-    means are pinned to alpha0, so their only nonzero derivative is the
-    alpha0 entry.
+    theta* is the dynamics block (everything except delta).  The derivatives
+    obey the recursion's own feedback, so each is one :func:`_ar_filter` call:
+    ``dM`` is driven by ``1, X_{t-i}, M_{t-j}, z_t``.  ``d2M`` is nonzero only
+    in the beta rows and columns; row ``beta_j`` is driven by ``dM_{t-j}``
+    plus, in column ``beta_l``, ``dM_{t-l}/dbeta_j``.  Returns arrays of shape
+    ``(n,)``, ``(n, k)`` and ``(n, q, k)``.
     """
-    alpha0, alphas, betas, gammas, _ = _unpack(theta, p, q, r, scenario)
+    theta_dyn = np.asarray(theta_dyn, dtype=float)
+    betas = theta_dyn[1 + p : 1 + p + q]
     n = len(series)
     k = 1 + p + q + r
-    x = series.counts
-    z = series.covariates
-    m = _mean_path(theta, series, p, q, r, scenario)
     start = max(p, q)
-    dm = np.zeros((n, k))
-    dm[:start, 0] = 1.0
-    d2m = np.zeros((n, k, k)) if q else None
-    beta_idx = range(1 + p, 1 + p + q)
-    for t in range(start, n):
-        row = dm[t]
-        row[0] = 1.0
-        for i in range(1, p + 1):
-            row[i] = x[t - i]
-        for j in range(1, q + 1):
-            row[p + j] = m[t - j]
-        for kk in range(r):
-            row[1 + p + q + kk] = z[t, kk]
-        for j, b in enumerate(betas, start=1):
-            row += b * dm[t - j]
-        if q:
-            hh = d2m[t]
-            for j in range(1, q + 1):
-                col = p + j
-                grad_prev = dm[t - j]
-                hh[col, :] += grad_prev
-                hh[:, col] += grad_prev
-            for j, b in enumerate(betas, start=1):
-                hh += b * d2m[t - j]
-    return m, dm, d2m
+    m = _mean_path(theta_dyn, series, p, q, r)
+    rhs = np.zeros((n, k))
+    rhs[:, 0] = 1.0
+    for i in range(1, p + 1):
+        rhs[start:, i] = series.counts[start - i : n - i]
+    for j in range(1, q + 1):
+        rhs[start:, p + j] = m[start - j : n - j]
+    if r:
+        rhs[start:, 1 + p + q :] = series.covariates[start:]
+    dm = _ar_filter(rhs, betas, start)
+    lagged = np.zeros((n, q, k))
+    for j in range(1, q + 1):
+        lagged[start:, j - 1] = dm[start - j : n - j]
+    beta_cols = slice(1 + p, 1 + p + q)
+    lagged[:, :, beta_cols] += lagged[:, :, beta_cols].transpose(0, 2, 1).copy()
+    d2m_beta = _ar_filter(lagged.reshape(n, q * k), betas, start).reshape(n, q, k)
+    return m, dm, d2m_beta
 
 
 def _score_parts(theta, series: CountSeries, orders, scenario):
@@ -330,17 +327,20 @@ def _score_parts(theta, series: CountSeries, orders, scenario):
     if not (delta > 0.0):
         raise ValueError("score requires delta > 0")
     start = max(p, q)
-    m, dm, d2m = _mean_derivatives(theta, series, p, q, r, scenario)
     k_dyn = 1 + p + q + r
+    m, dm, d2m_beta = _mean_derivatives(theta[:k_dyn], series, p, q, r)
     k_all = k_dyn + (1 if scenario.estimates_delta else 0)
     g_m, g_d, h_mm, h_dd, h_md = _per_term_derivs(
         series.counts[start:], m[start:], delta
     )
     dm_w = dm[start:]
+    # sum_t g_m d2M_t is nonzero only in the beta rows and columns
+    curvature = np.zeros((k_dyn, k_dyn))
+    beta_rows = np.tensordot(g_m, d2m_beta[start:], axes=1)
+    curvature[:, 1 + p : 1 + p + q] = beta_rows.T
+    curvature[1 + p : 1 + p + q] = beta_rows
     hess = np.zeros((k_all, k_all))
-    hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None])
-    if d2m is not None:
-        hess[:k_dyn, :k_dyn] += np.einsum("t,tij->ij", g_m, d2m[start:])
+    hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None]) + curvature
     if scenario.estimates_delta:
         cross = dm_w.T @ h_md
         hess[:k_dyn, -1] = cross
@@ -648,14 +648,12 @@ def fit_mle(
 def _censored_objective(series: CountSeries, p, q, r, power: int):
     x = series.counts
     start = max(p, q)
-    scenario = EstimationScenario.fixed(1.0)  # delta is irrelevant here
 
     def objective(theta_dyn: np.ndarray) -> float:
         violation = _stationarity_violation(theta_dyn, p, q)
         if violation >= 0.0:
             return _PENALTY * (1.0 + violation)
-        theta = np.asarray(theta_dyn, dtype=float)
-        m = _mean_path(theta, series, p, q, r, scenario)[start:]
+        m = _mean_path(theta_dyn, series, p, q, r)[start:]
         fitted = np.maximum(0.0, m)
         dev = np.abs(x[start:] - fitted)
         if power == 2:

@@ -20,7 +20,6 @@ from . import skellam
 from .diagnostics import sample_acf
 from .estimation import (
     _PENALTY,
-    EstimationScenario,
     FitResult,
     _fit,
     _mean_path,
@@ -332,8 +331,7 @@ def _stbingarch_loglik(
     bound: int,
     delta: float,
 ) -> float:
-    scenario = EstimationScenario.fixed(delta)
-    m = _mean_path(theta_dyn, series, p, q, r, scenario)
+    m = _mean_path(theta_dyn, series, p, q, r)
     start = max(p, q)
     x = series.counts[start:]
     m = m[start:]

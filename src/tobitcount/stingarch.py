@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from . import skellam
 from .skellam import SkellamStar, censored_moments
@@ -168,49 +169,53 @@ def linear_mean(spec: ModelSpec) -> float:
     return spec.alpha0 / denom
 
 
+def _ar_filter(rhs: np.ndarray, betas: Sequence[float], start: int) -> np.ndarray:
+    """Solve ``(1 - sum_j beta_j B^j) y = rhs`` down every column of ``rhs``.
+
+    Rows ``t < start`` are pinned, ``y_t = rhs_t``.  The unit lower-triangular
+    band goes to one LAPACK triangular banded solve, which substitutes forward
+    without pivoting, as the recursion does.  Returns ``rhs`` when q = 0.
+    """
+    q = len(betas)
+    if q == 0:
+        return rhs
+    ab = np.zeros((q + 1, rhs.shape[0]))
+    for j, b in enumerate(betas, start=1):
+        # column c holds the coefficient of y_c in row c + j
+        ab[j, max(start - j, 0) :] = -b
+    y, info = dtbtrs(ab, rhs, uplo="L", diag="U")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded solve failed with LAPACK info {info}")
+    return y
+
+
 def _mean_recursion(
     alpha0: float,
     alphas: Sequence[float],
     betas: Sequence[float],
     gammas: Sequence[float],
-    counts: np.ndarray,
-    covariates: Optional[np.ndarray],
+    series: CountSeries,
     extend: bool,
     presample_mean: float,
 ) -> np.ndarray:
     """Conditional means M_1..M_n (plus M_{n+1} when ``extend``).
 
-    The first ``max(p, q)`` entries are pinned to ``presample_mean``;
-    afterwards the recursion only touches observed counts and previously
-    computed means.
+    The first ``max(p, q)`` entries are pinned to ``presample_mean``; the
+    rest filter ``u_t = alpha0 + sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}``
+    through :func:`_ar_filter`.
     """
-    p, q, r = len(alphas), len(betas), len(gammas)
-    n = counts.shape[0]
-    m_start = max(p, q)
-    total = n + 1 if extend else n
-    out = np.empty(total, dtype=float)
-    out[: min(m_start, total)] = presample_mean
-    if q == 0 and r == 0 and total > m_start:
-        # no feedback: fully vectorizable
-        vals = np.full(total - m_start, alpha0)
+    if extend and len(gammas):
+        raise ValueError("covariates unavailable beyond the sample")
+    start = max(len(alphas), len(betas))
+    total = len(series) + 1 if extend else len(series)
+    u = np.full(total, presample_mean, dtype=float)
+    if total > start:
+        u[start:] = alpha0
         for i, a in enumerate(alphas, start=1):
-            vals += a * counts[m_start - i : total - i]
-        out[m_start:] = vals
-        return out
-    for t in range(m_start, total):
-        m = alpha0
-        for i, a in enumerate(alphas, start=1):
-            m += a * counts[t - i]
-        for j, b in enumerate(betas, start=1):
-            m += b * out[t - j]
-        if r:
-            if t >= n:
-                raise ValueError("covariates unavailable beyond the sample")
-            row = covariates[t]
-            for k, g in enumerate(gammas):
-                m += g * row[k]
-        out[t] = m
-    return out
+            u[start:] += a * series.counts[start - i : total - i]
+        for k, g in enumerate(gammas):
+            u[start:] += g * series.covariates[start:total, k]
+    return _ar_filter(u, betas, start)
 
 
 def conditional_mean_path(
@@ -242,8 +247,7 @@ def conditional_mean_path(
         spec.alphas,
         spec.betas,
         spec.gammas,
-        series.counts,
-        series.covariates,
+        series,
         extend=spec.r == 0,
         presample_mean=presample,
     )

@@ -9,6 +9,7 @@ from tobitcount import cli, estimation
 from tobitcount.diagnostics import information_criteria
 from tobitcount.estimation import (
     EstimationScenario,
+    _mean_path,
     analytic_score_hessian,
     fit_clade,
     fit_cls,
@@ -22,6 +23,8 @@ from tobitcount.skellam import SkellamStar
 from tobitcount.stingarch import (
     CountSeries,
     ModelSpec,
+    _mean_recursion,
+    conditional_mean_path,
     conditional_pmf,
     simulate,
 )
@@ -42,6 +45,23 @@ def fd_gradient(theta, series, orders, scenario, step=1e-5):
     return grad
 
 
+def _stencil_crosses_kink(theta, series, p, q, r, step=1e-5):
+    """True when some ``M_t`` changes sign inside :func:`fd_gradient`'s stencil.
+
+    The censored density has a kink at ``M_t = 0``, where a central
+    difference does not estimate the derivative.  delta does not move M.
+    """
+    dyn = np.asarray(theta[: 1 + p + q + r], dtype=float)
+    for i in range(dyn.shape[0]):
+        e = np.zeros_like(dyn)
+        e[i] = step * (1.0 + abs(dyn[i]))
+        up = _mean_path(dyn + e, series, p, q, r)
+        down = _mean_path(dyn - e, series, p, q, r)
+        if np.any((up >= 0.0) != (down >= 0.0)):
+            return True
+    return False
+
+
 @pytest.fixture(scope="module")
 def series_10():
     spec = ModelSpec(alpha0=7.5, alphas=(-0.5,), delta=0.25)
@@ -52,6 +72,38 @@ def series_10():
 def series_11():
     spec = ModelSpec(alpha0=8.5, alphas=(-0.45,), betas=(-0.25,), delta=0.25)
     return simulate(spec, 600, rng=np.random.default_rng(32))
+
+
+@pytest.fixture(scope="module")
+def series_by_order(series_10, series_11):
+    """A simulated series for every order the derivative tests cover.
+
+    (2,2) exercises the beta x beta block of d2M, (2,1) the rows pinned
+    when p != q, and (1,1,1) the covariate columns.
+    """
+    z = np.random.default_rng(35).standard_normal((600, 1))
+    return {
+        (1, 0): series_10,
+        (1, 1): series_11,
+        (2, 1): simulate(
+            ModelSpec(alpha0=8.5, alphas=(-0.4, -0.1), betas=(-0.2,), delta=0.25),
+            600,
+            rng=np.random.default_rng(33),
+        ),
+        (2, 2): simulate(
+            ModelSpec(alpha0=8.5, alphas=(-0.4, -0.1), betas=(-0.2, 0.1), delta=0.25),
+            600,
+            rng=np.random.default_rng(34),
+        ),
+        (1, 1, 1): simulate(
+            ModelSpec(
+                alpha0=8.5, alphas=(-0.45,), betas=(-0.25,), gammas=(0.8,), delta=0.25
+            ),
+            600,
+            rng=np.random.default_rng(36),
+            covariates=z,
+        ),
+    }
 
 
 class TestLoglik:
@@ -103,36 +155,47 @@ class TestLoglik:
         )
 
 
+DERIVATIVE_ORDERS = [(1, 0), (1, 1), (2, 2), (2, 1), (1, 1, 1)]
+
+# a generic admissible point per order, off the censoring knife edge
+HESSIAN_POINTS = {
+    (1, 0): [7.3, -0.47, 0.28],
+    (1, 1): [8.2, -0.4, -0.2, 0.3],
+    (2, 1): [8.1, -0.38, -0.12, -0.21, 0.3],
+    (2, 2): [8.1, -0.38, -0.12, -0.21, 0.09, 0.3],
+    (1, 1, 1): [8.3, -0.43, -0.24, 0.75, 0.3],
+}
+
+
 class TestAnalyticDerivatives:
+    # uniform ranges of (dynamics..., delta) for the random points; they
+    # exercise both signs of M_t, and exact knife edges (M_t == 0), which
+    # carry the genuine kink of the censored density, are excluded by the
+    # resampling below
+    _RANGES = {
+        (1, 0): [(3.0, 9.0), (-0.75, -0.35), (0.1, 1.5)],
+        (1, 1): [(5.0, 9.0), (-0.6, -0.3), (-0.3, 0.25), (0.1, 1.5)],
+        (2, 1): [(5.0, 9.0), (-0.6, -0.3), (-0.2, 0.1), (-0.3, 0.25), (0.1, 1.5)],
+        (2, 2): [
+            (5.0, 9.0), (-0.6, -0.3), (-0.2, 0.1), (-0.3, 0.25), (-0.2, 0.2), (0.1, 1.5)
+        ],
+        (1, 1, 1): [(5.0, 9.0), (-0.6, -0.3), (-0.3, 0.25), (0.3, 1.2), (0.1, 1.5)],
+    }
+
     def _random_points(self, rng, order):
-        # admissible points exercising both signs of M_t; exact knife edges
-        # (M_t == 0) carry the genuine kink of the censored density and are
-        # excluded by the resampling below
-        if order == (1, 0):
-            return np.array(
-                [rng.uniform(3.0, 9.0), rng.uniform(-0.75, -0.35), rng.uniform(0.1, 1.5)]
-            )
-        return np.array(
-            [
-                rng.uniform(5.0, 9.0),
-                rng.uniform(-0.6, -0.3),
-                rng.uniform(-0.3, 0.25),
-                rng.uniform(0.1, 1.5),
-            ]
-        )
+        return np.array([rng.uniform(lo, hi) for lo, hi in self._RANGES[order]])
 
-    @pytest.mark.parametrize("order", [(1, 0), (1, 1)])
-    def test_score_matches_finite_differences(self, order, series_10, series_11):
-        from tobitcount.estimation import _mean_path
-
-        series = series_10 if order == (1, 0) else series_11
+    @pytest.mark.parametrize("order", DERIVATIVE_ORDERS)
+    def test_score_matches_finite_differences(self, order, series_by_order):
+        series = series_by_order[order]
+        p, q, r = estimation._orders(order, series)
         rng = np.random.default_rng(99)
         seen_negative = seen_positive = False
         checked = 0
         while checked < 20:
             theta = self._random_points(rng, order)
-            m = _mean_path(theta[:-1], series, order[0], order[1], 0, SC1)
-            if np.any(np.abs(m) < 1e-6):
+            m = _mean_path(theta[:-1], series, p, q, r)
+            if np.any(np.abs(m) < 1e-6) or _stencil_crosses_kink(theta, series, p, q, r):
                 continue
             seen_negative |= bool(np.any(m < 0))
             seen_positive |= bool(np.any(m > 0))
@@ -142,27 +205,24 @@ class TestAnalyticDerivatives:
             checked += 1
         assert seen_negative and seen_positive
 
-    @pytest.mark.parametrize("order", [(1, 0), (1, 1)])
-    def test_hessian_symmetric(self, order, series_10, series_11):
-        series = series_10 if order == (1, 0) else series_11
-        theta = (
-            np.array([7.4, -0.45, 0.3])
-            if order == (1, 0)
-            else np.array([8.2, -0.4, -0.2, 0.3])
-        )
-        _, hess = analytic_score_hessian(theta, series, order, SC2)
+    @pytest.mark.parametrize("order", DERIVATIVE_ORDERS)
+    def test_hessian_symmetric(self, order, series_by_order):
+        theta = np.array(HESSIAN_POINTS[order])
+        _, hess = analytic_score_hessian(theta, series_by_order[order], order, SC2)
         assert np.max(np.abs(hess - hess.T)) < 1e-8
 
-    def test_hessian_matches_score_differences(self, series_10):
-        theta = np.array([7.3, -0.47, 0.28])
-        _, hess = analytic_score_hessian(theta, series_10, (1, 0), SC2)
+    @pytest.mark.parametrize("order", DERIVATIVE_ORDERS)
+    def test_hessian_matches_score_differences(self, order, series_by_order):
+        series = series_by_order[order]
+        theta = np.array(HESSIAN_POINTS[order])
+        _, hess = analytic_score_hessian(theta, series, order, SC2)
         k = theta.shape[0]
         fd = np.zeros((k, k))
         for i in range(k):
             e = np.zeros(k)
             e[i] = 1e-6 * (1.0 + abs(theta[i]))
-            gp, _ = analytic_score_hessian(theta + e, series_10, (1, 0), SC2)
-            gm, _ = analytic_score_hessian(theta - e, series_10, (1, 0), SC2)
+            gp, _ = analytic_score_hessian(theta + e, series, order, SC2)
+            gm, _ = analytic_score_hessian(theta - e, series, order, SC2)
             fd[:, i] = (gp - gm) / (2.0 * e[i])
         assert np.max(np.abs(hess - fd) / (1.0 + np.abs(fd))) < 1e-5
 
@@ -216,6 +276,137 @@ class TestAnalyticDerivatives:
         _, hess = analytic_score_hessian(theta, series_11, (1, 1), SC2)
         n_eff = len(series_11) - 1
         assert np.array_equal(u_hat, -hess / n_eff)
+
+
+def _reference_mean(alpha0, alphas, betas, gammas, counts, covariates, extend, presample):
+    """The per-t loop of the mean recursion, the reference for the banded solve."""
+    p, q, r = len(alphas), len(betas), len(gammas)
+    n = counts.shape[0]
+    start = max(p, q)
+    total = n + 1 if extend else n
+    out = np.empty(total)
+    out[: min(start, total)] = presample
+    for t in range(start, total):
+        m = alpha0
+        for i, a in enumerate(alphas, start=1):
+            m += a * counts[t - i]
+        for j, b in enumerate(betas, start=1):
+            m += b * out[t - j]
+        if r:
+            if t >= n:
+                raise ValueError("covariates unavailable beyond the sample")
+            for k, g in enumerate(gammas):
+                m += g * covariates[t, k]
+        out[t] = m
+    return out
+
+
+def _reference_mean_derivatives(theta_dyn, series, p, q, r):
+    """The per-t loops of dM and of the dense (n, k, k) d2M, as reference."""
+    betas = theta_dyn[1 + p : 1 + p + q]
+    n, k, start = len(series), 1 + p + q + r, max(p, q)
+    x, z = series.counts, series.covariates
+    m = _reference_mean(
+        theta_dyn[0], theta_dyn[1 : 1 + p], betas, theta_dyn[1 + p + q :],
+        x, z, False, theta_dyn[0],
+    )
+    dm = np.zeros((n, k))
+    dm[:start, 0] = 1.0
+    d2m = np.zeros((n, k, k))
+    for t in range(start, n):
+        row = dm[t]
+        row[0] = 1.0
+        for i in range(1, p + 1):
+            row[i] = x[t - i]
+        for j in range(1, q + 1):
+            row[p + j] = m[t - j]
+        for kk in range(r):
+            row[1 + p + q + kk] = z[t, kk]
+        for j, b in enumerate(betas, start=1):
+            row += b * dm[t - j]
+        hh = d2m[t]
+        for j in range(1, q + 1):
+            hh[p + j, :] += dm[t - j]
+            hh[:, p + j] += dm[t - j]
+        for j, b in enumerate(betas, start=1):
+            hh += b * d2m[t - j]
+    return m, dm, d2m
+
+
+def _assert_close(value, reference):
+    assert value.shape == reference.shape
+    assert np.all(np.abs(value - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+
+
+class TestMeanRecursionKernel:
+    """The banded solve against the per-t loops it replaced."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        return np.random.default_rng(41).poisson(3.0, 400)
+
+    @pytest.mark.parametrize(
+        "orders, theta",
+        [
+            pytest.param((1, 0, 0), [2.0, 0.6], id="(1,0)"),
+            pytest.param((0, 1, 0), [2.0, 0.7], id="(0,1)"),
+            pytest.param((1, 1, 0), [1.5, 0.3, 0.5], id="(1,1)"),
+            pytest.param((2, 2, 0), [1.0, 0.2, -0.1, 0.3, 0.25], id="(2,2)"),
+            pytest.param((3, 1, 0), [1.0, 0.2, 0.1, -0.05, 0.4], id="(3,1)"),
+            pytest.param((1, 1, 1), [1.5, 0.3, 0.5, 0.7], id="(1,1)+z"),
+            pytest.param((1, 1, 0), [0.5, -0.2, 0.9999], id="(1,1)-unit-root"),
+            pytest.param((2, 2, 0), [0.5, 0.05, 0.0, 0.6, -0.3999], id="(2,2)-unit-root"),
+        ],
+    )
+    def test_mean_and_derivatives_match_loop(self, counts, orders, theta):
+        p, q, r = orders
+        z = np.random.default_rng(42).standard_normal((counts.shape[0], r)) if r else None
+        series = CountSeries(counts, covariates=z)
+        theta = np.array(theta)
+        m, dm, d2m_beta = estimation._mean_derivatives(theta, series, p, q, r)
+        m_ref, dm_ref, d2m_ref = _reference_mean_derivatives(theta, series, p, q, r)
+        _assert_close(m, m_ref)
+        _assert_close(dm, dm_ref)
+        beta = slice(1 + p, 1 + p + q)
+        _assert_close(d2m_beta, d2m_ref[:, beta, :])
+        # the loop's d2M is zero outside the beta rows and columns
+        rest = np.ones(1 + p + q + r, dtype=bool)
+        rest[beta] = False
+        assert not np.any(d2m_ref[:, rest][:, :, rest])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(ModelSpec(alpha0=1.0, alphas=(0.3,), betas=(0.5,)), id="stable"),
+            pytest.param(ModelSpec(alpha0=1.0, alphas=(0.3,), betas=(1.2,)), id="explosive"),
+            pytest.param(ModelSpec(alpha0=1.0, alphas=(0.3, 0.1), betas=(0.2, 0.3)), id="(2,2)"),
+        ],
+    )
+    def test_extended_path_matches_loop(self, counts, spec):
+        path = conditional_mean_path(spec, CountSeries(counts))
+        ref = _reference_mean(
+            spec.alpha0, spec.alphas, spec.betas, (), counts, None, True, spec.alpha0
+        )
+        assert path.shape == (counts.shape[0] + 1,)
+        _assert_close(path, ref)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_series_within_the_prefix_is_presample_only(self, n):
+        spec = ModelSpec(alpha0=1.5, alphas=(0.2, 0.1, -0.05), betas=(0.4,))
+        series = CountSeries(np.arange(1, n + 1))
+        path = conditional_mean_path(spec, series)
+        ref = _reference_mean(
+            1.5, spec.alphas, spec.betas, (), series.counts, None, True, 1.5
+        )
+        _assert_close(path, ref)
+        assert np.all(path[:3] == 1.5)
+        theta = np.array([1.5, *spec.alphas, *spec.betas])
+        assert np.all(_mean_path(theta, series, 3, 1, 0) == 1.5)
+
+    def test_extension_with_covariates_is_refused(self, counts):
+        series = CountSeries(counts, covariates=np.ones((counts.shape[0], 1)))
+        with pytest.raises(ValueError, match="beyond the sample"):
+            _mean_recursion(1.0, (0.3,), (0.5,), (0.7,), series, True, 1.0)
 
 
 class TestInformationCriteria:

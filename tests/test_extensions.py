@@ -1,5 +1,6 @@
 """Tests for the TINARS(1), bounded one-inflated, and covariate variants."""
 
+import json
 import math
 
 import numpy as np
@@ -287,14 +288,52 @@ class TestCovariates:
 
 
 class TestFitCliFlags:
-    """``fit`` refuses flags that the tinars1 and stbingarch fits would ignore."""
+    """``fit`` refuses every flag that the chosen model or method would ignore."""
 
-    @pytest.mark.parametrize("model", ["tinars1", "stbingarch"])
     @pytest.mark.parametrize(
-        "flags", [["--method", "clade"], ["--method", "cls"], ["--scenario2"]]
+        "model, flags",
+        [
+            (model, flags)
+            for model in ("tinars1", "stbingarch")
+            for flags in (["--method", "clade"], ["--method", "cls"], ["--scenario2"])
+        ]
+        + [
+            ("tinars1", ["-p", "1"]),
+            ("tinars1", ["-q", "0"]),
+            ("tinars1", ["--delta", "0.25"]),
+            ("tinars1", ["--bound", "5"]),
+            ("stingarch", ["--bound", "5"]),
+            ("stingarch", ["--method", "clade", "--delta", "0.25"]),
+            ("stingarch", ["--method", "cls", "--delta", "0.25"]),
+            ("stingarch", ["--method", "clade", "--scenario2"]),
+            ("stingarch", ["--method", "cls", "--scenario2"]),
+        ],
     )
     def test_ignored_flag_is_a_config_error(self, tmp_path, model, flags):
         path = tmp_path / "counts.csv"
         path.write_text("count\n" + "1\n0\n2\n" * 20)
-        argv = ["fit", "--model", model, "--bound", "5", "--input", str(path), *flags]
+        # stbingarch needs its bound; no other model takes one
+        bound = ["--bound", "5"] if model == "stbingarch" else []
+        argv = ["fit", "--model", model, *bound, "--input", str(path), *flags]
         assert cli.main(argv) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--model", "tinars1"], ["alpha1", "innovation_mean"]),
+            (
+                ["--model", "stbingarch", "--bound", "5", "--delta", "0.01"],
+                ["alpha0", "alpha1", "kappa"],
+            ),
+            (["-p", "1", "--delta", "0.25"], ["alpha0", "alpha1"]),
+            (["--method", "clade"], ["alpha0", "alpha1"]),
+        ],
+    )
+    def test_used_flags_are_accepted(self, tmp_path, argv, names):
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "1\n0\n2\n3\n" * 15)
+        out = tmp_path / "fit.json"
+        code = cli.main(["fit", *argv, "--input", str(path), "--output", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGED)
+        # unset orders default to (1, 0)
+        assert sorted(json.loads(out.read_text())["estimates"]) == sorted(names)
