@@ -97,7 +97,8 @@ class FitResult:
     converged: bool
     iterations: int
     n_effective: int
-    # the fitted model: a ModelSpec, or a TinarsSpec for the TINARS(1) fit
+    # the fitted model: a ModelSpec, a TinarsSpec for the TINARS(1) fit, or
+    # None for CLS/CLADE, which estimate no dispersion
     spec: Optional[object] = None
     std_errors: Optional[np.ndarray] = None
     loglik: Optional[float] = None
@@ -685,7 +686,6 @@ def _fit_censored_deviation(
             converged=True,
             iterations=0,
             n_effective=n_eff,
-            spec=ModelSpec(alpha0=est[0], delta=0.25),
             objective=obj,
         )
     objective = _censored_objective(series, p, q, r, power)
@@ -712,7 +712,6 @@ def _fit_censored_deviation(
         converged=bool(best.success),
         iterations=iterations,
         n_effective=n_eff,
-        spec=_spec_from_theta(est, p, q, r, EstimationScenario.fixed(0.25)),
         objective=float(best.fun),
     )
 
@@ -722,8 +721,8 @@ def fit_clade(series: CountSeries, orders=(1, 0)) -> FitResult:
 
     Minimizes ``sum |X_t - max(0, M_t)|`` by multi-start simplex search
     (the objective is non-convex and piecewise-flat, so jittered restarts
-    are mandatory).  No dispersion estimate and no standard errors are
-    produced; the attained objective value is reported instead.
+    are mandatory).  No dispersion estimate, no standard errors and no
+    ``spec`` are produced; the attained objective value is reported instead.
     """
     return _fit_censored_deviation(series, orders, power=1, method="clade")
 

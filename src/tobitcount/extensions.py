@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaln, pdtr, xlog1py, xlogy
 
 from . import skellam
 from .diagnostics import sample_acf
@@ -28,7 +29,6 @@ from .estimation import (
     _param_names,
     _stationarity_violation,
 )
-from .specialfn import _log_factorials
 from .stingarch import CountSeries, ModelSpec
 
 __all__ = [
@@ -99,123 +99,99 @@ def simulate_tinars1(
     return CountSeries(out)
 
 
-def _poisson_log_pmf(k: np.ndarray, rate: float) -> np.ndarray:
-    lf = _log_factorials(int(k.max(initial=0)))
-    with np.errstate(divide="ignore"):
-        return -rate + k * math.log(rate) - lf[k]
+def _transition_arr(prev: np.ndarray, nxt: np.ndarray, spec: TinarsSpec) -> np.ndarray:
+    """``P(X_t = nxt[i] | X_{t-1} = prev[i])`` for every pair ``i``.
 
-
-def _binomial_pmf_vector(n: int, prob: float) -> np.ndarray:
-    """PMF of Bin(n, prob) on 0..n (stable for the small n arising here)."""
-    if n == 0:
-        return np.ones(1)
-    lf = _log_factorials(n)
-    j = np.arange(n + 1)
-    if prob == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    logs = (
-        lf[n]
-        - lf[j]
-        - lf[n - j]
-        + j * math.log(prob)
-        + (n - j) * math.log1p(-prob)
+    Each probability sums over the thinning outcome ``j``: the binomial
+    weight ``C(prev, j) |a|^j (1 - |a|)^(prev - j)`` times the innovation
+    term at ``k = nxt - sgn(a) j``, which is the Poisson pmf at ``k`` for a
+    positive target and the Poisson cdf ``pdtr(k, lambda)`` for the zero
+    target (every latent value at or below zero is censored to it).  The
+    weights sit on a (distinct prev, j) grid and the innovation terms on a
+    (j, distinct nxt) grid, so one matrix product gives every pair.  Cells
+    with ``j > prev`` or ``k < 0`` are masked after their indices are
+    clipped, so no ``inf`` or ``nan`` reaches the product.
+    """
+    a, sgn, rate = abs(spec.alpha1), _sgn(spec.alpha1), spec.innovation_mean
+    prevs, row = np.unique(prev, return_inverse=True)
+    nxts, col = np.unique(nxt, return_inverse=True)
+    j = np.arange(prevs[-1] + 1)
+    log_fact = gammaln(np.arange(1, prevs[-1] + nxts[-1] + 2))
+    rest = prevs[:, None] - j
+    kept = np.maximum(rest, 0)
+    log_w = (
+        log_fact[prevs][:, None] - log_fact[j] - log_fact[kept]
+        + xlogy(j, a) + xlog1py(kept, -a)
     )
-    return np.exp(logs)
+    weights = np.where(rest >= 0, np.exp(log_w), 0.0)
+    k = nxts - sgn * j[:, None]
+    k_c = np.maximum(k, 0)
+    terms = np.exp(xlogy(k_c, rate) - rate - log_fact[k_c])
+    terms[:, nxts == 0] = pdtr(k_c[:, nxts == 0], rate)
+    terms = np.where(k >= 0, terms, 0.0)
+    return (weights @ terms)[row, col]
 
 
 def tinars1_transition(x_next: int, x_prev: int, spec: TinarsSpec) -> float:
     """Markov transition probability ``P(X_t = x_next | X_{t-1} = x_prev)``.
 
-    For a positive target the thinning outcome is convolved with the
-    Poisson innovation; the zero state collects the innovation mass at or
-    below the negated thinning outcome (empty for positive ``alpha1`` and
-    ``j >= 1``, taken literally).
+    One pair through :func:`_transition_arr`.  For a positive target the
+    thinning outcome is convolved with the Poisson innovation; the zero
+    state collects the innovation mass at or below the negated thinning
+    outcome (for ``alpha1 >= 0`` only ``j = 0`` reaches it).
     """
     x_next, x_prev = int(x_next), int(x_prev)
     if x_next < 0 or x_prev < 0:
         raise ValueError("counts are nonnegative")
-    rate = spec.innovation_mean
-    sgn_a = _sgn(spec.alpha1)
-    bin_w = _binomial_pmf_vector(x_prev, abs(spec.alpha1))
-    j = np.arange(x_prev + 1)
-    if x_next > 0:
-        eps = x_next - sgn_a * j
-        valid = eps >= 0
-        if not np.any(valid):
-            return 0.0
-        logs = _poisson_log_pmf(eps[valid].astype(np.int64), rate)
-        return float(np.sum(bin_w[valid] * np.exp(logs)))
-    # x_next == 0: innovation must not lift the thinned value above zero
-    cut = -sgn_a * j
-    total = 0.0
-    for weight, c in zip(bin_w, cut):
-        if c < 0:
-            continue
-        ks = np.arange(c + 1, dtype=np.int64)
-        total += weight * float(np.exp(_poisson_log_pmf(ks, rate)).sum())
-    return total
-
-
-def _tinars_row(x_prev: int, spec: TinarsSpec, tail_tol: float = 1e-14) -> np.ndarray:
-    """Transition row from ``x_prev`` truncated once the upper tail is negligible."""
-    cap = int(
-        math.ceil(
-            spec.innovation_mean
-            + x_prev
-            + 12.0 * math.sqrt(spec.innovation_mean + x_prev + 1.0)
-        )
-    ) + 10
-    row = np.array([tinars1_transition(y, x_prev, spec) for y in range(cap + 1)])
-    if 1.0 - row.sum() > tail_tol * 10:
-        raise ArithmeticError("transition row truncation left too much mass")
-    return row
+    return float(_transition_arr(np.array([x_prev]), np.array([x_next]), spec)[0])
 
 
 def tinars_conditional_moments(
     spec: TinarsSpec, x_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional mean and variance by truncated transition summation."""
+    """Conditional mean and variance of ``X_t`` given ``X_{t-1} = x_prev``.
+
+    For ``alpha1 >= 0`` the latent value ``alpha1 (.) x + eps`` is never
+    negative, so censoring never acts: the mean is ``alpha1 x + lambda`` and
+    the variance ``alpha1 (1 - alpha1) x + lambda``.  For ``alpha1 < 0`` the
+    latent value is at most ``eps``, so the kernel's rows for the distinct
+    ``x_prev`` are summed over ``0..cap`` with
+    ``cap = ceil(lambda + 12 sqrt(lambda + 1)) + 10``, whatever ``x_prev``;
+    a row that leaves more than 1e-13 of its mass above ``cap`` raises
+    ``ArithmeticError``.
+    """
     x_prev = np.asarray(x_prev, dtype=np.int64)
-    cache: dict[int, tuple[float, float]] = {}
-    means = np.empty(x_prev.shape[0])
-    variances = np.empty(x_prev.shape[0])
-    for t, xp in enumerate(x_prev):
-        xp = int(xp)
-        if xp not in cache:
-            row = _tinars_row(xp, spec)
-            ys = np.arange(row.shape[0], dtype=float)
-            mean = float(row @ ys)
-            var = float(row @ ys**2) - mean * mean
-            cache[xp] = (mean, var)
-        means[t], variances[t] = cache[xp]
-    return means, variances
+    alpha, rate = spec.alpha1, spec.innovation_mean
+    if alpha >= 0.0:
+        return alpha * x_prev + rate, alpha * (1.0 - alpha) * x_prev + rate
+    prevs, row = np.unique(x_prev, return_inverse=True)
+    ys = np.arange(int(math.ceil(rate + 12.0 * math.sqrt(rate + 1.0))) + 11)
+    probs = _transition_arr(
+        np.repeat(prevs, ys.size), np.tile(ys, prevs.size), spec
+    ).reshape(prevs.size, ys.size)
+    if np.any(1.0 - probs.sum(axis=1) > 1e-13):
+        raise ArithmeticError("transition row truncation left too much mass")
+    means = probs @ ys
+    variances = np.sum(probs * (ys - means[:, None]) ** 2, axis=1)
+    return means[row], variances[row]
 
 
-def _transition_pair_counts(x: np.ndarray) -> dict[tuple[int, int], int]:
-    pairs: dict[tuple[int, int], int] = {}
-    for prev, nxt in zip(x[:-1], x[1:]):
-        key = (int(prev), int(nxt))
-        pairs[key] = pairs.get(key, 0) + 1
-    return pairs
+def _transition_pair_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.unique(np.stack([x[:-1], x[1:]], axis=1), axis=0, return_counts=True)
 
 
-def _tinars_loglik_pairs(
-    spec: TinarsSpec, pairs: dict[tuple[int, int], int]
-) -> float:
+def _tinars_loglik_pairs(spec: TinarsSpec, pairs: np.ndarray, counts: np.ndarray) -> float:
     """Conditional log-likelihood of the Markov chain given ``X_1``.
 
-    The sample visits few distinct ``(previous, next)`` pairs, so each
-    transition probability is computed once per evaluation.
+    ``pairs`` holds the distinct ``(previous, next)`` transitions of the
+    sample and ``counts`` how often each occurs, so the likelihood is
+    ``counts @ log(p)`` over one kernel call; it is ``-inf`` when some
+    observed transition has probability zero.
     """
-    total = 0.0
-    for (prev, nxt), count in pairs.items():
-        prob = tinars1_transition(nxt, prev, spec)
-        if prob <= 0.0:
-            return -math.inf
-        total += count * math.log(prob)
-    return total
+    probs = _transition_arr(pairs[:, 0], pairs[:, 1], spec)
+    if not np.all(probs > 0.0):
+        return -math.inf
+    return float(counts @ np.log(probs))
 
 
 def fit_tinars1_mle(series: CountSeries) -> FitResult:
@@ -224,25 +200,31 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
     The search runs on ``(log innovation_mean, atanh alpha1)`` so both
     constraints are automatic; standard errors come from the numerical
     Hessian in the natural parametrization.  ``spec`` holds the fitted
-    :class:`TinarsSpec`.
+    :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
+    ``alpha1`` to ``-1`` or ``1`` in floating point: the likelihood then has
+    no interior maximum.
     """
     x = series.counts
     if len(series) < 3:
         raise ValueError("series too short")
 
-    pairs = _transition_pair_counts(x)
+    pairs, counts = _transition_pair_counts(x)
 
     def natural(theta: np.ndarray) -> TinarsSpec:
         return TinarsSpec(alpha1=theta[1], innovation_mean=theta[0])
 
     def natural_loglik(theta: np.ndarray) -> float:
-        return _tinars_loglik_pairs(natural(theta), pairs)
+        return _tinars_loglik_pairs(natural(theta), pairs, counts)
 
     def objective(internal: np.ndarray) -> float:
-        spec = TinarsSpec(
-            alpha1=math.tanh(internal[1]), innovation_mean=math.exp(internal[0])
-        )
-        value = _tinars_loglik_pairs(spec, pairs)
+        alpha1 = math.tanh(internal[1])
+        if abs(alpha1) == 1.0:
+            raise ValueError(
+                "the TINARS(1) likelihood has no interior maximum: "
+                f"alpha1 runs to {alpha1:+.0f}"
+            )
+        spec = TinarsSpec(alpha1=alpha1, innovation_mean=math.exp(internal[0]))
+        value = _tinars_loglik_pairs(spec, pairs, counts)
         return -value if math.isfinite(value) else _PENALTY
 
     def steps(theta: np.ndarray):

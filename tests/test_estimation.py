@@ -555,6 +555,12 @@ class TestCensoredDeviationFits:
             float(np.abs(x - np.maximum(0.0, m)).sum()), rel=1e-9
         )
 
+    @pytest.mark.parametrize("fitter", [fit_clade, fit_cls])
+    @pytest.mark.parametrize("orders", [(0, 0), (1, 0)])
+    def test_no_spec_without_a_dispersion_estimate(self, series_10, fitter, orders):
+        # the deviation fits estimate no delta, so they report no model
+        assert fitter(series_10, orders).spec is None
+
 
 class TestMcStudy:
     def test_structure_and_determinism(self):

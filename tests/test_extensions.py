@@ -86,6 +86,104 @@ class TestTinarsTransition:
             assert variances[i] == pytest.approx(var_bf, rel=1e-9)
 
 
+# Reference for the grid kernel: the per-pair scalar sums it replaced, as
+# they were, except that ln k! comes from math.lgamma and the row variance
+# is centred (E[X^2] - mean^2 loses about 1e-10 at a mean of 80).
+def _ref_log_factorials(m):
+    return np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
+
+
+def _ref_poisson_log_pmf(k, rate):
+    lf = _ref_log_factorials(int(k.max(initial=0)))
+    with np.errstate(divide="ignore"):
+        return -rate + k * math.log(rate) - lf[k]
+
+
+def _ref_binomial_pmf_vector(n, prob):
+    if n == 0:
+        return np.ones(1)
+    lf = _ref_log_factorials(n)
+    j = np.arange(n + 1)
+    if prob == 0.0:
+        out = np.zeros(n + 1)
+        out[0] = 1.0
+        return out
+    logs = lf[n] - lf[j] - lf[n - j] + j * math.log(prob) + (n - j) * math.log1p(-prob)
+    return np.exp(logs)
+
+
+def _ref_transition(x_next, x_prev, spec):
+    rate = spec.innovation_mean
+    sgn_a = 1 if spec.alpha1 >= 0 else -1
+    bin_w = _ref_binomial_pmf_vector(x_prev, abs(spec.alpha1))
+    j = np.arange(x_prev + 1)
+    if x_next > 0:
+        eps = x_next - sgn_a * j
+        valid = eps >= 0
+        if not np.any(valid):
+            return 0.0
+        logs = _ref_poisson_log_pmf(eps[valid].astype(np.int64), rate)
+        return float(np.sum(bin_w[valid] * np.exp(logs)))
+    total = 0.0
+    for weight, c in zip(bin_w, -sgn_a * j):
+        if c < 0:
+            continue
+        ks = np.arange(c + 1, dtype=np.int64)
+        total += weight * float(np.exp(_ref_poisson_log_pmf(ks, rate)).sum())
+    return total
+
+
+def _ref_moments(spec, x_prev):
+    means, variances = [], []
+    for xp in x_prev:
+        rate = spec.innovation_mean
+        cap = int(math.ceil(rate + xp + 12.0 * math.sqrt(rate + xp + 1.0))) + 10
+        row = np.array([_ref_transition(y, int(xp), spec) for y in range(cap + 1)])
+        ys = np.arange(cap + 1, dtype=float)
+        mean = float(row @ ys)
+        means.append(mean)
+        variances.append(float(row @ (ys - mean) ** 2))
+    return np.array(means), np.array(variances)
+
+
+class TestTransitionKernel:
+    ALPHAS = (-0.9, -0.5, 0.0, 0.4, 0.9)
+    RATES = (0.3, 2.0, 7.5)
+
+    @pytest.mark.parametrize("alpha1", ALPHAS)
+    @pytest.mark.parametrize("rate", RATES)
+    def test_matches_scalar_sums(self, alpha1, rate):
+        spec = TinarsSpec(alpha1=alpha1, innovation_mean=rate)
+        prev, nxt = (g.ravel() for g in np.meshgrid(np.arange(61), np.arange(61), indexing="ij"))
+        # a masked inf or nan leaking into the product would raise here
+        with np.errstate(all="raise"):
+            got = extensions._transition_arr(prev, nxt, spec)
+        ref = np.array([_ref_transition(y, x, spec) for x, y in zip(prev, nxt)])
+        assert np.all(got[ref == 0.0] == 0.0)
+        positive = ref > 0.0
+        np.testing.assert_allclose(got[positive], ref[positive], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha1", ALPHAS)
+    @pytest.mark.parametrize("rate", RATES)
+    def test_rows_sum_to_one(self, alpha1, rate):
+        spec = TinarsSpec(alpha1=alpha1, innovation_mean=rate)
+        prev, nxt = (g.ravel() for g in np.meshgrid(np.arange(61), np.arange(121), indexing="ij"))
+        # far-tail probabilities below 1e-308 underflow to 0, which is right
+        with np.errstate(all="raise", under="ignore"):
+            rows = extensions._transition_arr(prev, nxt, spec).reshape(61, 121)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha1", [-0.45, 0.0, 0.4])
+    @pytest.mark.parametrize("rate", [2.0, 80.0])
+    def test_moments_match_row_summation(self, alpha1, rate):
+        spec = TinarsSpec(alpha1=alpha1, innovation_mean=rate)
+        x_prev = np.array([0, 1, 2, 5, 13, 30, 60, 5, 0])
+        means, variances = tinars_conditional_moments(spec, x_prev)
+        ref_means, ref_variances = _ref_moments(spec, x_prev)
+        np.testing.assert_allclose(means, ref_means, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(variances, ref_variances, rtol=1e-12, atol=1e-12)
+
+
 class TestTinarsFit:
     def test_reduces_to_ordinary_inar_for_positive_coefficient(self):
         spec = TinarsSpec(alpha1=0.5, innovation_mean=3.0)
@@ -117,6 +215,20 @@ class TestTinarsFit:
     def test_all_zero_series_refused(self):
         with pytest.raises(ValueError, match="no positive count"):
             fit_tinars1_mle(CountSeries(np.zeros(200, dtype=np.int64)))
+
+    def test_alpha_running_to_the_boundary_is_refused(self, tmp_path):
+        # alternating 0, 3 pulls alpha1 to -1, where tanh rounds to -1.0
+        series = CountSeries(np.tile([0, 3], 100))
+        with pytest.raises(ValueError, match="no interior maximum: alpha1 runs to -1"):
+            fit_tinars1_mle(series)
+        path = tmp_path / "alternating.csv"
+        path.write_text("count\n" + "0\n3\n" * 100)
+        assert cli.main(["fit", "--model", "tinars1", "--input", str(path)]) == cli.EXIT_NUMERICAL
+
+    def test_strong_negative_dependence_still_fits(self):
+        fit = fit_tinars1_mle(CountSeries(np.tile([0, 5, 1], 100)))
+        assert fit.converged and fit.hessian_invertible
+        assert -1.0 < fit.estimates[1] < 0.0
 
     def test_penalty_valued_optimum_raises(self, monkeypatch):
         monkeypatch.setattr(extensions, "_tinars_loglik_pairs", lambda *args: -math.inf)
