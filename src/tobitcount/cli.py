@@ -2,7 +2,8 @@
 
 CSV comes in (one count column, optional covariate columns), JSON or CSV
 goes out.  Exit codes: 0 success, 1 configuration error, 2 ingestion error,
-3 numerical failure, 4 non-convergence (the result is still written).
+3 numerical failure, a non-finite output value included (nothing is
+written), 4 non-convergence (the result is still written).
 Number serialization relies on Python's shortest-round-trip float
 representation, so re-reading and re-serializing any output reproduces it
 byte for byte; identical seeds reproduce identical artifacts, also for
@@ -153,7 +154,9 @@ def _scenario_from_args(args) -> Optional[float]:
 
 
 def _json_dump(payload: dict, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # NaN and Infinity are not JSON: a non-finite value raises ValueError
+    # (exit 3) before anything is written
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

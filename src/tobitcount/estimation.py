@@ -174,10 +174,10 @@ def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
 def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> float:
     """Conditional log-likelihood, conditioning on the first ``max(p, q)`` counts.
 
-    Positive observations use the closed-form log-density branches for
-    ``M_t >= 0`` and ``M_t < 0``; zero observations contribute the log of
-    the entire nonpositive latent mass.  Returns ``-inf`` as soon as any
-    term underflows to zero probability.
+    Each term is the observation law :func:`skellam._log_obs_arr` at the
+    count given ``M_t``: the latent log-pmf for a positive count and the log
+    of the entire nonpositive latent mass for a zero.  Returns ``-inf`` when
+    a mean is not finite or any term underflows to zero probability.
     """
     p, q, r = _orders(orders, series)
     _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
@@ -188,31 +188,12 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
     if n <= start:
         raise ValueError("series shorter than the conditioning prefix")
     m = _mean_path(theta[: 1 + p + q + r], series, p, q, r)[start:]
-    x = series.counts[start:]
     if not np.all(np.isfinite(m)):
         return -math.inf
-    pos = x > 0
-    total = 0.0
-    if np.any(pos):
-        xs = x[pos].astype(float)
-        ms = m[pos]
-        sign = np.where(ms >= 0.0, 1.0, -1.0)
-        a = 2.0 * np.abs(ms) + delta
-        logs = (
-            -np.abs(ms)
-            - delta
-            + 0.5 * xs * sign * (np.log(a) - math.log(delta))
-            + skellam._log_bessel_i_arr(x[pos], np.sqrt(delta * a))
-        )
-        if not np.all(np.isfinite(logs)):
-            return -math.inf
-        total += float(logs.sum())
-    if np.any(~pos):
-        f0 = skellam._cdf0_arr(m[~pos], delta)
-        if np.any(f0 <= 0.0):
-            return -math.inf
-        total += float(np.log(f0).sum())
-    return total
+    logs = skellam._log_obs_arr(series.counts[start:], m, delta)
+    if not np.all(np.isfinite(logs)):
+        return -math.inf
+    return float(logs.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -260,24 +260,20 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
 def stbingarch_conditional_pmf(x: int, m: float, spec: ModelSpec) -> float:
     """Conditional law on {0..N}: one-inflation mixed with the clipped latent law.
 
-    ``kappa`` puts extra mass on 1; the remaining weight follows
-    ``min(N, max(0, X*))`` with ``X* ~ Sk*(m, delta)``.
+    ``kappa`` puts extra mass on 1; the remaining weight follows the
+    observation law ``min(N, max(0, X*))`` with ``X* ~ Sk*(m, delta)``, which
+    :func:`skellam._log_obs_arr` evaluates (``delta == 0`` included).
     """
     if spec.bound is None:
         raise ValueError("spec has no upper bound")
-    bound = spec.bound
     x = int(x)
-    if x < 0 or x > bound:
-        raise ValueError(f"x must lie in 0..{bound}, got {x}")
+    if x < 0 or x > spec.bound:
+        raise ValueError(f"x must lie in 0..{spec.bound}, got {x}")
+    if not math.isfinite(m):
+        raise ValueError(f"conditional mean must be finite, got {m!r}")
     kappa = spec.kappa if spec.kappa is not None else 0.0
-    params = skellam.SkellamStar(m, spec.delta).to_params()
-    if x == 0:
-        base = skellam.cdf(0, params)
-    elif x == bound:
-        base = float(skellam._survival_arr(bound, np.array([m]), spec.delta)[0])
-    else:
-        base = skellam.pmf(x, params)
-    return kappa * (1.0 if x == 1 else 0.0) + (1.0 - kappa) * base
+    base = math.exp(skellam._log_obs_arr(x, m, spec.delta, spec.bound))
+    return (1.0 - kappa) * base + kappa * (x == 1)
 
 
 def stbingarch_conditional_moments(
@@ -287,17 +283,9 @@ def stbingarch_conditional_moments(
     bound = spec.bound
     kappa = spec.kappa if spec.kappa is not None else 0.0
     m_path = np.asarray(m_path, dtype=float)
-    support = np.arange(bound + 1, dtype=float)
-    probs = np.empty((m_path.shape[0], bound + 1))
-    probs[:, 0] = skellam._cdf0_arr(m_path, spec.delta)
-    if bound >= 2:
-        mids = np.arange(1, bound)
-        probs[:, 1:bound] = np.exp(
-            skellam._log_pmf_arr(mids[None, :], m_path[:, None], spec.delta)
-        )
-    probs[:, bound] = skellam._survival_arr(bound, m_path, spec.delta)
-    probs *= 1.0 - kappa
-    probs[:, 1] += kappa
+    support = np.arange(bound + 1)
+    log_obs = skellam._log_obs_arr(support, m_path[:, None], spec.delta, bound)
+    probs = (1.0 - kappa) * np.exp(log_obs) + kappa * (support == 1)
     means = probs @ support
     variances = probs @ support**2 - means**2
     return means, np.maximum(variances, 0.0)
@@ -313,21 +301,10 @@ def _stbingarch_loglik(
     bound: int,
     delta: float,
 ) -> float:
-    m = _mean_path(theta_dyn, series, p, q, r)
     start = max(p, q)
+    m = _mean_path(theta_dyn, series, p, q, r)[start:]
     x = series.counts[start:]
-    m = m[start:]
-    base = np.empty(x.shape[0])
-    at_zero = x == 0
-    at_bound = x == bound
-    mid = ~at_zero & ~at_bound
-    if np.any(at_zero):
-        base[at_zero] = skellam._cdf0_arr(m[at_zero], delta)
-    if np.any(at_bound):
-        base[at_bound] = skellam._survival_arr(bound, m[at_bound], delta)
-    if np.any(mid):
-        base[mid] = np.exp(skellam._log_pmf_arr(x[mid], m[mid], delta))
-    lik = (1.0 - kappa) * base + kappa * (x == 1)
+    lik = (1.0 - kappa) * np.exp(skellam._log_obs_arr(x, m, delta, bound)) + kappa * (x == 1)
     if np.any(lik <= 0.0):
         return -math.inf
     return float(np.log(lik).sum())
@@ -344,8 +321,11 @@ def fit_stbingarch_mle(
     Optimizes the dynamics plus the one-inflation weight, the latter on the
     logit scale; a logit below -12 is reported as the boundary value
     ``kappa = 0``.  Standard errors come from the numerical Hessian in the
-    natural parametrization (suppressed at the kappa boundary).
+    natural parametrization (suppressed at the kappa boundary).  ``delta``
+    is the fixed dispersion and must be positive.
     """
+    if not (delta > 0.0):
+        raise ValueError(f"the bounded model's delta must be positive, got {delta!r}")
     p, q, r = _orders(orders, series)
     if np.any(series.counts > bound):
         raise ValueError("series exceeds the declared bound")

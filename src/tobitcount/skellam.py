@@ -11,7 +11,11 @@ Each quantity has one array kernel over ``(mu, delta)``: the log-pmf
 (:func:`_log_pmf_arr`), the upper tail (:func:`_survival_arr`), the
 censored zero mass (:func:`_cdf0_arr`) and the censored moments
 (:func:`_censored_moments_arr`).  The scalar public functions are thin
-wrappers over them.
+wrappers over them.  :func:`_log_obs_arr` is the observation law built from
+them: the log-probability of a count under ``max(0, X*)``, optionally
+clipped at an upper bound, with ``delta = 0`` as the censored-Poisson
+boundary; every likelihood, conditional pmf and transition matrix of the
+package evaluates it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammainc, gammaln, xlogy
 
 # ``log_bessel_i`` stays importable from this module, as the profiling
 # harness wraps it here.
@@ -254,6 +259,44 @@ def _cdf0_arr(mu: np.ndarray, delta: float) -> np.ndarray:
     near certainty the mixture sum rounds a few ulps above it.
     """
     return np.minimum(_survival_arr(0, np.negative(mu), delta), 1.0)
+
+
+def _log_obs_arr(x, mu, delta: float, bound=None) -> np.ndarray:
+    """Vectorized ``ln P(min(N, max(0, X*)) = x)`` with ``N = bound``.
+
+    ``x`` (integer counts in ``0..N`` for a bound ``N >= 1``, or ``>= 0``
+    when ``bound`` is ``None``: no upper clip) and ``mu`` broadcast.  A zero
+    count takes the censored mass ``P(X* <= 0)``, a count at the bound the
+    upper tail ``P(X* >= N)`` and any other count the latent pmf.
+    ``delta == 0`` is the censored-Poisson boundary ``Poi(max(0, mu))``,
+    with ``P(Poi >= N)`` the regularized lower incomplete gamma function
+    ``P(N, rate)``.  A zero probability is ``-inf``.
+    """
+    x, mu = np.broadcast_arrays(np.asarray(x), np.asarray(mu, dtype=float))
+    zero = x == 0
+    top = np.zeros(x.shape, dtype=bool) if bound is None else x == bound
+    inner = ~(zero | top)
+    if delta == 0.0:
+        rate = np.maximum(mu, 0.0)
+        cells = (
+            (zero, lambda: -rate[zero]),
+            (inner, lambda: xlogy(x[inner], rate[inner]) - rate[inner] - gammaln(x[inner] + 1)),
+            (top, lambda: np.log(gammainc(bound, rate[top]))),
+        )
+    else:
+        cells = (
+            (zero, lambda: np.log(_cdf0_arr(mu[zero], delta))),
+            (inner, lambda: _log_pmf_arr(x[inner], mu[inner], delta)),
+            (top, lambda: np.log(_survival_arr(bound, mu[top], delta))),
+        )
+    out = np.empty(x.shape)
+    with np.errstate(divide="ignore"):
+        # a kind of cell that does not occur is skipped: each kernel call has
+        # a fixed cost of tens of microseconds, even on an empty selection
+        for mask, log_prob in cells:
+            if mask.any():
+                out[mask] = log_prob()
+    return out
 
 
 def _censored_moments_arr(mu: np.ndarray, delta: float):

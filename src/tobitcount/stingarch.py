@@ -25,7 +25,6 @@ from scipy.linalg.lapack import dtbtrs
 
 from . import skellam
 from .skellam import SkellamStar, censored_moments
-from .specialfn import _log_factorials
 
 __all__ = [
     "ModelSpec",
@@ -256,25 +255,19 @@ def conditional_mean_path(
 def conditional_pmf(x: int, m: float, spec: ModelSpec) -> float:
     """One-step conditional probability ``P(X_t = x | M_t = m)`` (unbounded).
 
-    ``x = 0`` collects the whole nonpositive mass of the latent variable;
-    ``delta == 0`` is the censored-Poisson boundary with conditional law
-    ``Poi(max(0, m))``.
+    The observation law ``max(0, X*)`` with ``X* ~ Sk*(m, delta)``, from
+    :func:`skellam._log_obs_arr`: ``x = 0`` collects the whole nonpositive
+    mass of the latent variable, and ``delta == 0`` is the censored-Poisson
+    boundary with conditional law ``Poi(max(0, m))``.
     """
     if spec.bound is not None:
         raise ValueError("bounded models use stbingarch_conditional_pmf")
     x = int(x)
     if x < 0:
         raise ValueError(f"counts are nonnegative, got {x}")
-    if spec.delta == 0.0:
-        rate = max(0.0, m)
-        if rate == 0.0:
-            return 1.0 if x == 0 else 0.0
-        return math.exp(-rate + x * math.log(rate) - math.lgamma(x + 1))
-    star = SkellamStar(m, spec.delta)
-    params = star.to_params()
-    if x == 0:
-        return skellam.cdf(0, params)
-    return skellam.pmf(x, params)
+    if not math.isfinite(m):
+        raise ValueError(f"conditional mean must be finite, got {m!r}")
+    return math.exp(skellam._log_obs_arr(x, m, spec.delta))
 
 
 def simulate(
@@ -387,42 +380,18 @@ def pacf_from_acf(acf: np.ndarray) -> np.ndarray:
     return pacf
 
 
-def _poisson_log_pmf_grid(rates: np.ndarray, kmax: int) -> np.ndarray:
-    """Matrix of ``ln Poi(k; rate)`` for k = 0..kmax (rows follow rates)."""
-    lf = _log_factorials(kmax)
-    ks = np.arange(kmax + 1)
-    rates = np.asarray(rates, dtype=float)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -rates + ks[None, :] * np.log(rates) - lf[ks][None, :]
-    zero = rates[:, 0] == 0.0
-    if np.any(zero):
-        out[zero, :] = -np.inf
-        out[zero, 0] = 0.0
-    return out
-
-
 def _transition_matrix(spec: ModelSpec, cap: int) -> np.ndarray:
     """Row-stochastic transition matrix of the STINARCH(1) chain on {0..cap}.
 
-    The true law on {0, 1, ...} is clipped at ``cap``: the column ``cap``
-    absorbs the entire upper tail, so rows sum to one exactly and the
-    approximation error is confined to paths that ever exceed the cap.
+    Row ``i`` is the observation law clipped at ``cap``,
+    :func:`skellam._log_obs_arr` at ``M = alpha0 + alpha1 i``: the column
+    ``cap`` absorbs the entire upper tail, so the approximation error is
+    confined to paths that ever exceed the cap.  Rows are renormalized,
+    since their sums deviate from one only by accumulated roundoff.
     """
     states = np.arange(cap + 1)
     means = spec.alpha0 + spec.alphas[0] * states
-    T = np.empty((cap + 1, cap + 1), dtype=float)
-    if spec.delta == 0.0:
-        rates = np.maximum(0.0, means)
-        log_p = _poisson_log_pmf_grid(rates, cap)
-        T[:, :cap] = np.exp(log_p[:, :cap])
-        T[:, cap] = np.maximum(0.0, 1.0 - T[:, :cap].sum(axis=1))
-        return T
-    orders = np.broadcast_to(np.abs(states[None, 1:cap]), (cap + 1, cap - 1))
-    mus = np.broadcast_to(means[:, None], (cap + 1, cap - 1))
-    T[:, 1:cap] = np.exp(skellam._log_pmf_arr(states[None, 1:cap], mus, spec.delta))
-    T[:, 0] = skellam._cdf0_arr(means, spec.delta)
-    T[:, cap] = skellam._survival_arr(cap, means, spec.delta)
-    # row sums deviate from one only by accumulated roundoff
+    T = np.exp(skellam._log_obs_arr(states, means[:, None], spec.delta, cap))
     T /= T.sum(axis=1, keepdims=True)
     return T
 

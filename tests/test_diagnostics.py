@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from tobitcount import cli
 from tobitcount.diagnostics import (
+    ResidualReport,
     information_criteria,
     pearson_residuals,
     sample_acf,
@@ -117,3 +119,15 @@ class TestPearsonResiduals:
         series = simulate(spec, 200, rng=np.random.default_rng(25))
         report = pearson_residuals(spec, series)
         assert report.residuals.shape[0] == 199
+
+
+class TestCliJson:
+    def test_non_finite_value_is_a_numerical_failure(self, tmp_path, monkeypatch):
+        nan = ResidualReport(residuals=np.zeros(3), mean=math.nan, variance=1.0, acf=np.zeros(5))
+        monkeypatch.setattr(cli, "pearson_residuals", lambda *args, **kwargs: nan)
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "1\n0\n2\n" * 10)
+        out = tmp_path / "diagnose.json"
+        argv = ["diagnose", "--alpha0", "1", "--delta", "0.25", "--input", str(path)]
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_NUMERICAL
+        assert not out.exists()

@@ -16,6 +16,7 @@ from tobitcount.extensions import (
     fit_tinars1_mle,
     signed_binomial_thinning,
     simulate_tinars1,
+    stbingarch_conditional_moments,
     stbingarch_conditional_pmf,
     tinars1_transition,
     tinars_conditional_moments,
@@ -287,6 +288,41 @@ class TestBoundedConditionalPmf:
         with pytest.raises(ValueError):
             stbingarch_conditional_pmf(0, 1.0, ModelSpec(alpha0=1.0, delta=0.25))
 
+    @pytest.mark.parametrize("m", [math.nan, -math.inf])
+    def test_rejects_non_finite_mean(self, m):
+        with pytest.raises(ValueError, match="finite"):
+            stbingarch_conditional_pmf(1, m, self.SPEC)
+
+    def test_poisson_boundary_moments(self):
+        # delta = 0: kappa on 1 plus (1 - kappa) min(5, Poi(max(0, m))), by hand
+        spec = ModelSpec(alpha0=1.0, delta=0.0, bound=5, kappa=0.1)
+        m_path = np.array([-1.0, 0.0, 0.7, 3.0, 12.0])
+        means, variances = stbingarch_conditional_moments(m_path, spec)
+        for m, mean, variance in zip(m_path, means, variances):
+            rate = max(m, 0.0)
+            poisson = [math.exp(-rate) * rate**k / math.factorial(k) for k in range(80)]
+            probs = [0.9 * p for p in poisson[:5]] + [0.9 * math.fsum(poisson[5:])]
+            probs[1] += 0.1
+            want_mean = math.fsum(k * p for k, p in enumerate(probs))
+            want_var = math.fsum(k * k * p for k, p in enumerate(probs)) - want_mean**2
+            assert mean == pytest.approx(want_mean, rel=0.0, abs=1e-12)
+            assert variance == pytest.approx(want_var, rel=0.0, abs=1e-12)
+            assert sum(stbingarch_conditional_pmf(x, m, spec) for x in range(6)) == pytest.approx(
+                1.0, rel=0.0, abs=1e-12
+            )
+
+    def test_poisson_boundary_diagnose_is_finite(self, tmp_path):
+        series = tmp_path / "bounded.csv"
+        out = tmp_path / "diagnose.json"
+        spec = ["--alpha0", "1", "--alpha1", "0.3", "--bound", "5"]
+        sim = ["simulate", *spec, "--delta", "0.01", "--kappa", "0.1", "--n", "300", "--seed", "7"]
+        assert cli.main([*sim, "--output", str(series)]) == cli.EXIT_OK
+        argv = ["diagnose", *spec, "--delta", "0", "--input", str(series), "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        payload = json.loads(out.read_text())
+        values = [payload["mean"], payload["variance"], *payload["acf"]]
+        assert all(math.isfinite(v) for v in values)
+
 
 class TestBoundedFit:
     def test_recovery_of_bounded_one_inflated_model(self):
@@ -327,6 +363,16 @@ class TestBoundedFit:
         monkeypatch.setattr(extensions, "_stbingarch_loglik", lambda *args: -math.inf)
         with pytest.raises(ArithmeticError):
             fit_stbingarch_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])), (1, 0), bound=5)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_non_positive_delta_refused(self, tmp_path, delta):
+        series = CountSeries(np.tile([1, 0, 2, 3], 15))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            fit_stbingarch_mle(series, (1, 0), bound=5, delta=delta)
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "1\n0\n2\n3\n" * 15)
+        argv = ["fit", "--model", "stbingarch", "--bound", "5", "--delta", str(delta)]
+        assert cli.main([*argv, "--input", str(path)]) == cli.EXIT_NUMERICAL
 
     def test_spec_keeps_covariate_coefficients(self):
         z = (np.arange(400) % 2).astype(float).reshape(-1, 1)

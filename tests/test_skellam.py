@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tobitcount import skellam
 from tobitcount.skellam import (
     CensoredMoments,
     SkellamParams,
@@ -256,3 +257,115 @@ class TestVectorizedHelpers:
             radius = chernoff_tail_radius(params, eps=1e-13)
             inside = sum(pmf(x, params) for x in range(-radius, radius + 1))
             assert 1.0 - inside < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the observation law: reference functions kept from the per-site dispatches
+# that the kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_unbounded_terms(x, m, delta):
+    """The log-likelihood's own terms before the kernel, for ``delta > 0``:
+    the closed-form positive-count log-density and the log censored zero mass."""
+    x = np.asarray(x)
+    logs = np.empty(x.shape)
+    pos = x > 0
+    xs = x[pos].astype(float)
+    ms = m[pos]
+    sign = np.where(ms >= 0.0, 1.0, -1.0)
+    a = 2.0 * np.abs(ms) + delta
+    logs[pos] = (
+        -np.abs(ms)
+        - delta
+        + 0.5 * xs * sign * (np.log(a) - math.log(delta))
+        + skellam._log_bessel_i_arr(x[pos], np.sqrt(delta * a))
+    )
+    with np.errstate(divide="ignore"):
+        logs[~pos] = np.log(skellam._cdf0_arr(m[~pos], delta))
+    return logs
+
+
+def _ref_bounded_terms(x, m, delta, bound):
+    """The bounded model's masks before the kernel, for ``delta > 0``."""
+    base = np.empty(x.shape[0])
+    at_zero = x == 0
+    at_bound = x == bound
+    mid = ~at_zero & ~at_bound
+    if np.any(at_zero):
+        base[at_zero] = skellam._cdf0_arr(m[at_zero], delta)
+    if np.any(at_bound):
+        base[at_bound] = skellam._survival_arr(bound, m[at_bound], delta)
+    if np.any(mid):
+        base[mid] = np.exp(skellam._log_pmf_arr(x[mid], m[mid], delta))
+    with np.errstate(divide="ignore"):
+        return np.log(base)
+
+
+def _ref_poisson_log_pmf_grid(rates, kmax):
+    """Matrix of ``ln Poi(k; rate)`` for k = 0..kmax (rows follow rates).
+
+    ``ln k!`` comes from ``math.lgamma``, independent of the package's tables.
+    """
+    lf = np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
+    ks = np.arange(kmax + 1)
+    rates = np.asarray(rates, dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -rates + ks[None, :] * np.log(rates) - lf[ks][None, :]
+    zero = rates[:, 0] == 0.0
+    if np.any(zero):
+        out[zero, :] = -np.inf
+        out[zero, 0] = 0.0
+    return out
+
+
+def _ref_censored_poisson_terms(x, m, bound):
+    """``delta = 0``: ``Poi(max(0, m))``, the cell at the bound summing the
+    upper tail term by term over a grid far past it."""
+    grid = _ref_poisson_log_pmf_grid(np.maximum(m, 0.0), 400)
+    logs = grid[np.arange(m.shape[0]), x]
+    if bound is not None:
+        top = x == bound
+        with np.errstate(divide="ignore"):
+            logs[top] = np.log(np.exp(grid[top, bound:]).sum(axis=1))
+    return logs
+
+
+OBS_MEANS = np.array([-30.0, -3.0, -0.2, 0.0, 0.2, 3.0, 40.0])
+
+
+def _obs_grid(bound):
+    top = 12 if bound is None else bound
+    x, m = np.meshgrid(np.arange(top + 1), OBS_MEANS, indexing="ij")
+    return x.ravel(), m.ravel()
+
+
+class TestObservationKernel:
+    @pytest.mark.parametrize("bound", [None, 1, 2, 5])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.25, 2.0])
+    def test_matches_the_replaced_dispatches(self, delta, bound):
+        x, m = _obs_grid(bound)
+        if delta == 0.0:
+            want = _ref_censored_poisson_terms(x, m, bound)
+        elif bound is None:
+            want = _ref_unbounded_terms(x, m, delta)
+        else:
+            want = _ref_bounded_terms(x, m, delta, bound)
+        with np.errstate(all="raise"):
+            got = skellam._log_obs_arr(x, m, delta, bound)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.all(np.isfinite(got[finite]))
+        err = np.abs(got[finite] - want[finite]) / (1.0 + np.abs(want[finite]))
+        assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.25, 2.0])
+    def test_bounded_rows_sum_to_one(self, delta, bound):
+        rows = np.exp(skellam._log_obs_arr(np.arange(bound + 1), OBS_MEANS[:, None], delta, bound))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_scalar_and_broadcast_shapes(self):
+        assert skellam._log_obs_arr(0, 1.0, 0.25).shape == ()
+        assert skellam._log_obs_arr(np.arange(3), np.zeros((4, 1)), 0.0, 2).shape == (4, 3)

@@ -140,6 +140,12 @@ class TestConditionalPmf:
         with pytest.raises(ValueError):
             conditional_pmf(0, 0.0, ModelSpec(alpha0=1.0, delta=0.25, bound=5))
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    @pytest.mark.parametrize("delta", [0.0, 0.25])
+    def test_rejects_non_finite_mean(self, m, delta):
+        with pytest.raises(ValueError, match="finite"):
+            conditional_pmf(1, m, ModelSpec(alpha0=1.0, delta=delta))
+
 
 class TestSimulate:
     def test_iid_case_uncorrelated(self):
@@ -206,6 +212,18 @@ class TestExactMoments:
         assert base.mean == pytest.approx(doubled.mean, abs=1e-10)
         assert base.dispersion_ratio == pytest.approx(doubled.dispersion_ratio, abs=1e-10)
         assert np.allclose(base.acf, doubled.acf, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_poisson_inarch_closed_forms(self, alpha):
+        # delta = 0 with alpha0 > 0 and alpha >= 0 keeps every M_t positive, so
+        # censoring never acts and the chain is the Poisson INARCH(1) model
+        spec = ModelSpec(alpha0=2.0, alphas=(alpha,), delta=0.0)
+        summary = exact_moments_stinarch1(spec, max_lag=4)
+        assert summary.mean == pytest.approx(2.0 / (1.0 - alpha), rel=0.0, abs=1e-10)
+        assert summary.dispersion_ratio == pytest.approx(
+            1.0 / (1.0 - alpha * alpha), rel=0.0, abs=1e-10
+        )
+        np.testing.assert_allclose(summary.acf, alpha ** np.arange(1, 5), rtol=0.0, atol=1e-10)
 
     def test_requires_first_order_autoregression(self):
         with pytest.raises(ValueError):
