@@ -20,6 +20,7 @@ numerical Hessian of the maximized log-likelihood.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -67,8 +68,8 @@ class EstimationScenario:
     fixed_delta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.fixed_delta is not None and not (self.fixed_delta > 0.0):
-            raise ValueError("scenario-1 delta must be positive")
+        if self.fixed_delta is not None and not (0.0 < self.fixed_delta < math.inf):
+            raise ValueError(f"scenario-1 delta must be positive and finite: {self.fixed_delta!r}")
 
     @property
     def estimates_delta(self) -> bool:
@@ -245,8 +246,9 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     zero = x <= 0
     log_p = skellam._log_pmf_arr(x + _SHIFTS[:, None], m, delta)
     log_q = log_p[2].copy()
-    with np.errstate(divide="ignore"):
-        log_q[zero] = np.log(skellam._cdf0_arr(m[zero], delta))
+    if zero.any():  # the mixture kernel costs tens of microseconds even when empty
+        with np.errstate(divide="ignore"):
+            log_q[zero] = np.log(skellam._cdf0_arr(m[zero], delta))
     if not np.all(np.isfinite(log_q)):
         raise ArithmeticError("likelihood term probability underflowed")
     ratios = np.exp(log_p - log_q)
@@ -392,17 +394,11 @@ def _se_from_loglik_hessian(hess: np.ndarray):
     return np.sqrt(diag), True
 
 
-def numerical_hessian(fun, x0: np.ndarray, rel_step: float = 1e-4, steps=None):
-    """Central-difference Hessian of a scalar function.
-
-    ``steps`` may prescribe per-coordinate step sizes (used to keep
-    positivity-constrained parameters inside their domain).
-    """
+def numerical_hessian(fun, x0: np.ndarray, steps) -> np.ndarray:
+    """Central-difference Hessian of a scalar function with per-coordinate ``steps``."""
     x0 = np.asarray(x0, dtype=float)
     k = x0.shape[0]
-    h = np.asarray(steps, dtype=float) if steps is not None else rel_step * (
-        1.0 + np.abs(x0)
-    )
+    h = np.asarray(steps, dtype=float)
     hess = np.empty((k, k))
     f0 = fun(x0)
     for i in range(k):
@@ -446,11 +442,47 @@ def _moment_start(series: CountSeries, p: int, q: int, r: int) -> np.ndarray:
     return start
 
 
-def _stationarity_violation(theta_dyn: np.ndarray, p: int, q: int) -> float:
-    total = sum(max(0.0, a) for a in theta_dyn[1 : 1 + p]) + sum(
-        abs(b) for b in theta_dyn[1 + p : 1 + p + q]
-    )
-    return total - 1.0
+def _stationarity_penalty(theta: Sequence[float], p: int, q: int) -> float:
+    """``_PENALTY (1 + v)`` when ``v = sum max(0, alpha_i) + sum |beta_j| - 1 >= 0``, else 0."""
+    violation = sum(max(0.0, a) for a in theta[1 : 1 + p]) + sum(
+        abs(b) for b in theta[1 + p : 1 + p + q]
+    ) - 1.0
+    return _PENALTY * (1.0 + violation) if violation >= 0.0 else 0.0
+
+
+# A kind maps an unconstrained search coordinate onto a parameter's domain.
+# Its fields: the map, its inverse, d natural / d search at a natural value,
+# the distance from a natural value to the domain's edge, the distance at or
+# below which standard errors are withheld, and whether reaching the edge
+# means the likelihood has no interior maximum.
+_Kind = namedtuple("_Kind", "to_natural to_search slope edge floor refused_edge")
+_KINDS = {
+    "free": _Kind(float, float, lambda t: 1.0, lambda t: math.inf, 0.0, False),
+    # a search coordinate beyond the limit maps to nan, which is penalized
+    "positive": _Kind(
+        lambda x: math.exp(x) if abs(x) < _LOG_DELTA_LIMIT else math.nan,
+        math.log, lambda t: t, lambda t: t, 1e-8, False,
+    ),
+    # 1/(1 + e^-x) overflows below x = -709.78; e^x equals it to 1e-304 there
+    "unit": _Kind(
+        lambda x: 1.0 / (1.0 + math.exp(-x)) if x > -700.0 else math.exp(x),
+        lambda t: math.log(t / (1.0 - t)), lambda t: t * (1.0 - t),
+        lambda t: min(t, 1.0 - t), 1e-5, False,
+    ),
+    "signed": _Kind(
+        math.tanh, math.atanh, lambda t: 1.0 - t * t, lambda t: 1.0 - abs(t), 1e-8, True
+    ),
+}
+
+
+def _difference_steps(theta: np.ndarray, kinds: tuple[str, ...]) -> Optional[np.ndarray]:
+    """Steps ``1e-4 (1 + |theta|)``, capped at a third of the way to the domain's
+    edge; ``None`` when an estimate is within its kind's floor of the edge."""
+    table = [_KINDS[kind] for kind in kinds]
+    edges = [kind.edge(t) for kind, t in zip(table, theta)]
+    if not all(edge > kind.floor for kind, edge in zip(table, edges)):
+        return None
+    return np.minimum(1e-4 * (1.0 + np.abs(theta)), np.array(edges) / 3.0)
 
 
 def _nelder_mead(fun, x0, fatol=1e-10):
@@ -464,39 +496,79 @@ def _nelder_mead(fun, x0, fatol=1e-10):
 
 
 def _fit(
-    objective,
-    x0: np.ndarray,
-    to_natural,
     natural_loglik,
-    steps,
+    theta0: np.ndarray,
+    kinds: tuple[str, ...],
     names: tuple[str, ...],
     method: str,
     window: np.ndarray,
     spec=None,
-    obj_grad=None,
+    score=None,
+    orders: Optional[tuple[int, int]] = None,
 ) -> FitResult:
     """Maximum-likelihood pipeline shared by every likelihood fitter.
 
-    Two Nelder-Mead passes on the penalized negative log-likelihood over the
-    internal parameters, then, given ``obj_grad``, a BFGS polish kept only if
-    it lowers the objective.  ``converged`` is the success flag of the stage
+    ``natural_loglik``, the optional analytic ``score`` and ``spec`` take
+    the natural parameters and ``theta0`` is the natural start.  Each of
+    ``kinds`` names a row of ``_KINDS``: ``free`` (identity), ``positive``
+    (``exp``, with ``|log theta| < _LOG_DELTA_LIMIT``), ``unit`` (logistic
+    onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  Two Nelder-Mead
+    passes minimize the negative log-likelihood over the search
+    coordinates, charged ``_PENALTY`` outside the search domain, where it is
+    not finite, or (given ``orders = (p, q)``) past stationarity.  Given
+    ``score``, a BFGS polish on its chain-ruled gradient is kept if it
+    lowers the objective.  ``converged`` is the success flag of the stage
     whose point is returned; a polish that raises leaves the simplex point
-    unconverged.  Standard errors invert the numerical Hessian of
-    ``natural_loglik`` at ``to_natural(x)`` with ``steps(theta)``, which is
-    ``None`` for an estimate on its domain boundary.  ``window`` holds the
-    counts after the conditioning prefix.  Raises ``ValueError`` when none
-    of them is positive (the likelihood then has no maximum) and
-    ``ArithmeticError`` when the best point is a penalty value.
+    unconverged.  ``loglik`` is ``natural_loglik`` at the estimates, and
+    standard errors invert its Hessian with :func:`_difference_steps`
+    (none for ``delta <= 1e-8`` or ``kappa <= 1e-5``).  ``window`` holds
+    the counts after the conditioning prefix.  Raises ``ValueError`` when
+    none of them is positive (the likelihood then has no maximum) or a
+    ``signed`` parameter runs to +-1, and ``ArithmeticError`` when the best
+    point is a penalty value.
     """
     if not np.any(window > 0):
         raise ValueError(
             "no positive count after the conditioning prefix: the likelihood has no maximum"
         )
+    table = [_KINDS[kind] for kind in kinds]
+    mapped = [(i, _KINDS[kind]) for i, kind in enumerate(kinds) if kind != "free"]
+
+    def natural(u: np.ndarray) -> list[float]:
+        # scalar math on a list, as the map runs on every objective call
+        theta = u.tolist()
+        for i, kind in mapped:
+            theta[i] = kind.to_natural(theta[i])
+            if kind.refused_edge and kind.edge(theta[i]) == 0.0:
+                raise ValueError(
+                    f"the likelihood has no interior maximum: {names[i]} runs to {theta[i]:+.0f}"
+                )
+        return theta
+
+    def objective(u: np.ndarray) -> float:
+        theta = natural(u)
+        outside = 0.0 if orders is None else _stationarity_penalty(theta, *orders)
+        if outside:
+            return outside
+        if any(map(math.isnan, theta)):
+            return _PENALTY
+        value = natural_loglik(np.array(theta))
+        return -value if math.isfinite(value) else _PENALTY
+
+    def obj_grad(u: np.ndarray):
+        value = objective(u)
+        if value >= _PENALTY / 2:
+            return value, np.zeros_like(u)
+        theta = natural(u)
+        slopes = np.array([kind.slope(t) for kind, t in zip(table, theta)])
+        return value, -score(np.array(theta)) * slopes
+
+    x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
     res = _nelder_mead(objective, x0)
     res = _nelder_mead(objective, res.x)
     best_x, best_f = res.x, res.fun
     iterations, converged = int(res.nit), bool(res.success)
-    if obj_grad is not None:
+    if score is not None:
         try:
             pol = optimize.minimize(
                 obj_grad, best_x, method="BFGS", jac=True, options={"maxiter": 200}
@@ -510,13 +582,13 @@ def _fit(
                 converged = bool(pol.success)
     if not best_f < _PENALTY / 2:
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
-    theta_hat = to_natural(best_x)
+    theta_hat = np.array(natural(best_x))
     ll = -best_f
     std_errors, invertible = None, False
-    h = steps(theta_hat)
-    if h is not None:
+    steps = _difference_steps(theta_hat, kinds)
+    if steps is not None:
         try:
-            hess = numerical_hessian(natural_loglik, theta_hat, steps=h)
+            hess = numerical_hessian(natural_loglik, theta_hat, steps)
             std_errors, invertible = _se_from_loglik_hessian(hess)
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
             std_errors, invertible = None, False
@@ -564,66 +636,21 @@ def fit_mle(
     """
     scenario = _as_scenario(scenario)
     p, q, r = _orders(orders, series)
-    k_dyn = 1 + p + q + r
-
-    def to_natural(internal: np.ndarray) -> np.ndarray:
-        if scenario.estimates_delta:
-            return np.concatenate([internal[:k_dyn], [math.exp(internal[-1])]])
-        return internal
-
-    def penalty(internal: np.ndarray) -> float:
-        # 0 inside the search domain: the stationarity region and, under
-        # scenario 2, a log-delta of moderate size
-        violation = _stationarity_violation(internal, p, q)
-        if violation >= 0.0:
-            return _PENALTY * (1.0 + violation)
-        if scenario.estimates_delta and not abs(internal[-1]) < _LOG_DELTA_LIMIT:
-            return _PENALTY
-        return 0.0
-
-    def natural_loglik(theta: np.ndarray) -> float:
-        return loglik(theta, series, (p, q, r), scenario)
-
-    def objective(internal: np.ndarray) -> float:
-        outside = penalty(internal)
-        if outside:
-            return outside
-        value = natural_loglik(to_natural(internal))
-        if not math.isfinite(value):
-            return _PENALTY
-        return -value
-
-    def obj_grad(internal: np.ndarray):
-        value = objective(internal)
-        if value >= _PENALTY / 2:
-            return value, np.zeros_like(internal)
-        natural = to_natural(internal)
-        grad, _ = analytic_score_hessian(natural, series, (p, q, r), scenario)
-        if scenario.estimates_delta:
-            grad = grad.copy()
-            grad[-1] *= natural[-1]  # chain rule through log-delta
-        return value, -grad
-
-    def steps(theta: np.ndarray) -> np.ndarray:
-        h = 1e-4 * (1.0 + np.abs(theta))
-        if scenario.estimates_delta:
-            h[-1] = min(h[-1], max(theta[-1] / 3.0, 1e-8))
-        return h
-
-    x0 = _moment_start(series, p, q, r)
+    kinds = ("free",) * (1 + p + q + r)
+    theta0 = _moment_start(series, p, q, r)
     if scenario.estimates_delta:
-        x0 = np.concatenate([x0, [math.log(0.25)]])
+        kinds += ("positive",)
+        theta0 = np.append(theta0, 0.25)
     return _fit(
-        objective,
-        x0,
-        to_natural,
-        natural_loglik,
-        steps,
+        lambda theta: loglik(theta, series, (p, q, r), scenario),
+        theta0,
+        kinds,
         _param_names(p, q, r, scenario.estimates_delta),
         "mle-s2" if scenario.estimates_delta else "mle-s1",
         series.counts[max(p, q):],
         spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario),
-        obj_grad=obj_grad,
+        score=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario)[0],
+        orders=(p, q),
     )
 
 
@@ -632,9 +659,9 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
     start = max(p, q)
 
     def objective(theta_dyn: np.ndarray) -> float:
-        violation = _stationarity_violation(theta_dyn, p, q)
-        if violation >= 0.0:
-            return _PENALTY * (1.0 + violation)
+        outside = _stationarity_penalty(theta_dyn, p, q)
+        if outside:
+            return outside
         m = _mean_path(theta_dyn, series, p, q, r)[start:]
         fitted = np.maximum(0.0, m)
         dev = np.abs(x[start:] - fitted)

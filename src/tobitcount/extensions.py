@@ -20,14 +20,12 @@ from scipy.special import gammaln, pdtr, xlog1py, xlogy
 from . import skellam
 from .diagnostics import sample_acf
 from .estimation import (
-    _PENALTY,
     FitResult,
     _fit,
     _mean_path,
     _moment_start,
     _orders,
     _param_names,
-    _stationarity_violation,
 )
 from .stingarch import CountSeries, ModelSpec
 
@@ -197,8 +195,8 @@ def _tinars_loglik_pairs(spec: TinarsSpec, pairs: np.ndarray, counts: np.ndarray
 def fit_tinars1_mle(series: CountSeries) -> FitResult:
     """Conditional MLE of the Tobit INARS(1) model.
 
-    The search runs on ``(log innovation_mean, atanh alpha1)`` so both
-    constraints are automatic; standard errors come from the numerical
+    The fit driver searches ``log innovation_mean`` and ``atanh alpha1``, so
+    both constraints are automatic; standard errors come from the numerical
     Hessian in the natural parametrization.  ``spec`` holds the fitted
     :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
     ``alpha1`` to ``-1`` or ``1`` in floating point: the likelihood then has
@@ -210,45 +208,19 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
 
     pairs, counts = _transition_pair_counts(x)
 
-    def natural(theta: np.ndarray) -> TinarsSpec:
+    def spec(theta: np.ndarray) -> TinarsSpec:
         return TinarsSpec(alpha1=theta[1], innovation_mean=theta[0])
-
-    def natural_loglik(theta: np.ndarray) -> float:
-        return _tinars_loglik_pairs(natural(theta), pairs, counts)
-
-    def objective(internal: np.ndarray) -> float:
-        alpha1 = math.tanh(internal[1])
-        if abs(alpha1) == 1.0:
-            raise ValueError(
-                "the TINARS(1) likelihood has no interior maximum: "
-                f"alpha1 runs to {alpha1:+.0f}"
-            )
-        spec = TinarsSpec(alpha1=alpha1, innovation_mean=math.exp(internal[0]))
-        value = _tinars_loglik_pairs(spec, pairs, counts)
-        return -value if math.isfinite(value) else _PENALTY
-
-    def steps(theta: np.ndarray):
-        if not (theta[0] > 0.0 and abs(theta[1]) < 1.0):
-            return None
-        return np.array(
-            [
-                min(1e-4 * (1.0 + theta[0]), theta[0] / 3.0),
-                min(1e-4, (1.0 - abs(theta[1])) / 3.0),
-            ]
-        )
 
     rho1 = float(np.clip(sample_acf(x.astype(float), 1)[0], -0.9, 0.9)) if x.std() else 0.0
     mean0 = max(float(x.mean()) * (1.0 - rho1), 0.1)
     return _fit(
-        objective,
-        np.array([math.log(mean0), math.atanh(rho1)]),
-        lambda internal: np.array([math.exp(internal[0]), math.tanh(internal[1])]),
-        natural_loglik,
-        steps,
+        lambda theta: _tinars_loglik_pairs(spec(theta), pairs, counts),
+        np.array([mean0, rho1]),
+        ("positive", "signed"),
         ("innovation_mean", "alpha1"),
         "mle-tinars1",
         x[1:],
-        spec=natural,
+        spec=spec,
     )
 
 
@@ -319,47 +291,20 @@ def fit_stbingarch_mle(
     """Scenario-1 MLE of the bounded one-inflated model.
 
     Optimizes the dynamics plus the one-inflation weight, the latter on the
-    logit scale; a logit below -12 is reported as the boundary value
-    ``kappa = 0``.  Standard errors come from the numerical Hessian in the
-    natural parametrization (suppressed at the kappa boundary).  ``delta``
-    is the fixed dispersion and must be positive.
+    logit scale, so ``kappa`` approaches 0 continuously and ``loglik`` is
+    the likelihood at the reported ``kappa``.  Standard errors come from the
+    numerical Hessian in the natural parametrization, withheld when
+    ``kappa`` is within 1e-5 of 0 or 1.  ``delta`` is the fixed dispersion
+    and must be positive and finite.
     """
-    if not (delta > 0.0):
-        raise ValueError(f"the bounded model's delta must be positive, got {delta!r}")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"the bounded model's delta must be positive and finite, got {delta!r}")
     p, q, r = _orders(orders, series)
     if np.any(series.counts > bound):
         raise ValueError("series exceeds the declared bound")
     bound = int(bound)
     start_dyn = _moment_start(series, p, q, r)
     k_dyn = start_dyn.shape[0]
-
-    def natural_loglik(theta: np.ndarray) -> float:
-        return _stbingarch_loglik(
-            theta[:k_dyn], theta[-1], series, p, q, r, bound, delta
-        )
-
-    def objective(internal: np.ndarray) -> float:
-        violation = _stationarity_violation(internal[:k_dyn], p, q)
-        if violation >= 0.0:
-            return _PENALTY * (1.0 + violation)
-        kappa = 1.0 / (1.0 + math.exp(-internal[-1]))
-        value = _stbingarch_loglik(
-            internal[:k_dyn], kappa, series, p, q, r, bound, delta
-        )
-        return -value if math.isfinite(value) else _PENALTY
-
-    def to_natural(internal: np.ndarray) -> np.ndarray:
-        logit = internal[-1]
-        kappa = 0.0 if logit < -12.0 else 1.0 / (1.0 + math.exp(-logit))
-        return np.concatenate([internal[:k_dyn], [kappa]])
-
-    def steps(theta: np.ndarray):
-        kappa = theta[-1]
-        if not kappa > 1e-5:
-            return None
-        h = 1e-4 * (1.0 + np.abs(theta))
-        h[-1] = min(h[-1], kappa / 3.0, (1.0 - kappa) / 3.0)
-        return h
 
     def spec(theta: np.ndarray) -> ModelSpec:
         return ModelSpec(
@@ -373,15 +318,14 @@ def fit_stbingarch_mle(
         )
 
     return _fit(
-        objective,
-        np.concatenate([start_dyn, [math.log(0.1 / 0.9)]]),
-        to_natural,
-        natural_loglik,
-        steps,
+        lambda theta: _stbingarch_loglik(theta[:k_dyn], theta[-1], series, p, q, r, bound, delta),
+        np.append(start_dyn, 0.1),
+        ("free",) * k_dyn + ("unit",),
         _param_names(p, q, r, with_delta=False) + ("kappa",),
         "mle-stbingarch",
         series.counts[max(p, q):],
         spec=spec,
+        orders=(p, q),
     )
 
 

@@ -141,6 +141,8 @@ def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     n_act = orders[active].ravel()
     z_act = z[active].ravel()
     z_max = float(z_act.max())
+    if not z_max < 2.0**53:  # the term count is sized from z
+        raise PrecisionError(f"Bessel series cannot be indexed at argument {z_max!r}")
     half_max = 0.5 * z_max
     kmax = int(math.ceil(half_max + 12.0 * math.sqrt(half_max + 1.0))) + 30
     lf = _log_factorials(kmax + int(n_act.max()) + 1)
@@ -200,8 +202,13 @@ def _poisson_mixture(a0: float, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     g, m = g.ravel(), m.ravel()
     centre = np.minimum(m, 0.5 * (np.sqrt(a0 * a0 + 4.0 * m * g) - a0))
     half = _WINDOW_SDS * np.sqrt(centre + 1.0) + _WINDOW_PAD
+    top = centre + half
+    # past 2^53 a float no longer holds every index of the window
+    if not top.max(initial=0.0) < 2.0**53:
+        bad = float(m[~(top < 2.0**53)][0])
+        raise PrecisionError(f"Poisson-mixture window cannot be indexed at mixing mean {bad!r}")
     lo = np.maximum(centre - half, 0.0).astype(np.int64)
-    width = int(np.max(centre + half - lo, initial=0.0)) + 2
+    width = int(np.max(top - lo, initial=0.0)) + 2
     rows = max(1, _CHUNK_CELLS // width)
     out = np.empty(g.shape)
     for first in range(0, g.size, rows):

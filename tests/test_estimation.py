@@ -1,6 +1,7 @@
 """Tests for likelihood, analytic derivatives and the three estimators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tobitcount.estimation import (
     numerical_hessian,
 )
 from tobitcount.skellam import SkellamStar
+from tobitcount.specialfn import PrecisionError
 from tobitcount.stingarch import (
     CountSeries,
     ModelSpec,
@@ -249,7 +251,7 @@ class TestAnalyticDerivatives:
             return loglik(t, series_10, (1, 0), SC2)
 
         analytic = analytic_score_hessian(theta, series_10, (1, 0), SC2)[1]
-        numeric = numerical_hessian(fun, theta)
+        numeric = numerical_hessian(fun, theta, 1e-4 * (1 + abs(theta)))
         assert np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic))) < 1e-3
 
     def test_underflowed_zero_mass_raises(self):
@@ -521,6 +523,112 @@ class TestFitDriver:
         assert fit.hessian_invertible
         assert np.all(np.isfinite(fit.std_errors)) and np.all(fit.std_errors > 0.0)
         assert np.all(np.abs(fit.estimates - [100.0, 0.5]) < 4.0 * fit.std_errors)
+
+    # per kind: values inside the domain and the distance to the domain's edge
+    KINDS = {
+        "free": ([-1e6, -3.7, 0.0, 2.5], lambda t: math.inf),
+        "positive": ([1e3, 0.25, 1e-3, 2e-8], lambda t: t),
+        "unit": ([0.5, 0.1, 0.999, 3e-5], lambda t: min(t, 1.0 - t)),
+        "signed": ([0.0, -0.4, 0.9999, -(1.0 - 1e-7)], lambda t: 1.0 - abs(t)),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_search_to_natural_round_trip(self, kind):
+        row = estimation._KINDS[kind]
+        for value in self.KINDS[kind][0]:
+            assert row.to_natural(row.to_search(value)) == pytest.approx(value, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slope_is_the_derivative_of_the_map(self, kind):
+        row = estimation._KINDS[kind]
+        for value in self.KINDS[kind][0][1:3]:
+            u, h = row.to_search(value), 1e-6
+            numeric = (row.to_natural(u + h) - row.to_natural(u - h)) / (2.0 * h)
+            assert row.slope(value) == pytest.approx(numeric, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_is_at_most_a_third_of_the_way_to_the_edge(self, kind):
+        values, distance = self.KINDS[kind]
+        steps = estimation._difference_steps(np.array(values), (kind,) * len(values))
+        for value, step in zip(values, steps):
+            assert step == min(1e-4 * (1.0 + abs(value)), distance(value) / 3.0)
+            assert 0.0 < step <= distance(value) / 3.0
+
+    def test_logistic_does_not_overflow(self):
+        unit = estimation._KINDS["unit"].to_natural
+        assert unit(-699.0) == 1.0 / (1.0 + math.exp(699.0))
+        assert unit(-720.0) == math.exp(-720.0) and unit(-1e4) == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, inner, at_edge, scale",
+        [
+            ("positive", 0.25, 1e-9, 1e-10),
+            ("unit", 0.1, 1e-6, 1e-7),
+            ("signed", -0.4, 1.0 - 1e-9, 1e-10),
+            ("signed", 0.4, -(1.0 - 1e-9), 1e-10),
+        ],
+    )
+    def test_no_standard_errors_at_the_edge(self, kind, inner, at_edge, scale):
+        # a Gaussian log-likelihood of the given width peaked at the value: its
+        # standard error is the width inside the domain and withheld at the edge
+        def fit(peak, width):
+            return estimation._fit(
+                lambda t: -0.5 * ((t[1] - peak) / width) ** 2 - 0.5 * (t[0] - 1.0) ** 2,
+                np.array([0.0, inner]),
+                ("free", kind),
+                ("a", "theta"),
+                "gaussian",
+                np.array([1]),
+            )
+
+        interior = fit(inner, 0.01)
+        assert interior.hessian_invertible
+        np.testing.assert_allclose(interior.std_errors, [1.0, 0.01], rtol=1e-6)
+        assert estimation._difference_steps(np.array([1.0, at_edge]), ("free", kind)) is None
+        edge = fit(at_edge, scale)
+        assert edge.estimates[1] == pytest.approx(at_edge, abs=scale)
+        assert edge.std_errors is None and not edge.hessian_invertible
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_signed_parameter_running_to_one_is_refused(self, sign):
+        slope = 50.0 if sign == "+" else -50.0
+        with pytest.raises(ValueError, match=f"no interior maximum: rho runs to \\{sign}1"):
+            estimation._fit(
+                lambda t: slope * t[0],
+                np.array([0.0]),
+                ("signed",),
+                ("rho",),
+                "linear",
+                np.array([1]),
+            )
+
+    @pytest.mark.parametrize("scenario", [SC1, SC2], ids=["scenario1", "scenario2"])
+    def test_loglik_is_the_likelihood_at_the_estimates(self, series, scenario):
+        fit = fit_mle(series, (1, 0), scenario)
+        assert fit.loglik == loglik(fit.estimates, series, (1, 0), scenario)
+
+    # delta = 1e300 overflows lambda1 * lambda2 on its way to the refusal
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "delta, positive_only, expected",
+        [
+            ("inf", False, "delta must be positive and finite"),
+            ("1e300", False, r"Poisson-mixture window cannot be indexed at mixing mean 5e\+299"),
+            ("1e300", True, "Bessel series cannot be indexed at argument inf"),
+        ],
+    )
+    def test_unusable_dispersion_is_refused(
+        self, series, tmp_path, capsys, delta, positive_only, expected
+    ):
+        if positive_only:
+            series = CountSeries(series.counts[series.counts > 0])
+        error = ValueError if delta == "inf" else PrecisionError
+        with pytest.raises(error, match=expected):
+            fit_mle(series, (1, 0), EstimationScenario.fixed(float(delta)))
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "".join(f"{v}\n" for v in series.counts))
+        assert cli.main(["fit", "--delta", delta, "--input", str(path)]) == cli.EXIT_NUMERICAL
+        assert re.search(expected, capsys.readouterr().err)
 
 
 class TestCensoredDeviationFits:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tobitcount.extensions import (
     tinars_conditional_moments,
 )
 from tobitcount.skellam import SkellamStar
+from tobitcount.specialfn import PrecisionError
 from tobitcount.stingarch import CountSeries, ModelSpec, conditional_pmf, simulate
 
 
@@ -236,6 +238,15 @@ class TestTinarsFit:
         with pytest.raises(ArithmeticError):
             fit_tinars1_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])))
 
+    def test_loglik_is_the_likelihood_at_the_estimates(self):
+        series = simulate_tinars1(
+            TinarsSpec(alpha1=-0.4, innovation_mean=5.0), 500, rng=np.random.default_rng(45)
+        )
+        fit = fit_tinars1_mle(series)
+        assert fit.std_errors is not None
+        pairs, counts = extensions._transition_pair_counts(series.counts)
+        assert fit.loglik == extensions._tinars_loglik_pairs(fit.spec, pairs, counts)
+
     def test_pearson_residuals_dispatch(self):
         spec = TinarsSpec(alpha1=-0.4, innovation_mean=5.0)
         series = simulate_tinars1(spec, 20_000, rng=np.random.default_rng(44))
@@ -373,6 +384,58 @@ class TestBoundedFit:
         path.write_text("count\n" + "1\n0\n2\n3\n" * 15)
         argv = ["fit", "--model", "stbingarch", "--bound", "5", "--delta", str(delta)]
         assert cli.main([*argv, "--input", str(path)]) == cli.EXIT_NUMERICAL
+
+    @pytest.fixture(scope="class")
+    def no_inflation_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bounded") / "kappa0.csv"
+        spec = ["--alpha0", "1", "--alpha1", "0.3", "--beta1", "0.3", "--delta", "0.01"]
+        sim = ["simulate", *spec, "--bound", "5", "--n", "1000", "--seed", "0"]
+        assert cli.main([*sim, "--output", str(path)]) == cli.EXIT_OK
+        return path
+
+    def test_no_inflation_series_fits(self, no_inflation_csv, tmp_path):
+        # on this series the logit of kappa runs below -709, past which
+        # 1/(1 + exp(-logit)) overflows
+        series = cli.ingest_csv(str(no_inflation_csv))
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert fit.estimates[-1] < 1e-5 and fit.spec.kappa == fit.estimates[-1]
+        assert fit.std_errors is None and not fit.hessian_invertible
+        theta = fit.estimates
+        assert fit.loglik == extensions._stbingarch_loglik(
+            theta[:3], theta[3], series, 1, 1, 0, 5, 0.01
+        )
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--model", "stbingarch", "--bound", "5", "-p", "1", "-q", "1"]
+        assert cli.main([*argv, "--input", str(no_inflation_csv), "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["estimates"]["kappa"] < 1e-5 and payload["std_errors"] is None
+
+    def test_loglik_is_the_likelihood_at_the_estimates(self):
+        spec = ModelSpec(
+            alpha0=0.787, alphas=(0.699,), betas=(-0.127,), delta=0.01, bound=5, kappa=0.118
+        )
+        series = simulate(spec, 400, burn_in=500, rng=np.random.default_rng(55))
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert fit.std_errors is not None
+        theta = fit.estimates
+        assert fit.loglik == extensions._stbingarch_loglik(
+            theta[:3], theta[3], series, 1, 1, 0, 5, 0.01
+        )
+
+    # delta = 1e300 overflows lambda1 * lambda2 on its way to the refusal
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("delta", ["inf", "1e300"])
+    def test_unusable_dispersion_is_refused(self, tmp_path, capsys, delta):
+        series = CountSeries(np.tile([1, 0, 2, 3], 15))
+        expected = "delta must be positive and finite" if delta == "inf" else r"mixing mean 5e\+299"
+        error = ValueError if delta == "inf" else PrecisionError
+        with pytest.raises(error, match=expected):
+            fit_stbingarch_mle(series, (1, 0), bound=5, delta=float(delta))
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "1\n0\n2\n3\n" * 15)
+        argv = ["fit", "--model", "stbingarch", "--bound", "5", "--delta", delta]
+        assert cli.main([*argv, "--input", str(path)]) == cli.EXIT_NUMERICAL
+        assert re.search(expected, capsys.readouterr().err)
 
     def test_spec_keeps_covariate_coefficients(self):
         z = (np.arange(400) % 2).astype(float).reshape(-1, 1)

@@ -5,12 +5,15 @@ Accuracy across the whole parameter range is checked against mpmath in
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tobitcount.specialfn import (
+    PrecisionError,
     _log_bessel_i_arr,
+    _poisson_mixture,
     bessel_recurrence_residual,
     log_bessel_i,
     noncentral_chisq_cdf,
@@ -168,8 +171,19 @@ class TestNoncentralChisqCdf:
         with pytest.raises(ValueError):
             noncentral_chisq_cdf(-1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("mean", [math.inf, 1e300])
+    def test_unindexable_window_is_refused(self, mean):
+        # the window is refused, naming the mixing mean, before any cast
+        with pytest.raises(PrecisionError, match=re.escape(f"mixing mean {mean!r}")):
+            _poisson_mixture(0, np.array([2.0, 3.0]), np.array([1.0, mean]))
+
 
 class TestVectorizedCompanions:
+    @pytest.mark.parametrize("z", [math.inf, 1e300])
+    def test_log_bessel_unindexable_argument_is_refused(self, z):
+        with pytest.raises(PrecisionError, match=re.escape(f"argument {z!r}")):
+            _log_bessel_i_arr(np.array([1, 2]), np.array([3.0, z]))
+
     def test_log_bessel_zero_argument(self):
         vec = _log_bessel_i_arr(np.array([0, 2]), np.array([0.0, 0.0]))
         assert vec[0] == 0.0 and vec[1] == -math.inf
