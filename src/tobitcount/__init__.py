@@ -28,7 +28,6 @@ from .estimation import (
 )
 from .extensions import (
     TinarsSpec,
-    covariate_design,
     fit_stbingarch_mle,
     fit_tinars1_mle,
     signed_binomial_thinning,
@@ -74,7 +73,6 @@ __all__ = [
     "check_stationarity",
     "conditional_mean_path",
     "conditional_pmf",
-    "covariate_design",
     "exact_moments_stinarch1",
     "fit_clade",
     "fit_cls",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Optional
 
@@ -336,11 +335,12 @@ def _cmd_mc_study(args) -> int:
     spec = _spec_from_args(args)
     if args.replications < 0:
         raise ConfigError("--replications must be >= 0")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.replications == 0:
         _json_dump({"replications": 0, "methods": {}}, args.output)
         return EXIT_OK
     methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
-    jobs = args.jobs or int(os.environ.get("TOBITCOUNT_JOBS", "1"))
     result = mc_study(
         spec,
         n=args.n,
@@ -348,7 +348,7 @@ def _cmd_mc_study(args) -> int:
         methods=methods,
         scenario=_scenario_from_args(args),
         seed=args.seed,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     _json_dump(result.to_dict(), args.output)
     return EXIT_OK
@@ -411,7 +411,7 @@ def build_parser() -> _Parser:
     mc.add_argument("--methods", type=str, default="mle,clade,cls")
     mc.add_argument("--scenario2", action="store_true", default=False)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--jobs", type=int, default=None)
+    mc.add_argument("--jobs", type=int, default=1)
     mc.add_argument("--output", type=str, default=None)
     return parser
 

@@ -106,7 +106,6 @@ class FitResult:
     aic: Optional[float] = None
     bic: Optional[float] = None
     objective: Optional[float] = None
-    hessian_invertible: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimates", np.asarray(self.estimates, dtype=float))
@@ -114,6 +113,11 @@ class FitResult:
             object.__setattr__(
                 self, "std_errors", np.asarray(self.std_errors, dtype=float)
             )
+
+    @property
+    def hessian_invertible(self) -> bool:
+        """Whether the log-likelihood Hessian gave standard errors."""
+        return self.std_errors is not None
 
 
 def _param_names(p: int, q: int, r: int, with_delta: bool) -> tuple[str, ...]:
@@ -378,20 +382,18 @@ def _se_from_loglik_hessian(hess: np.ndarray):
     so it does not depend on the units of the parameters.
     """
     neg = -np.asarray(hess, dtype=float)
-    if not np.all(np.isfinite(neg)):
-        return None, False
     scale = np.diag(neg)
-    if np.any(scale <= 0.0):
-        return None, False
+    if not (np.all(np.isfinite(neg)) and np.all(scale > 0.0)):
+        return None
     scale = 1.0 / np.sqrt(scale)
     scaled = neg * scale[:, None] * scale[None, :]
     eigenvalues = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
     if eigenvalues.min() <= 0.0 or eigenvalues.max() / eigenvalues.min() > 1e6:
-        return None, False
+        return None
     diag = np.diag(np.linalg.inv(neg))
     if np.any(diag <= 0.0):
-        return None, False
-    return np.sqrt(diag), True
+        return None
+    return np.sqrt(diag)
 
 
 def numerical_hessian(fun, x0: np.ndarray, steps) -> np.ndarray:
@@ -584,14 +586,14 @@ def _fit(
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
     theta_hat = np.array(natural(best_x))
     ll = -best_f
-    std_errors, invertible = None, False
+    std_errors = None
     steps = _difference_steps(theta_hat, kinds)
     if steps is not None:
         try:
             hess = numerical_hessian(natural_loglik, theta_hat, steps)
-            std_errors, invertible = _se_from_loglik_hessian(hess)
+            std_errors = _se_from_loglik_hessian(hess)
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-            std_errors, invertible = None, False
+            std_errors = None  # withheld, which hessian_invertible reports
     n_eff = window.shape[0]
     aic, bic = information_criteria(ll, len(names), n_eff)
     return FitResult(
@@ -606,7 +608,6 @@ def _fit(
         loglik=ll,
         aic=aic,
         bic=bic,
-        hessian_invertible=invertible,
     )
 
 
@@ -632,7 +633,8 @@ def fit_mle(
     scenario 2 the dispersion is optimized on the log scale so the search
     is unconstrained.  Standard errors are the square roots of the inverse
     numerical Hessian's diagonal; a singular (non positive-definite)
-    Hessian flags ``hessian_invertible=False`` instead of failing.
+    Hessian leaves ``std_errors`` at ``None`` (so ``hessian_invertible`` is
+    false) instead of failing.
     """
     scenario = _as_scenario(scenario)
     p, q, r = _orders(orders, series)
@@ -659,7 +661,7 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
     start = max(p, q)
 
     def objective(theta_dyn: np.ndarray) -> float:
-        outside = _stationarity_penalty(theta_dyn, p, q)
+        outside = _stationarity_penalty(theta_dyn.tolist(), p, q)
         if outside:
             return outside
         m = _mean_path(theta_dyn, series, p, q, r)[start:]
@@ -672,9 +674,7 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
     return objective
 
 
-def _fit_censored_deviation(
-    series: CountSeries, orders, power: int, method: str, n_restarts: int = 8
-) -> FitResult:
+def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str) -> FitResult:
     p, q, r = _orders(orders, series)
     n = len(series)
     n_eff = n - max(p, q)
@@ -702,7 +702,7 @@ def _fit_censored_deviation(
     jitter_rng = np.random.default_rng(12345)
     candidates = [start] + [
         start + scale * jitter_rng.standard_normal(start.shape)
-        for _ in range(n_restarts)
+        for _ in range(8)
     ]
     best = None
     iterations = 0
@@ -738,8 +738,9 @@ def fit_clade(series: CountSeries, orders=(1, 0)) -> FitResult:
 def fit_cls(series: CountSeries, orders=(1, 0)) -> FitResult:
     """Censored conditional least squares, ``sum (X_t - max(0, M_t))^2``.
 
-    The censored fitted value makes the objective discontinuous in the
-    parameters, hence the same multi-start strategy as :func:`fit_clade`.
+    The objective is continuous in the parameters, but ``max(0, M_t)``
+    makes its slope jump where a mean crosses zero and the objective is not
+    convex, hence the same multi-start strategy as :func:`fit_clade`.
     """
     return _fit_censored_deviation(series, orders, power=2, method="cls")
 
@@ -804,9 +805,9 @@ _METHOD_FITTERS = {
 
 
 def _mc_one_replication(args):
-    (dgp, n, burn_in, methods, scenario, seed_seq, orders) = args
+    (dgp, n, methods, scenario, seed_seq, orders) = args
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    series = simulate(dgp, n, burn_in=burn_in, rng=rng, warn_nonstationary=False)
+    series = simulate(dgp, n, burn_in=500, rng=rng, warn_nonstationary=False)
     out = {}
     regression = 0
     for name in methods:
@@ -840,15 +841,14 @@ def mc_study(
     methods: Sequence[str] = ("mle", "clade", "cls"),
     scenario: EstimationScenario | float | None = 0.25,
     seed: int = 0,
-    burn_in: int = 500,
     jobs: int = 1,
 ) -> MCStudyResult:
     """Estimator-recovery experiment on freshly simulated stationary paths.
 
-    Each replication owns an independently spawned random stream derived
-    from ``seed``, so results are identical no matter how many worker
-    processes execute them.  Per-replication estimation failures are
-    tallied, not raised.
+    Each path is simulated after a burn-in of 500 steps.  Each replication
+    owns an independently spawned random stream derived from ``seed``, so
+    results are identical no matter how many worker processes execute them.
+    Per-replication estimation failures are tallied, not raised.
     """
     scenario = _as_scenario(scenario)
     methods = tuple(methods)
@@ -858,7 +858,7 @@ def mc_study(
     orders = (dgp.p, dgp.q)
     streams = np.random.SeedSequence(seed).spawn(replications)
     tasks = [
-        (dgp, n, burn_in, methods, scenario, streams[i], orders)
+        (dgp, n, methods, scenario, streams[i], orders)
         for i in range(replications)
     ]
     if jobs > 1 and replications > 1:

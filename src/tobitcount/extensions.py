@@ -4,8 +4,8 @@
   censored at zero, with transition-probability likelihood.
 * Skellam Tobit bounded INGARCH (STBINGARCH): the latent variable is clipped
   into {0..N} and the conditional law may carry extra one-inflation mass.
-* Covariate augmentation of the conditional-mean recursion (the pure
-  regression case p = q = 0 included).
+
+Covariates need no code here: :class:`CountSeries` carries them into every estimator.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "stbingarch_conditional_pmf",
     "stbingarch_conditional_moments",
     "fit_stbingarch_mle",
-    "covariate_design",
 ]
 
 
@@ -327,19 +326,3 @@ def fit_stbingarch_mle(
         spec=spec,
         orders=(p, q),
     )
-
-
-def covariate_design(series: CountSeries, covariates) -> CountSeries:
-    """Attach (and validate) covariate columns to a count series.
-
-    The augmented series feeds every estimator; with ``p = q = 0`` this is
-    the pure Tobit count regression case.
-    """
-    z = np.asarray(covariates, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] != len(series):
-        raise ValueError(
-            f"covariate rows ({z.shape[0]}) do not match series length ({len(series)})"
-        )
-    return CountSeries(series.counts, covariates=z)

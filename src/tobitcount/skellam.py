@@ -3,9 +3,9 @@
 Two parametrizations are supported: the classic Poisson-difference pair
 ``(lambda1, lambda2)`` and the mean/dispersion pair ``(mu, delta)`` with the
 additive variance decomposition ``sigma^2 = |mu| + delta``.  Besides the
-PMF/CDF/sampler, the module provides the Stein-identity test harness and the
-closed-form first and second partial moments of ``max(0, X*)``, which drive
-every censored-moment computation elsewhere in the package.
+PMF/CDF/sampler, the module provides the closed-form first and second
+partial moments of ``max(0, X*)``, which drive every censored-moment
+computation elsewhere in the package.
 
 Each quantity has one array kernel over ``(mu, delta)``: the log-pmf
 (:func:`_log_pmf_arr`), the upper tail (:func:`_survival_arr`), the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
@@ -39,9 +38,7 @@ __all__ = [
     "log_pmf",
     "cdf",
     "sample",
-    "stein_lhs_rhs",
     "censored_moments",
-    "chernoff_tail_radius",
 ]
 
 
@@ -149,61 +146,6 @@ def sample(params: SkellamParams, rng: np.random.Generator, size=None):
     if size is None:
         return int(draw)
     return draw
-
-
-def chernoff_tail_radius(params: SkellamParams, eps: float = 1e-13) -> int:
-    """Smallest radius ``R`` with Chernoff bounds ``P(X* >= R)`` and
-    ``P(X* <= -R)`` both below ``eps``.
-
-    The optimal exponent has the closed form
-    ``t* = ln((R + sqrt(R^2 + 4 lam1 lam2)) / (2 lam1))`` for the upper tail;
-    the lower tail follows by swapping the rates.
-    """
-
-    def upper_bound(r: float, lam_a: float, lam_b: float) -> float:
-        if r <= lam_a - lam_b:
-            return 1.0
-        et = (r + math.sqrt(r * r + 4.0 * lam_a * lam_b)) / (2.0 * lam_a)
-        t = math.log(et)
-        cumulant = lam_a * (et - 1.0) + lam_b * (1.0 / et - 1.0)
-        return math.exp(cumulant - t * r)
-
-    radius = int(math.ceil(abs(params.mean) + 4.0 * math.sqrt(params.variance))) + 4
-    for _ in range(10_000):
-        hi = upper_bound(radius, params.lambda1, params.lambda2)
-        lo = upper_bound(radius, params.lambda2, params.lambda1)
-        if hi < eps and lo < eps:
-            return radius
-        radius += max(1, radius // 8)
-    raise RuntimeError("tail radius search did not terminate")
-
-
-def stein_lhs_rhs(
-    f: Callable[[int], float],
-    params: SkellamParams,
-    support_radius: int,
-) -> tuple[float, float]:
-    """Both sides of the Stein identity
-    ``E[X* f(X*)] = lambda1 E[f(X* + 1)] - lambda2 E[f(X* - 1)]``
-    by direct truncated summation over ``[-R, R]``.
-
-    Raises if the truncated support leaves more than 1e-12 probability mass
-    outside, since the identity check would then be meaningless.
-    """
-    radius = int(support_radius)
-    xs = np.arange(-radius, radius + 1)
-    probs = np.exp(_log_pmf_arr(xs, *_star(params)))
-    outside = 1.0 - probs.sum()
-    if outside > 1e-12:
-        raise ValueError(
-            f"support radius {radius} leaves tail mass {outside:.3e} > 1e-12"
-        )
-    fx = np.array([f(int(x)) for x in xs])
-    f_up = np.array([f(int(x) + 1) for x in xs])
-    f_down = np.array([f(int(x) - 1) for x in xs])
-    lhs = float(np.sum(xs * fx * probs))
-    rhs = float(params.lambda1 * np.sum(f_up * probs) - params.lambda2 * np.sum(f_down * probs))
-    return lhs, rhs
 
 
 def censored_moments(star: SkellamStar) -> CensoredMoments:

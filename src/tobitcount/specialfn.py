@@ -7,9 +7,10 @@
   incomplete gamma functions.  It is the noncentral chi-square CDF and, for
   integer ``a0``, the Skellam tail ``P(Poi(g) - Poi(m) >= a0)``.
 
-The public functions validate their scalar arguments and make one call to
-an array kernel (or to ``scipy.special.gammainc``); the likelihood,
-transition and moment layers call the kernels directly on whole arrays.
+The public functions, :func:`log_bessel_i` and :func:`noncentral_chisq_cdf`,
+validate their scalar arguments and make one call to an array kernel; the
+likelihood, transition and moment layers call the kernels directly on whole
+arrays.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from scipy.special import gammainc, gammaln
 __all__ = [
     "PrecisionError",
     "log_bessel_i",
-    "bessel_recurrence_residual",
-    "reg_incomplete_gamma_lower",
     "noncentral_chisq_cdf",
 ]
 
@@ -53,28 +52,6 @@ def log_bessel_i(n: int, z: float) -> float:
     if not math.isfinite(z) or z < 0.0:
         raise ValueError(f"Bessel argument must be finite and >= 0, got {z!r}")
     return float(_log_bessel_i_arr(abs(int(n)), z))
-
-
-def bessel_recurrence_residual(n: int, z: float) -> float:
-    """Residual of the three-term recurrence ``I_{n+1} - I_{n-1} + (2n/z) I_n``.
-
-    Exposed for test harnesses only; the recurrence is numerically unstable
-    in the forward direction and is never used to *compute* Bessel values.
-    """
-    if not (math.isfinite(z) and z > 0.0):
-        raise ValueError(f"recurrence residual requires finite z > 0, got {z!r}")
-    n = int(n)
-    i_down, i_mid, i_up = np.exp(_log_bessel_i_arr(np.abs([n - 1, n, n + 1]), z))
-    return float(i_up - i_down + (2.0 * n / z) * i_mid)
-
-
-def reg_incomplete_gamma_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma function ``P(s, x)``."""
-    if not (s > 0.0) or not math.isfinite(s):
-        raise ValueError(f"gamma shape must be positive and finite, got {s!r}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"gamma argument must be finite and >= 0, got {x!r}")
-    return float(gammainc(s, x))
 
 
 def noncentral_chisq_cdf(x: float, nu: float, tau: float) -> float:

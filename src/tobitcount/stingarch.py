@@ -217,17 +217,14 @@ def _mean_recursion(
     return _ar_filter(u, betas, start)
 
 
-def conditional_mean_path(
-    spec: ModelSpec, series: CountSeries, m_init: str = "alpha0"
-) -> np.ndarray:
+def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
     """Conditional-mean path ``M_1..M_{n+1}`` given the observed counts.
 
-    The first ``max(p, q)`` values are initialization values: ``alpha0``
-    under the default rule (the simulation-study convention) or the
-    unconditional linear mean under ``m_init="unconditional"``.  The final
-    entry is the one-step-ahead mean following the last observation; it is
-    omitted (the path then has length ``n``) when covariates are present,
-    since the next covariate row is unknown.
+    The first ``max(p, q)`` values are pinned to ``alpha0``, the
+    simulation-study convention that the estimators share.  The final entry
+    is the one-step-ahead mean following the last observation; it is omitted
+    (the path then has length ``n``) when covariates are present, since the
+    next covariate row is unknown.
     """
     if spec.r:
         if series.covariates is None or series.covariates.shape[1] != spec.r:
@@ -235,12 +232,6 @@ def conditional_mean_path(
                 f"spec declares {spec.r} covariate coefficients but the series "
                 "does not carry matching covariate columns"
             )
-    if m_init == "alpha0":
-        presample = spec.alpha0
-    elif m_init == "unconditional":
-        presample = linear_mean(spec)
-    else:
-        raise ValueError(f"unknown m_init rule {m_init!r}")
     return _mean_recursion(
         spec.alpha0,
         spec.alphas,
@@ -248,7 +239,7 @@ def conditional_mean_path(
         spec.gammas,
         series,
         extend=spec.r == 0,
-        presample_mean=presample,
+        presample_mean=spec.alpha0,
     )
 
 
@@ -419,7 +410,6 @@ def exact_moments_stinarch1(
     spec: ModelSpec,
     max_lag: int = 3,
     state_cap: Optional[int] = None,
-    tail_tol: float = 1e-12,
 ) -> MomentSummary:
     """Exact marginal moments of the first-order autoregressive case.
 
@@ -427,7 +417,7 @@ def exact_moments_stinarch1(
     solves for the stationary distribution, and reads off mean, variance
     and lag-h autocovariances through matrix powers; the PACF follows by
     Durbin-Levinson.  The cap grows by doubling until the stationary mass
-    near the boundary falls below ``tail_tol``.
+    on the top three states falls below 1e-12.
     """
     if spec.q != 0 or spec.p != 1 or spec.r != 0 or spec.bound is not None:
         raise ValueError("exact moments are available for STINARCH(1) only")
@@ -438,7 +428,7 @@ def exact_moments_stinarch1(
     for _ in range(6):
         T = _transition_matrix(spec, cap)
         pi = _stationary_distribution(T)
-        if pi[-3:].sum() < tail_tol:
+        if pi[-3:].sum() < 1e-12:
             break
         cap *= 2
     else:
@@ -522,12 +512,12 @@ def simulated_moments(
     n: int,
     max_lag: int = 3,
     rng: Optional[np.random.Generator] = None,
-    burn_in: int = 10_000,
 ) -> MomentSummary:
-    """Sample moments from one simulated path of length ``n``."""
+    """Sample moments from one simulated path of length ``n``, after a
+    burn-in of 10,000 steps."""
     from .diagnostics import sample_acf_pacf
 
-    series = simulate(spec, n, burn_in=burn_in, rng=rng)
+    series = simulate(spec, n, burn_in=10_000, rng=rng)
     x = series.counts.astype(float)
     mean = float(x.mean())
     var = float(x.var())

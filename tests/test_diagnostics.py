@@ -13,8 +13,10 @@ from tobitcount.diagnostics import (
     sample_acf,
     sample_acf_pacf,
 )
-from tobitcount.skellam import SkellamStar, censored_moments
+from tobitcount.skellam import SkellamStar, censored_moments, pmf
 from tobitcount.stingarch import CountSeries, ModelSpec, conditional_mean_path, simulate
+
+from _helpers import chernoff_tail_radius
 
 
 class TestSampleAcf:
@@ -86,8 +88,6 @@ class TestPearsonResiduals:
         for m in m_path:
             cm = censored_moments(SkellamStar(float(m), spec.delta))
             params = SkellamStar(float(m), spec.delta).to_params()
-            from tobitcount.skellam import chernoff_tail_radius, pmf
-
             radius = chernoff_tail_radius(params)
             xs = np.arange(1, radius + 1)
             probs = np.array([pmf(int(x), params) for x in xs])

@@ -696,6 +696,19 @@ class TestMcStudy:
         with pytest.raises(ValueError):
             mc_study(spec, n=100, replications=2, methods=("bogus",))
 
+    MC_ARGV = "mc-study --alpha0 2 --alpha1 0.4 --delta 0.25 --n 100 --replications 2 --methods cls"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_cli_refuses_jobs_below_one(self, jobs, capsys):
+        assert cli.main([*self.MC_ARGV.split(), "--jobs", jobs]) == cli.EXIT_CONFIG
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_cli_reads_no_jobs_environment_variable(self, monkeypatch, tmp_path):
+        # the worker count comes from --jobs alone
+        monkeypatch.setenv("TOBITCOUNT_JOBS", "abc")
+        out = tmp_path / "mc.json"
+        assert cli.main([*self.MC_ARGV.split(), "--output", str(out)]) == cli.EXIT_OK
+
     def test_scenario2_survives_log_delta_underflow(self):
         # on this replication Nelder-Mead drives log(delta) far below -745,
         # where exp() underflows to 0 and the likelihood is undefined

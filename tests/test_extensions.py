@@ -12,7 +12,6 @@ from tobitcount.diagnostics import pearson_residuals, sample_acf
 from tobitcount.estimation import EstimationScenario, fit_mle
 from tobitcount.extensions import (
     TinarsSpec,
-    covariate_design,
     fit_stbingarch_mle,
     fit_tinars1_mle,
     signed_binomial_thinning,
@@ -470,17 +469,17 @@ class TestBoundedFit:
 class TestCovariates:
     def test_design_validation(self):
         series = CountSeries(np.array([1, 2, 3]))
-        augmented = covariate_design(series, [1.0, 0.0, 1.0])
+        augmented = CountSeries(series.counts, covariates=[1.0, 0.0, 1.0])
         assert augmented.covariates.shape == (3, 1)
         with pytest.raises(ValueError):
-            covariate_design(series, np.zeros((2, 1)))
+            CountSeries(series.counts, covariates=np.zeros((2, 1)))
 
     def test_zero_coefficient_matches_plain_model(self):
         from tobitcount.estimation import loglik
 
         spec = ModelSpec(alpha0=5.0, alphas=(0.2,), delta=0.25)
         series = simulate(spec, 300, rng=np.random.default_rng(60))
-        augmented = covariate_design(series, np.arange(300, dtype=float) % 2)
+        augmented = CountSeries(series.counts, covariates=np.arange(300, dtype=float) % 2)
         plain = loglik(np.array([5.0, 0.2]), series, (1, 0), EstimationScenario.fixed(0.25))
         with_cov = loglik(
             np.array([5.0, 0.2, 0.0]), augmented, (1, 0, 1), EstimationScenario.fixed(0.25)
@@ -502,7 +501,7 @@ class TestCovariates:
         rng = np.random.default_rng(62)
         spec = ModelSpec(alpha0=2.0, delta=0.25)
         series = simulate(spec, 400, rng=rng)
-        augmented = covariate_design(series, np.ones(400))
+        augmented = CountSeries(series.counts, covariates=np.ones(400))
         fit = fit_mle(augmented, (0, 0, 1), EstimationScenario.fixed(0.25))
         assert not fit.hessian_invertible
         assert fit.std_errors is None

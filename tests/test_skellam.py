@@ -12,11 +12,11 @@ from tobitcount.skellam import (
     SkellamStar,
     cdf,
     censored_moments,
-    chernoff_tail_radius,
     pmf,
     sample,
-    stein_lhs_rhs,
 )
+
+from _helpers import chernoff_tail_radius, stein_lhs_rhs
 
 # e^-1 I_0(1) in 40-digit arithmetic
 PMF0_HALF_HALF = 0.4657596075936404365

@@ -14,11 +14,11 @@ from tobitcount.specialfn import (
     PrecisionError,
     _log_bessel_i_arr,
     _poisson_mixture,
-    bessel_recurrence_residual,
     log_bessel_i,
     noncentral_chisq_cdf,
-    reg_incomplete_gamma_lower,
 )
+
+from _helpers import bessel_recurrence_residual, reg_incomplete_gamma_lower
 
 # ln I_0(1) from 30-term series summation in 40-digit arithmetic
 LN_I0_1 = 0.23591435850717864869

@@ -89,13 +89,6 @@ class TestConditionalMeanPath:
         m4 = 1.5 + 0.25 * 2 + 0.45 * m3
         assert np.allclose(path, [m1, m2, m3, m4])
 
-    def test_unconditional_initialization(self):
-        spec = ModelSpec(alpha0=7.5, alphas=(-0.5,), delta=0.25)
-        path = conditional_mean_path(
-            spec, CountSeries(np.array([4, 20])), m_init="unconditional"
-        )
-        assert path[0] == pytest.approx(5.0)
-
     def test_covariates_enter_additively(self):
         spec = ModelSpec(alpha0=1.0, delta=0.25, gammas=(2.0,))
         series = CountSeries(np.array([1, 2, 0]), covariates=np.array([[1.0], [0.0], [1.0]]))
