@@ -296,8 +296,14 @@ def _cmd_moments(args) -> int:
         "delta": spec.delta,
     }}
     which = args.method
+    stinarch1 = spec.p == 1 and spec.q == 0 and spec.r == 0
+    if which == "exact" and not stinarch1:
+        raise ConfigError(
+            "--method exact needs a STINARCH(1) model, one count coefficient without "
+            f"feedback or covariates: got p={spec.p}, q={spec.q}, r={spec.r}"
+        )
     payload["exact"] = None
-    if which in ("exact", "all") and spec.q == 0 and spec.p == 1:
+    if which in ("exact", "all") and stinarch1:
         payload["exact"] = _moment_dict(exact_moments_stinarch1(spec, args.max_lag))
     payload["linear"] = None
     if which in ("linear", "all"):
@@ -313,6 +319,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.max_lag < 1:
+        raise ConfigError("--max-lag must be >= 1")
     series = ingest_csv(args.input)
     spec = _spec_from_args(args)
     report = pearson_residuals(spec, series, max_lag=args.max_lag)

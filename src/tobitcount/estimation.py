@@ -29,6 +29,7 @@ from scipy import optimize
 
 from . import skellam
 from .diagnostics import information_criteria, sample_acf
+from .specialfn import PrecisionError
 from .stingarch import (
     CountSeries,
     ModelSpec,
@@ -172,7 +173,6 @@ def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
         theta_dyn[1 + p + q :],
         series,
         extend=False,
-        presample_mean=theta_dyn[0],
     )
 
 
@@ -517,7 +517,9 @@ def _fit(
     onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  Two Nelder-Mead
     passes minimize the negative log-likelihood over the search
     coordinates, charged ``_PENALTY`` outside the search domain, where it is
-    not finite, or (given ``orders = (p, q)``) past stationarity.  Given
+    not finite, where the special-function kernels refuse it with
+    ``PrecisionError``, or (given ``orders = (p, q)``) past stationarity;
+    a start point the kernels refuse raises their ``PrecisionError``.  Given
     ``score``, a BFGS polish on its chain-ruled gradient is kept if it
     lowers the objective.  ``converged`` is the success flag of the stage
     whose point is returned; a polish that raises leaves the simplex point
@@ -554,7 +556,10 @@ def _fit(
             return outside
         if any(map(math.isnan, theta)):
             return _PENALTY
-        value = natural_loglik(np.array(theta))
+        try:
+            value = natural_loglik(np.array(theta))
+        except PrecisionError:
+            return _PENALTY
         return -value if math.isfinite(value) else _PENALTY
 
     def obj_grad(u: np.ndarray):
@@ -565,6 +570,7 @@ def _fit(
         slopes = np.array([kind.slope(t) for kind, t in zip(table, theta)])
         return value, -score(np.array(theta)) * slopes
 
+    natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
     res = _nelder_mead(objective, x0)
     res = _nelder_mead(objective, res.x)

@@ -1,11 +1,18 @@
 """Special functions behind the Skellam layer, one array kernel per quantity.
 
 * :func:`_log_bessel_i_arr` evaluates ``ln I_n(z)`` for integer orders from
-  the power series, without overflow for any admissible argument.
+  the power series, by one recurrence rescaled against overflow, for every
+  argument.
 * :func:`_poisson_mixture` evaluates the Poisson mixture
   ``F(a0, g, m) = sum_j Pois(j; m) P(a0 + j, g)`` of regularized lower
   incomplete gamma functions.  It is the noncentral chi-square CDF and, for
   integer ``a0``, the Skellam tail ``P(Poi(g) - Poi(m) >= a0)``.
+
+Every array is sized by what it indexes: the terms of one element and the
+``ln k!`` of its orders or window.  An element that needs more than
+``_CHUNK_CELLS`` (2^16) terms raises :class:`PrecisionError` before anything
+is allocated: a Bessel argument above about 1.25e5, or a mixture centred
+above about 1.07e7.
 
 The public functions, :func:`log_bessel_i` and :func:`noncentral_chisq_cdf`,
 validate their scalar arguments and make one call to an array kernel; the
@@ -26,12 +33,15 @@ __all__ = [
     "noncentral_chisq_cdf",
 ]
 
-# Bessel term grid: the last term must fall below 1e-16 of the sum
-_LOG_REL_TOL = math.log(1e-16)
+# Bessel recurrence: its running total lies in [1, e^z]; past z = 830 ln 2
+# (about 575) a total above 2^830 (about 1e250) is divided by it, exactly
+_RESCALE_AT = 2.0**830
+_LOG_RESCALE = math.log(_RESCALE_AT)
 # Poisson-mixture window: half-width in standard deviations of the terms
 # plus a pad for their heavier-than-Gaussian tails, so that the terms left
 # out stay below 1e-17 of the sum (the edge terms are checked on every call);
-# chunks of 2^16 cells keep each temporary at 512 KB
+# chunks of 2^16 cells keep each temporary at 512 KB, and an element of
+# either kernel that needs more terms than one chunk holds is refused
 _WINDOW_SDS = 10.0
 _WINDOW_PAD = 4.0
 _CHUNK_CELLS = 1 << 16
@@ -96,11 +106,14 @@ def _log_factorials(m: int) -> np.ndarray:
 def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized ``ln I_n(z)`` for nonnegative integer orders.
 
-    Sums the power series ``sum_k (z/2)^{n+2k} / (k! (k+n)!)``.  For
-    moderate arguments the tail factor ``sum_k (z/2)^{2k} n! / (k! (k+n)!)``
-    stays below ``e^z`` and is accumulated by a scaled linear-domain
-    recurrence; very large arguments fall back to a shared log-domain term
-    grid.
+    Sums the power series ``sum_k (z/2)^{n+2k} / (k! (k+n)!)`` for every
+    argument by one scaled linear-domain recurrence on the tail factor
+    ``sum_k (z/2)^{2k} n! / (k! (k+n)!)``, which lies in ``[1, e^z]``.  Past
+    ``z = 830 ln 2`` (about 575) an element whose running total passes
+    ``2^830`` is rescaled by ``2^-830`` (exact in binary) and the count of
+    shifts joins its logarithm.  The series needs ``z/2 + 12 sqrt(z/2 + 1)
+    + 30`` terms; a ``PrecisionError`` refuses, before any allocation, an
+    argument that needs more than ``_CHUNK_CELLS`` (about ``z > 1.25e5``).
     """
     orders = np.asarray(orders, dtype=np.int64)
     z = np.asarray(z, dtype=float)
@@ -118,40 +131,34 @@ def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     n_act = orders[active].ravel()
     z_act = z[active].ravel()
     z_max = float(z_act.max())
-    if not z_max < 2.0**53:  # the term count is sized from z
-        raise PrecisionError(f"Bessel series cannot be indexed at argument {z_max!r}")
     half_max = 0.5 * z_max
-    kmax = int(math.ceil(half_max + 12.0 * math.sqrt(half_max + 1.0))) + 30
-    lf = _log_factorials(kmax + int(n_act.max()) + 1)
-    if z_max <= 600.0:
-        quarter_sq = 0.25 * z_act * z_act
-        n_f = n_act.astype(float)
-        term = np.ones_like(z_act)
-        total = np.ones_like(z_act)
-        converged = False
-        for k in range(kmax):
-            term = term * quarter_sq / ((k + 1.0) * (k + 1.0 + n_f))
-            total += term
-            # total >= 1, so an absolute threshold bounds the relative one
-            if float(term.max()) < 1e-17:
-                converged = True
-                break
-        if not converged and np.any(term > 1e-13 * total):
+    span = half_max + 12.0 * math.sqrt(half_max + 1.0)
+    if not span + 30.0 <= _CHUNK_CELLS:
+        raise PrecisionError(f"Bessel series cannot be indexed at argument {z_max!r}")
+    kmax = int(math.ceil(span)) + 30
+    lf = _log_factorials(int(n_act.max()))
+    quarter_sq = 0.25 * z_act * z_act
+    n_f = n_act.astype(float)
+    term = np.ones_like(z_act)
+    total = np.ones_like(z_act)
+    shifts = np.zeros(z_act.shape, dtype=np.int64)
+    rescale = z_max > _LOG_RESCALE
+    for k in range(kmax):
+        term = term * quarter_sq / ((k + 1.0) * (k + 1.0 + n_f))
+        total += term
+        if rescale:
+            big = total > _RESCALE_AT
+            if big.any():
+                total[big] /= _RESCALE_AT
+                term[big] /= _RESCALE_AT
+                shifts[big] += 1
+        # total >= 1, so an absolute threshold bounds the relative one
+        if float(term.max()) < 1e-17:
+            break
+    else:
+        if np.any(term > 1e-13 * total):
             raise PrecisionError("vectorized Bessel recurrence did not converge")
-        out[active] = n_f * np.log(0.5 * z_act) - lf[n_act] + np.log(total)
-        return out
-    k = np.arange(kmax + 1)
-    lhalf = np.log(0.5 * z_act)[:, None]
-    log_terms = (
-        (n_act[:, None] + 2.0 * k[None, :]) * lhalf
-        - lf[k][None, :]
-        - lf[n_act[:, None] + k[None, :]]
-    )
-    peak = log_terms.max(axis=1)
-    summed = peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
-    if np.any(log_terms[:, -1] - summed > _LOG_REL_TOL + math.log(10.0)):
-        raise PrecisionError("vectorized Bessel term grid too short")
-    out[active] = summed
+    out[active] = n_f * np.log(0.5 * z_act) - lf[n_act] + np.log(total) + shifts * _LOG_RESCALE
     return out
 
 
@@ -180,9 +187,10 @@ def _poisson_mixture(a0: float, g: np.ndarray, m: np.ndarray) -> np.ndarray:
     centre = np.minimum(m, 0.5 * (np.sqrt(a0 * a0 + 4.0 * m * g) - a0))
     half = _WINDOW_SDS * np.sqrt(centre + 1.0) + _WINDOW_PAD
     top = centre + half
-    # past 2^53 a float no longer holds every index of the window
-    if not top.max(initial=0.0) < 2.0**53:
-        bad = float(m[~(top < 2.0**53)][0])
+    # the window clipped at j = 0 holds min(top, 2 half) + 2 terms
+    cells = np.minimum(top, 2.0 * half) + 2.0
+    if not cells.max(initial=0.0) <= _CHUNK_CELLS:
+        bad = float(m[~(cells <= _CHUNK_CELLS)][0])
         raise PrecisionError(f"Poisson-mixture window cannot be indexed at mixing mean {bad!r}")
     lo = np.maximum(centre - half, 0.0).astype(np.int64)
     width = int(np.max(top - lo, initial=0.0)) + 2
@@ -199,10 +207,12 @@ def _mixture_window(a0, g, m, lo, width):
     j = np.arange(width)[:, None] + lo
     n = j + a0
     top = n[-1]
-    # ln k! from gammaln: the running sum of _log_factorials drifts by 1e-13
-    ln_fact = gammaln(np.arange(1.0, top.max() + 2.0))
-    weights = np.exp(j * np.log(np.maximum(m, _TINY)) - m - ln_fact[j])
-    ln_gamma = ln_fact[n] if isinstance(a0, int) else gammaln(n + 1.0)
+    # ln k! from gammaln, for k from the chunk's lowest window index: the
+    # running sum of _log_factorials drifts by 1e-13
+    base = int(lo.min())
+    ln_fact = gammaln(np.arange(base + 1.0, top.max() + 2.0))
+    weights = np.exp(j * np.log(np.maximum(m, _TINY)) - m - ln_fact[j - base])
+    ln_gamma = ln_fact[n - base] if isinstance(a0, int) else gammaln(n + 1.0)
     tail = np.exp(n * np.log(g) - g - ln_gamma)
     tail[-1] = gammainc(top, g)
     tail = np.cumsum(tail[::-1], axis=0)[::-1]  # P(a0 + j, g)

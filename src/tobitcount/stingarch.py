@@ -195,21 +195,19 @@ def _mean_recursion(
     gammas: Sequence[float],
     series: CountSeries,
     extend: bool,
-    presample_mean: float,
 ) -> np.ndarray:
     """Conditional means M_1..M_n (plus M_{n+1} when ``extend``).
 
-    The first ``max(p, q)`` entries are pinned to ``presample_mean``; the
-    rest filter ``u_t = alpha0 + sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}``
+    The first ``max(p, q)`` entries are pinned to ``alpha0``; the rest
+    filter ``u_t = alpha0 + sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}``
     through :func:`_ar_filter`.
     """
     if extend and len(gammas):
         raise ValueError("covariates unavailable beyond the sample")
     start = max(len(alphas), len(betas))
     total = len(series) + 1 if extend else len(series)
-    u = np.full(total, presample_mean, dtype=float)
+    u = np.full(total, alpha0, dtype=float)
     if total > start:
-        u[start:] = alpha0
         for i, a in enumerate(alphas, start=1):
             u[start:] += a * series.counts[start - i : total - i]
         for k, g in enumerate(gammas):
@@ -239,7 +237,6 @@ def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
         spec.gammas,
         series,
         extend=spec.r == 0,
-        presample_mean=spec.alpha0,
     )
 
 

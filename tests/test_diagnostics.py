@@ -121,6 +121,18 @@ class TestPearsonResiduals:
         assert report.residuals.shape[0] == 199
 
 
+class TestCliDiagnose:
+    @pytest.mark.parametrize("lag", ["0", "-1"])
+    def test_max_lag_below_one_is_a_configuration_error(self, lag, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("count\n" + "1\n0\n2\n" * 10)
+        out = tmp_path / "diagnose.json"
+        argv = ["diagnose", "--alpha0", "1", "--delta", "0.25", "--input", str(path)]
+        assert cli.main([*argv, "--max-lag", lag, "--output", str(out)]) == cli.EXIT_CONFIG
+        assert "--max-lag must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliJson:
     def test_non_finite_value_is_a_numerical_failure(self, tmp_path, monkeypatch):
         nan = ResidualReport(residuals=np.zeros(3), mean=math.nan, variance=1.0, acf=np.zeros(5))

@@ -408,7 +408,7 @@ class TestMeanRecursionKernel:
     def test_extension_with_covariates_is_refused(self, counts):
         series = CountSeries(counts, covariates=np.ones((counts.shape[0], 1)))
         with pytest.raises(ValueError, match="beyond the sample"):
-            _mean_recursion(1.0, (0.3,), (0.5,), (0.7,), series, True, 1.0)
+            _mean_recursion(1.0, (0.3,), (0.5,), (0.7,), series, True)
 
 
 class TestInformationCriteria:
@@ -506,6 +506,35 @@ class TestFitDriver:
         # the likelihood keeps rising as alpha0 -> -inf, so there is no MLE
         with pytest.raises(ValueError, match="no positive count"):
             fit_mle(CountSeries(counts), (1, 0), 0.25)
+
+    @staticmethod
+    def _refused_past(edge, calls):
+        # a concave log-likelihood peaking at 1 that the kernels refuse past edge
+        def natural_loglik(theta):
+            calls.append(theta[0])
+            if theta[0] > edge:
+                raise PrecisionError("refused trial point")
+            return -((theta[0] - 1.0) ** 2)
+
+        return natural_loglik
+
+    def test_refused_trial_points_are_penalized(self):
+        calls = []
+        fit = estimation._fit(
+            self._refused_past(1.05, calls), np.array([0.0]), ("free",), ("theta",),
+            "quadratic", np.array([1]),
+        )
+        assert any(t > 1.05 for t in calls)
+        assert fit.estimates[0] == pytest.approx(1.0, abs=1e-4)
+        assert fit.loglik == pytest.approx(0.0, abs=1e-8)
+        assert fit.std_errors is not None
+
+    def test_refused_start_raises(self):
+        with pytest.raises(PrecisionError, match="refused trial point"):
+            estimation._fit(
+                self._refused_past(1.05, []), np.array([2.0]), ("free",), ("theta",),
+                "quadratic", np.array([1]),
+            )
 
     def test_all_zero_window_cli_exit_code(self, tmp_path):
         path = tmp_path / "zeros.csv"
@@ -615,6 +644,9 @@ class TestFitDriver:
             ("inf", False, "delta must be positive and finite"),
             ("1e300", False, r"Poisson-mixture window cannot be indexed at mixing mean 5e\+299"),
             ("1e300", True, "Bessel series cannot be indexed at argument inf"),
+            # a dispersion of 1e15 is refused before the kernels allocate anything
+            ("1e15", False, r"Poisson-mixture window cannot be indexed at mixing mean 5000"),
+            ("1e15", True, r"Bessel series cannot be indexed at argument 1000"),
         ],
     )
     def test_unusable_dispersion_is_refused(
@@ -719,3 +751,15 @@ class TestMcStudy:
         assert result.failures == {"mle": 0}
         assert np.all(np.isfinite(result.means["mle"]))
         assert result.means["mle"][-1] > 0.0
+
+    def test_scenario2_survives_a_refused_trial_dispersion(self):
+        # on this replication Nelder-Mead walks log(delta) down the flat
+        # delta -> 0 valley and then steps to +34.6, a delta of 1e15 that the
+        # kernels refuse
+        spec = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
+        result = mc_study(
+            spec, n=250, replications=1, methods=("mle",), scenario=None, seed=460486347
+        )
+        assert result.failures == {"mle": 0}
+        assert result.optimizer_regressions == 0
+        assert np.all(np.isfinite(result.means["mle"]))

@@ -25,7 +25,7 @@ from tobitcount.skellam import (
     cdf,
     censored_moments,
 )
-from tobitcount.specialfn import _log_bessel_i_arr, noncentral_chisq_cdf
+from tobitcount.specialfn import _log_bessel_i_arr, _poisson_mixture, noncentral_chisq_cdf
 
 DIGITS = 50
 EPS = 2.0**-52
@@ -117,8 +117,8 @@ def fifty_digits():
 class TestBessel:
     ORDERS = np.array([0, 1, 2, 5, 17, 60, 123, 200])
 
-    # both sides of the kernel's switch from the linear-domain recurrence
-    # (z <= 600) to the log-domain term grid
+    # both sides of z = 830 ln 2 (about 575), past which the recurrence
+    # rescales its running total
     @pytest.mark.parametrize(
         "z", [1e-5, 0.3, 1.0, 7.5, 40.0, 150.0, 599.0, 601.0, 1200.0, 5000.0]
     )
@@ -126,6 +126,25 @@ class TestBessel:
         got = _log_bessel_i_arr(self.ORDERS, np.full(self.ORDERS.shape, z))
         for n, value in zip(self.ORDERS, got):
             ref = mp.log(mp.besseli(int(n), z))
+            assert abs(value - ref) <= 1e-14 * max(1.0, abs(float(ref)))
+
+    # up to the kernel's term bound near z = 1.25e5, rescaled about 200 times
+    @pytest.mark.parametrize("z", [5e4, 1.2e5])
+    def test_rescaled_orders_0_to_3000(self, z):
+        orders = np.array([0, 1, 2, 60, 200, 1000, 3000])
+        got = _log_bessel_i_arr(orders, np.full(orders.shape, z))
+        # mpmath's besseli takes minutes at order 3000 here, so the orders
+        # come from I_{k+1} = I_{k-1} - (2k / z) I_k upward from I_0 and I_1:
+        # the recurrence loses about 33 digits by order 3000 of the 120 kept
+        refs = {}
+        with mp.workdps(120):
+            below, here = mp.besseli(0, z), mp.besseli(1, z)
+            refs[0] = mp.log(below)
+            for k in range(1, int(orders.max()) + 1):
+                refs[k] = mp.log(here)
+                below, here = here, below - (2 * k / mp.mpf(z)) * here
+        for n, value in zip(orders, got):
+            ref = refs[int(n)]
             assert abs(value - ref) <= 1e-14 * max(1.0, abs(float(ref)))
 
 
@@ -189,6 +208,17 @@ class TestNoncentralChisq:
     def test_odd_degrees_of_freedom(self, nu, x, tau):
         ref = mp_mixture(nu / 2, x / 2, tau / 2)
         assert rel_err(noncentral_chisq_cdf(x, nu, tau), ref) <= 1e-15 * (1.0 + x + tau)
+
+    # one chunk holds windows starting at j = 0 and at j = 22, which share a
+    # ln k! table indexed from the chunk's lowest window index
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 7.0])
+    def test_odd_degrees_of_freedom_in_one_chunk(self, nu):
+        x = np.array([0.5, 60.0, 300.0])
+        tau = np.array([0.2, 90.0, 300.0])
+        got = _poisson_mixture(nu / 2, x / 2, tau / 2)
+        for value, xi, ti in zip(got, x, tau):
+            ref = mp_mixture(nu / 2, xi / 2, ti / 2)
+            assert rel_err(value, ref) <= 1e-15 * (1.0 + xi + ti)
 
 
 class TestCensoredMoments:

@@ -6,6 +6,7 @@ Accuracy across the whole parameter range is checked against mpmath in
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,12 +178,50 @@ class TestNoncentralChisqCdf:
         with pytest.raises(PrecisionError, match=re.escape(f"mixing mean {mean!r}")):
             _poisson_mixture(0, np.array([2.0, 3.0]), np.array([1.0, mean]))
 
+    # a dispersion of 1e15 puts both Skellam rates at 5e14; a window centred
+    # past about 1.07e7 holds more than _CHUNK_CELLS terms
+    @pytest.mark.parametrize("mean", [5e14, 1.1e7])
+    def test_window_past_the_term_bound_is_refused_before_allocation(self, mean):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PrecisionError, match=re.escape(f"mixing mean {mean!r}")):
+                _poisson_mixture(0, np.array([2.0, mean]), np.array([1.0, mean]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_window_at_the_term_bound_sizes_its_table_by_the_window(self):
+        # centred at 1e7: a ln k! table from k = 0 alone would take 80 MB
+        tracemalloc.start()
+        try:
+            value = float(_poisson_mixture(0, np.array([1e7]), np.array([1e7]))[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # P(Poi(m) - Poi(m) >= 0) = (1 + P(X = 0)) / 2, P(X = 0) ~ 1 / sqrt(4 pi m)
+        assert value == pytest.approx(0.5 + 0.5 / math.sqrt(4e7 * math.pi), rel=1e-6)
+        assert peak < 16 << 20
+
 
 class TestVectorizedCompanions:
     @pytest.mark.parametrize("z", [math.inf, 1e300])
     def test_log_bessel_unindexable_argument_is_refused(self, z):
         with pytest.raises(PrecisionError, match=re.escape(f"argument {z!r}")):
             _log_bessel_i_arr(np.array([1, 2]), np.array([3.0, z]))
+
+    # 2 sqrt(lambda1 lambda2) = 1e15 at a dispersion of 1e15; past about
+    # z = 1.2501e5 the series needs more than _CHUNK_CELLS terms
+    @pytest.mark.parametrize("z", [1e15, 1.2502e5])
+    def test_log_bessel_argument_past_the_term_bound_is_refused_before_allocation(self, z):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PrecisionError, match=re.escape(f"argument {z!r}")):
+                _log_bessel_i_arr(np.array([1, 2]), np.array([3.0, z]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_log_bessel_zero_argument(self):
         vec = _log_bessel_i_arr(np.array([0, 2]), np.array([0.0, 0.0]))

@@ -1,10 +1,12 @@
 """Tests for the STINGARCH process layer."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tobitcount import cli
 from tobitcount.skellam import SkellamStar, censored_moments
 from tobitcount.stingarch import (
     CountSeries,
@@ -225,6 +227,27 @@ class TestExactMoments:
             )
         with pytest.raises(ValueError):
             exact_moments_stinarch1(ModelSpec(alpha0=1.0, alphas=(1.1,), delta=0.25))
+
+    MOMENTS_ARGV = ["moments", "--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25"]
+
+    @pytest.mark.parametrize(
+        "extra", [["--beta1", "0.2"], ["--gammas", "0.3"]], ids=["feedback", "covariates"]
+    )
+    def test_cli_exact_without_the_route_is_a_configuration_error(
+        self, extra, tmp_path, capsys
+    ):
+        out = tmp_path / "moments.json"
+        argv = [*self.MOMENTS_ARGV, *extra, "--method", "exact", "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "--method exact needs a STINARCH(1) model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_all_without_the_route_writes_null(self, tmp_path):
+        out = tmp_path / "moments.json"
+        argv = [*self.MOMENTS_ARGV, "--beta1", "0.2", "--method", "all", "--n", "2000"]
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["exact"] is None and payload["linear"] is not None
 
 
 class TestLinearApproxMoments:
