@@ -32,7 +32,6 @@ from .extensions import (
     fit_tinars1_mle,
     signed_binomial_thinning,
     simulate_tinars1,
-    stbingarch_conditional_pmf,
     tinars1_transition,
 )
 from .skellam import (
@@ -90,6 +89,5 @@ __all__ = [
     "simulate",
     "simulate_tinars1",
     "simulated_moments",
-    "stbingarch_conditional_pmf",
     "tinars1_transition",
 ]

@@ -139,7 +139,7 @@ def _spec_from_args(args, require_delta: bool = True) -> ModelSpec:
             delta=delta,
             gammas=gammas,
             bound=getattr(args, "bound", None),
-            kappa=getattr(args, "kappa", None),
+            kappa=getattr(args, "kappa", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -372,7 +372,7 @@ def _add_spec_arguments(parser, with_bound: bool = True) -> None:
     parser.add_argument("--delta", type=float, help="dispersion parameter")
     if with_bound:
         parser.add_argument("--bound", type=int, help="upper bound N for bounded counts")
-        parser.add_argument("--kappa", type=float, help="one-inflation probability")
+        parser.add_argument("--kappa", type=float, default=0.0, help="one-inflation probability")
 
 
 def build_parser() -> _Parser:

@@ -35,6 +35,7 @@ from .stingarch import (
     ModelSpec,
     _ar_filter,
     _mean_recursion,
+    _stationarity_sum,
     simulate,
 )
 
@@ -176,6 +177,21 @@ def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
     )
 
 
+def _window_loglik(theta_dyn, series, p, q, r, delta, bound=None, kappa=0.0) -> float:
+    """Log-likelihood of the counts after the first ``max(p, q)``: the sum of
+    the observation law :func:`skellam._log_obs_arr` given the means of the
+    dynamics block ``theta_dyn``.  ``-inf`` when a mean is not finite or a
+    term has zero probability."""
+    start = max(p, q)
+    m = _mean_path(theta_dyn, series, p, q, r)[start:]
+    if not np.all(np.isfinite(m)):
+        return -math.inf
+    logs = skellam._log_obs_arr(series.counts[start:], m, delta, bound, kappa)
+    if not np.all(np.isfinite(logs)):
+        return -math.inf
+    return float(logs.sum())
+
+
 def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> float:
     """Conditional log-likelihood, conditioning on the first ``max(p, q)`` counts.
 
@@ -188,17 +204,9 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
     _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
     if not (delta > 0.0):
         raise ValueError("log-likelihood requires delta > 0")
-    n = len(series)
-    start = max(p, q)
-    if n <= start:
+    if len(series) <= max(p, q):
         raise ValueError("series shorter than the conditioning prefix")
-    m = _mean_path(theta[: 1 + p + q + r], series, p, q, r)[start:]
-    if not np.all(np.isfinite(m)):
-        return -math.inf
-    logs = skellam._log_obs_arr(series.counts[start:], m, delta)
-    if not np.all(np.isfinite(logs)):
-        return -math.inf
-    return float(logs.sum())
+    return _window_loglik(theta[: 1 + p + q + r], series, p, q, r, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +454,7 @@ def _moment_start(series: CountSeries, p: int, q: int, r: int) -> np.ndarray:
 
 def _stationarity_penalty(theta: Sequence[float], p: int, q: int) -> float:
     """``_PENALTY (1 + v)`` when ``v = sum max(0, alpha_i) + sum |beta_j| - 1 >= 0``, else 0."""
-    violation = sum(max(0.0, a) for a in theta[1 : 1 + p]) + sum(
-        abs(b) for b in theta[1 + p : 1 + p + q]
-    ) - 1.0
+    violation = _stationarity_sum(theta[1 : 1 + p], theta[1 + p : 1 + p + q]) - 1.0
     return _PENALTY * (1.0 + violation) if violation >= 0.0 else 0.0
 
 

@@ -4,6 +4,9 @@
   censored at zero, with transition-probability likelihood.
 * Skellam Tobit bounded INGARCH (STBINGARCH): the latent variable is clipped
   into {0..N} and the conditional law may carry extra one-inflation mass.
+  That law is a :class:`ModelSpec` with ``bound`` and ``kappa`` like any
+  other, so :func:`~tobitcount.stingarch.conditional_pmf`, ``simulate`` and
+  the likelihood kernel serve it; this module keeps its moments and its fit.
 
 Covariates need no code here: :class:`CountSeries` carries them into every estimator.
 """
@@ -11,7 +14,7 @@ Covariates need no code here: :class:`CountSeries` carries them into every estim
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,12 +23,14 @@ from scipy.special import gammaln, pdtr, xlog1py, xlogy
 from . import skellam
 from .diagnostics import sample_acf
 from .estimation import (
+    EstimationScenario,
     FitResult,
     _fit,
-    _mean_path,
     _moment_start,
     _orders,
     _param_names,
+    _spec_from_theta,
+    _window_loglik,
 )
 from .stingarch import CountSeries, ModelSpec
 
@@ -36,7 +41,6 @@ __all__ = [
     "tinars1_transition",
     "tinars_conditional_moments",
     "fit_tinars1_mle",
-    "stbingarch_conditional_pmf",
     "stbingarch_conditional_moments",
     "fit_stbingarch_mle",
 ]
@@ -228,57 +232,17 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def stbingarch_conditional_pmf(x: int, m: float, spec: ModelSpec) -> float:
-    """Conditional law on {0..N}: one-inflation mixed with the clipped latent law.
-
-    ``kappa`` puts extra mass on 1; the remaining weight follows the
-    observation law ``min(N, max(0, X*))`` with ``X* ~ Sk*(m, delta)``, which
-    :func:`skellam._log_obs_arr` evaluates (``delta == 0`` included).
-    """
-    if spec.bound is None:
-        raise ValueError("spec has no upper bound")
-    x = int(x)
-    if x < 0 or x > spec.bound:
-        raise ValueError(f"x must lie in 0..{spec.bound}, got {x}")
-    if not math.isfinite(m):
-        raise ValueError(f"conditional mean must be finite, got {m!r}")
-    kappa = spec.kappa if spec.kappa is not None else 0.0
-    base = math.exp(skellam._log_obs_arr(x, m, spec.delta, spec.bound))
-    return (1.0 - kappa) * base + kappa * (x == 1)
-
-
 def stbingarch_conditional_moments(
     m_path: np.ndarray, spec: ModelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional mean/variance of the bounded law by finite summation."""
-    bound = spec.bound
-    kappa = spec.kappa if spec.kappa is not None else 0.0
-    m_path = np.asarray(m_path, dtype=float)
-    support = np.arange(bound + 1)
-    log_obs = skellam._log_obs_arr(support, m_path[:, None], spec.delta, bound)
-    probs = (1.0 - kappa) * np.exp(log_obs) + kappa * (support == 1)
+    """Conditional mean/variance of the bounded law by finite summation of
+    :func:`skellam._log_obs_arr` over the support ``0..N``."""
+    support = np.arange(spec.bound + 1)
+    m_path = np.asarray(m_path, dtype=float)[:, None]
+    probs = np.exp(skellam._log_obs_arr(support, m_path, spec.delta, spec.bound, spec.kappa))
     means = probs @ support
     variances = probs @ support**2 - means**2
     return means, np.maximum(variances, 0.0)
-
-
-def _stbingarch_loglik(
-    theta_dyn: np.ndarray,
-    kappa: float,
-    series: CountSeries,
-    p: int,
-    q: int,
-    r: int,
-    bound: int,
-    delta: float,
-) -> float:
-    start = max(p, q)
-    m = _mean_path(theta_dyn, series, p, q, r)[start:]
-    x = series.counts[start:]
-    lik = (1.0 - kappa) * np.exp(skellam._log_obs_arr(x, m, delta, bound)) + kappa * (x == 1)
-    if np.any(lik <= 0.0):
-        return -math.inf
-    return float(np.log(lik).sum())
 
 
 def fit_stbingarch_mle(
@@ -296,8 +260,7 @@ def fit_stbingarch_mle(
     ``kappa`` is within 1e-5 of 0 or 1.  ``delta`` is the fixed dispersion
     and must be positive and finite.
     """
-    if not (0.0 < delta < math.inf):
-        raise ValueError(f"the bounded model's delta must be positive and finite, got {delta!r}")
+    scenario = EstimationScenario.fixed(delta)
     p, q, r = _orders(orders, series)
     if np.any(series.counts > bound):
         raise ValueError("series exceeds the declared bound")
@@ -306,18 +269,11 @@ def fit_stbingarch_mle(
     k_dyn = start_dyn.shape[0]
 
     def spec(theta: np.ndarray) -> ModelSpec:
-        return ModelSpec(
-            alpha0=float(theta[0]),
-            alphas=tuple(theta[1 : 1 + p]),
-            betas=tuple(theta[1 + p : 1 + p + q]),
-            gammas=tuple(theta[1 + p + q : k_dyn]),
-            delta=delta,
-            bound=bound,
-            kappa=float(theta[-1]),
-        )
+        dynamics = _spec_from_theta(theta[:k_dyn], p, q, r, scenario)
+        return replace(dynamics, bound=bound, kappa=float(theta[-1]))
 
     return _fit(
-        lambda theta: _stbingarch_loglik(theta[:k_dyn], theta[-1], series, p, q, r, bound, delta),
+        lambda theta: _window_loglik(theta[:k_dyn], series, p, q, r, delta, bound, theta[-1]),
         np.append(start_dyn, 0.1),
         ("free",) * k_dyn + ("unit",),
         _param_names(p, q, r, with_delta=False) + ("kappa",),

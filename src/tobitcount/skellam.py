@@ -13,9 +13,10 @@ censored zero mass (:func:`_cdf0_arr`) and the censored moments
 (:func:`_censored_moments_arr`).  The scalar public functions are thin
 wrappers over them.  :func:`_log_obs_arr` is the observation law built from
 them: the log-probability of a count under ``max(0, X*)``, optionally
-clipped at an upper bound, with ``delta = 0`` as the censored-Poisson
-boundary; every likelihood, conditional pmf and transition matrix of the
-package evaluates it.
+clipped at an upper bound and mixed with one-inflation mass, with
+``delta = 0`` as the censored-Poisson boundary; every likelihood,
+conditional pmf, conditional moment of a bounded model and transition
+matrix of the package evaluates it.
 """
 
 from __future__ import annotations
@@ -203,16 +204,20 @@ def _cdf0_arr(mu: np.ndarray, delta: float) -> np.ndarray:
     return np.minimum(_survival_arr(0, np.negative(mu), delta), 1.0)
 
 
-def _log_obs_arr(x, mu, delta: float, bound=None) -> np.ndarray:
-    """Vectorized ``ln P(min(N, max(0, X*)) = x)`` with ``N = bound``.
+def _log_obs_arr(x, mu, delta: float, bound=None, kappa: float = 0.0) -> np.ndarray:
+    """Vectorized observation law ``ln P(X = x)`` of a :class:`ModelSpec`.
 
+    ``X`` is ``min(N, max(0, X*))`` with ``N = bound``, and with probability
+    ``kappa`` it is replaced by 1 (one-inflation, bounded models only).
     ``x`` (integer counts in ``0..N`` for a bound ``N >= 1``, or ``>= 0``
     when ``bound`` is ``None``: no upper clip) and ``mu`` broadcast.  A zero
     count takes the censored mass ``P(X* <= 0)``, a count at the bound the
     upper tail ``P(X* >= N)`` and any other count the latent pmf.
     ``delta == 0`` is the censored-Poisson boundary ``Poi(max(0, mu))``,
     with ``P(Poi >= N)`` the regularized lower incomplete gamma function
-    ``P(N, rate)``.  A zero probability is ``-inf``.
+    ``P(N, rate)``.  ``kappa > 0`` returns ``ln((1 - kappa) P + kappa [x = 1])``
+    of that law ``P``; ``kappa == 0`` returns ``ln P`` itself.  A zero
+    probability is ``-inf``.
     """
     x, mu = np.broadcast_arrays(np.asarray(x), np.asarray(mu, dtype=float))
     zero = x == 0
@@ -238,6 +243,8 @@ def _log_obs_arr(x, mu, delta: float, bound=None) -> np.ndarray:
         for mask, log_prob in cells:
             if mask.any():
                 out[mask] = log_prob()
+        if kappa > 0.0:
+            out = np.log((1.0 - kappa) * np.exp(out) + kappa * (x == 1))
     return out
 
 

@@ -9,10 +9,12 @@
   integer ``a0``, the Skellam tail ``P(Poi(g) - Poi(m) >= a0)``.
 
 Every array is sized by what it indexes: the terms of one element and the
-``ln k!`` of its orders or window.  An element that needs more than
-``_CHUNK_CELLS`` (2^16) terms raises :class:`PrecisionError` before anything
-is allocated: a Bessel argument above about 1.25e5, or a mixture centred
-above about 1.07e7.
+``ln k!`` of its orders or window.  ``ln k!`` has two sources: the Bessel
+kernel reads a fixed table for orders up to 4096 and takes ``gammaln`` above
+it, and the mixture takes ``gammaln`` over each chunk's window.  An element
+that needs more than ``_CHUNK_CELLS`` (2^16) terms raises
+:class:`PrecisionError` before anything is allocated: a Bessel argument above
+about 1.25e5, or a mixture centred above about 1.07e7.
 
 The public functions, :func:`log_bessel_i` and :func:`noncentral_chisq_cdf`,
 validate their scalar arguments and make one call to an array kernel; the
@@ -85,22 +87,11 @@ def noncentral_chisq_cdf(x: float, nu: float, tau: float) -> float:
 # array kernels (private; used by the likelihood / transition layers)
 # ---------------------------------------------------------------------------
 
-_LOG_FACTORIALS = np.zeros(1)
-
-
-def _log_factorials(m: int) -> np.ndarray:
-    """Cached ``ln k!`` table for k = 0..m (grown on demand).
-
-    A running sum of logs, good to about 1e-13 at k = 100.
-    """
-    global _LOG_FACTORIALS
-    if _LOG_FACTORIALS.size <= m:
-        new_size = max(m + 1, 2 * _LOG_FACTORIALS.size, 256)
-        ks = np.arange(new_size, dtype=float)
-        ks[0] = 1.0
-        _LOG_FACTORIALS = np.cumsum(np.log(ks))
-        _LOG_FACTORIALS[0] = 0.0
-    return _LOG_FACTORIALS
+# ln k! for k = 0..2^12 as a running sum of logs, whose bits the small orders
+# keep (gammaln is 1.2 ulp off ln 60!).  The sum drifts: about 1e-13 at
+# k = 100, 2.4e-11 at k = 3000 and 5e-10 at k = 65,536, where gammaln, which
+# the orders above the table take, is off by 8e-11.
+_LN_FACTORIAL_TABLE = np.cumsum(np.log(np.maximum(np.arange(4097.0), 1.0)))
 
 
 def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -111,9 +102,12 @@ def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     ``sum_k (z/2)^{2k} n! / (k! (k+n)!)``, which lies in ``[1, e^z]``.  Past
     ``z = 830 ln 2`` (about 575) an element whose running total passes
     ``2^830`` is rescaled by ``2^-830`` (exact in binary) and the count of
-    shifts joins its logarithm.  The series needs ``z/2 + 12 sqrt(z/2 + 1)
-    + 30`` terms; a ``PrecisionError`` refuses, before any allocation, an
-    argument that needs more than ``_CHUNK_CELLS`` (about ``z > 1.25e5``).
+    shifts joins its logarithm.  ``ln n!`` comes from one of two sources,
+    chosen by order: a fixed running-sum table for ``n <= 4096`` and
+    ``gammaln(n + 1)`` above it, so no array is sized by an order.  The
+    series needs ``z/2 + 12 sqrt(z/2 + 1) + 30`` terms; a ``PrecisionError``
+    refuses, before any allocation, an argument that needs more than
+    ``_CHUNK_CELLS`` (about ``z > 1.25e5``).
     """
     orders = np.asarray(orders, dtype=np.int64)
     z = np.asarray(z, dtype=float)
@@ -136,7 +130,10 @@ def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     if not span + 30.0 <= _CHUNK_CELLS:
         raise PrecisionError(f"Bessel series cannot be indexed at argument {z_max!r}")
     kmax = int(math.ceil(span)) + 30
-    lf = _log_factorials(int(n_act.max()))
+    tabled = n_act < _LN_FACTORIAL_TABLE.size
+    ln_fact = _LN_FACTORIAL_TABLE[np.where(tabled, n_act, 0)]
+    if not tabled.all():
+        ln_fact[~tabled] = gammaln(n_act[~tabled] + 1.0)
     quarter_sq = 0.25 * z_act * z_act
     n_f = n_act.astype(float)
     term = np.ones_like(z_act)
@@ -158,7 +155,7 @@ def _log_bessel_i_arr(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     else:
         if np.any(term > 1e-13 * total):
             raise PrecisionError("vectorized Bessel recurrence did not converge")
-    out[active] = n_f * np.log(0.5 * z_act) - lf[n_act] + np.log(total) + shifts * _LOG_RESCALE
+    out[active] = n_f * np.log(0.5 * z_act) - ln_fact + np.log(total) + shifts * _LOG_RESCALE
     return out
 
 
@@ -208,7 +205,7 @@ def _mixture_window(a0, g, m, lo, width):
     n = j + a0
     top = n[-1]
     # ln k! from gammaln, for k from the chunk's lowest window index: the
-    # running sum of _log_factorials drifts by 1e-13
+    # running sum of _LN_FACTORIAL_TABLE drifts by 1e-13
     base = int(lo.min())
     ln_fact = gammaln(np.arange(base + 1.0, top.max() + 2.0))
     weights = np.exp(j * np.log(np.maximum(m, _TINY)) - m - ln_fact[j - base])

@@ -48,8 +48,10 @@ class ModelSpec:
 
     ``alphas`` and ``betas`` are the feedback coefficients on past counts
     and past conditional means; both may be negative.  ``gammas`` are
-    optional covariate coefficients.  ``bound``/``kappa`` switch on the
-    bounded (clipped) variant with one-inflation.
+    optional covariate coefficients.  ``bound`` switches on the bounded
+    (clipped) variant and ``kappa`` its one-inflation weight on 1, in
+    ``[0, 1)``; ``kappa = 0`` means no inflation, the only value an
+    unbounded model takes.
     """
 
     alpha0: float
@@ -58,7 +60,7 @@ class ModelSpec:
     delta: float = 0.25
     gammas: tuple[float, ...] = ()
     bound: Optional[int] = None
-    kappa: Optional[float] = None
+    kappa: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha0", float(self.alpha0))
@@ -71,11 +73,10 @@ class ModelSpec:
             raise ValueError(f"delta must be >= 0, got {self.delta!r}")
         if self.bound is not None and self.bound < 1:
             raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
-        if self.kappa is not None:
-            if self.bound is None:
-                raise ValueError("one-inflation kappa requires a bounded model")
-            if not (0.0 <= self.kappa < 1.0):
-                raise ValueError(f"kappa must lie in [0, 1), got {self.kappa!r}")
+        if not (0.0 <= self.kappa < 1.0):
+            raise ValueError(f"kappa must lie in [0, 1), got {self.kappa!r}")
+        if self.kappa > 0.0 and self.bound is None:
+            raise ValueError("one-inflation kappa requires a bounded model")
 
     @property
     def p(self) -> int:
@@ -149,14 +150,19 @@ class StationarityCheck(NamedTuple):
     margin: float
 
 
+def _stationarity_sum(alphas: Sequence[float], betas: Sequence[float]) -> float:
+    """``sum_i max(0, alpha_i) + sum_j |beta_j|``, on plain sequences so that
+    per-call objectives need not build a spec."""
+    return sum(max(0.0, a) for a in alphas) + sum(abs(b) for b in betas)
+
+
 def check_stationarity(spec: ModelSpec) -> StationarityCheck:
     """Sufficient condition ``sum_i max(0, alpha_i) + sum_j |beta_j| < 1``.
 
     Returns the verdict and the slack ``1 - sum``; a nonpositive margin
     means the condition fails.
     """
-    total = sum(max(0.0, a) for a in spec.alphas) + sum(abs(b) for b in spec.betas)
-    margin = 1.0 - total
+    margin = 1.0 - _stationarity_sum(spec.alphas, spec.betas)
     return StationarityCheck(margin > 0.0, margin)
 
 
@@ -241,21 +247,23 @@ def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
 
 
 def conditional_pmf(x: int, m: float, spec: ModelSpec) -> float:
-    """One-step conditional probability ``P(X_t = x | M_t = m)`` (unbounded).
+    """One-step conditional probability ``P(X_t = x | M_t = m)``.
 
-    The observation law ``max(0, X*)`` with ``X* ~ Sk*(m, delta)``, from
-    :func:`skellam._log_obs_arr`: ``x = 0`` collects the whole nonpositive
-    mass of the latent variable, and ``delta == 0`` is the censored-Poisson
-    boundary with conditional law ``Poi(max(0, m))``.
+    The observation law of ``spec`` from :func:`skellam._log_obs_arr`:
+    ``max(0, X*)`` with ``X* ~ Sk*(m, delta)``, where ``x = 0`` collects the
+    whole nonpositive mass of the latent variable and ``delta == 0`` is the
+    censored-Poisson boundary ``Poi(max(0, m))``.  A bounded spec clips at
+    ``N = bound`` (``x = N`` takes the upper tail), refuses ``x > N`` and
+    mixes in ``kappa`` on 1: ``(1 - kappa) P + kappa [x = 1]``.
     """
-    if spec.bound is not None:
-        raise ValueError("bounded models use stbingarch_conditional_pmf")
     x = int(x)
     if x < 0:
         raise ValueError(f"counts are nonnegative, got {x}")
+    if spec.bound is not None and x > spec.bound:
+        raise ValueError(f"x must lie in 0..{spec.bound}, got {x}")
     if not math.isfinite(m):
         raise ValueError(f"conditional mean must be finite, got {m!r}")
-    return math.exp(skellam._log_obs_arr(x, m, spec.delta))
+    return math.exp(skellam._log_obs_arr(x, m, spec.delta, spec.bound, spec.kappa))
 
 
 def simulate(
@@ -302,8 +310,7 @@ def simulate(
     half = 0.5 * spec.delta
     shared = rng.poisson(half, size=total) if spec.delta > 0.0 else np.zeros(total, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
-    bound = spec.bound
-    kappa = spec.kappa if spec.kappa is not None else 0.0
+    bound, kappa = spec.bound, spec.kappa
     for t in range(total):
         m = spec.alpha0
         for i in range(p):

@@ -10,7 +10,7 @@ MODULES = ["diagnostics", "estimation", "extensions", "skellam", "specialfn", "s
 REMOVED = {
     "skellam": ["stein_lhs_rhs", "chernoff_tail_radius"],
     "specialfn": ["bessel_recurrence_residual", "reg_incomplete_gamma_lower"],
-    "extensions": ["covariate_design"],
+    "extensions": ["covariate_design", "stbingarch_conditional_pmf"],
 }
 
 

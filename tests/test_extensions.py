@@ -3,13 +3,14 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tobitcount import cli, extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
-from tobitcount.estimation import EstimationScenario, fit_mle
+from tobitcount.estimation import EstimationScenario, _window_loglik, fit_mle
 from tobitcount.extensions import (
     TinarsSpec,
     fit_stbingarch_mle,
@@ -17,13 +18,18 @@ from tobitcount.extensions import (
     signed_binomial_thinning,
     simulate_tinars1,
     stbingarch_conditional_moments,
-    stbingarch_conditional_pmf,
     tinars1_transition,
     tinars_conditional_moments,
 )
 from tobitcount.skellam import SkellamStar
 from tobitcount.specialfn import PrecisionError
-from tobitcount.stingarch import CountSeries, ModelSpec, conditional_pmf, simulate
+from tobitcount.stingarch import (
+    CountSeries,
+    ModelSpec,
+    conditional_mean_path,
+    conditional_pmf,
+    simulate,
+)
 
 
 class TestSignedThinning:
@@ -261,14 +267,14 @@ class TestBoundedConditionalPmf:
 
     @pytest.mark.parametrize("m", [-2.0, 1.5, 7.0])
     def test_sums_to_one(self, m):
-        total = sum(stbingarch_conditional_pmf(x, m, self.SPEC) for x in range(6))
+        total = sum(conditional_pmf(x, m, self.SPEC) for x in range(6))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_unbounded_away_from_bound(self):
         wide = ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.25, bound=80, kappa=0.0)
         narrow = ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.25)
         for x in range(6):
-            assert stbingarch_conditional_pmf(x, 2.0, wide) == pytest.approx(
+            assert conditional_pmf(x, 2.0, wide) == pytest.approx(
                 conditional_pmf(x, 2.0, narrow), abs=1e-10
             )
 
@@ -277,31 +283,40 @@ class TestBoundedConditionalPmf:
 
         spec = ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.01, bound=5, kappa=0.0)
         expected = 1.0 - cdf(4, SkellamStar(2.5, 0.01).to_params())
-        assert stbingarch_conditional_pmf(5, 2.5, spec) == pytest.approx(
+        assert conditional_pmf(5, 2.5, spec) == pytest.approx(
             expected, rel=1e-10
         )
 
     def test_mass_moves_to_bound_monotonically(self):
         spec = ModelSpec(alpha0=1.0, delta=0.01, bound=5, kappa=0.0)
-        values = [stbingarch_conditional_pmf(5, m, spec) for m in np.linspace(0.0, 9.0, 19)]
+        values = [conditional_pmf(5, m, spec) for m in np.linspace(0.0, 9.0, 19)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_two_point_support(self):
         spec = ModelSpec(alpha0=0.2, delta=0.25, bound=1, kappa=0.0)
-        p0 = stbingarch_conditional_pmf(0, 0.2, spec)
-        p1 = stbingarch_conditional_pmf(1, 0.2, spec)
+        p0 = conditional_pmf(0, 0.2, spec)
+        p1 = conditional_pmf(1, 0.2, spec)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_errors(self):
+        with pytest.raises(ValueError, match=r"0\.\.5, got 6"):
+            conditional_pmf(6, 1.0, self.SPEC)
         with pytest.raises(ValueError):
-            stbingarch_conditional_pmf(6, 1.0, self.SPEC)
-        with pytest.raises(ValueError):
-            stbingarch_conditional_pmf(0, 1.0, ModelSpec(alpha0=1.0, delta=0.25))
+            conditional_pmf(-1, 1.0, self.SPEC)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    @pytest.mark.parametrize("m", [-2.0, 0.4, 3.0])
+    def test_one_inflation_mixes_the_clipped_law(self, m, delta):
+        spec = ModelSpec(alpha0=1.0, delta=delta, bound=5, kappa=0.118)
+        plain = replace(spec, kappa=0.0)
+        for x in range(6):
+            want = 0.882 * conditional_pmf(x, m, plain) + 0.118 * (x == 1)
+            assert conditional_pmf(x, m, spec) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("m", [math.nan, -math.inf])
     def test_rejects_non_finite_mean(self, m):
         with pytest.raises(ValueError, match="finite"):
-            stbingarch_conditional_pmf(1, m, self.SPEC)
+            conditional_pmf(1, m, self.SPEC)
 
     def test_poisson_boundary_moments(self):
         # delta = 0: kappa on 1 plus (1 - kappa) min(5, Poi(max(0, m))), by hand
@@ -317,7 +332,7 @@ class TestBoundedConditionalPmf:
             want_var = math.fsum(k * k * p for k, p in enumerate(probs)) - want_mean**2
             assert mean == pytest.approx(want_mean, rel=0.0, abs=1e-12)
             assert variance == pytest.approx(want_var, rel=0.0, abs=1e-12)
-            assert sum(stbingarch_conditional_pmf(x, m, spec) for x in range(6)) == pytest.approx(
+            assert sum(conditional_pmf(x, m, spec) for x in range(6)) == pytest.approx(
                 1.0, rel=0.0, abs=1e-12
             )
 
@@ -332,6 +347,22 @@ class TestBoundedConditionalPmf:
         payload = json.loads(out.read_text())
         values = [payload["mean"], payload["variance"], *payload["acf"]]
         assert all(math.isfinite(v) for v in values)
+
+    def test_kappa_flag(self, tmp_path):
+        series = tmp_path / "bounded.csv"
+        spec = ["--alpha0", "1", "--alpha1", "0.3", "--delta", "0.01"]
+        sim = ["simulate", *spec, "--n", "300", "--seed", "7", "--output", str(series)]
+        assert cli.main([*sim, "--kappa", "0.1"]) == cli.EXIT_CONFIG
+        assert cli.main([*sim, "--kappa", "0"]) == cli.EXIT_OK
+        assert cli.main([*sim, "--bound", "5", "--kappa", "0.1"]) == cli.EXIT_OK
+        # kappa reaches the conditional moments
+        reports = []
+        for kappa in ("0", "0.1"):
+            out = tmp_path / f"diagnose{kappa}.json"
+            argv = ["diagnose", *spec, "--bound", "5", "--kappa", kappa, "--input", str(series)]
+            assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["mean"] != reports[1]["mean"]
 
 
 class TestBoundedFit:
@@ -370,7 +401,7 @@ class TestBoundedFit:
             fit_stbingarch_mle(CountSeries(np.zeros(200, dtype=np.int64)), (1, 1), bound=5)
 
     def test_penalty_valued_optimum_raises(self, monkeypatch):
-        monkeypatch.setattr(extensions, "_stbingarch_loglik", lambda *args: -math.inf)
+        monkeypatch.setattr(extensions, "_window_loglik", lambda *args: -math.inf)
         with pytest.raises(ArithmeticError):
             fit_stbingarch_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])), (1, 0), bound=5)
 
@@ -400,9 +431,7 @@ class TestBoundedFit:
         assert fit.estimates[-1] < 1e-5 and fit.spec.kappa == fit.estimates[-1]
         assert fit.std_errors is None and not fit.hessian_invertible
         theta = fit.estimates
-        assert fit.loglik == extensions._stbingarch_loglik(
-            theta[:3], theta[3], series, 1, 1, 0, 5, 0.01
-        )
+        assert fit.loglik == _window_loglik(theta[:3], series, 1, 1, 0, 0.01, 5, theta[3])
         out = tmp_path / "fit.json"
         argv = ["fit", "--model", "stbingarch", "--bound", "5", "-p", "1", "-q", "1"]
         assert cli.main([*argv, "--input", str(no_inflation_csv), "--output", str(out)]) == 0
@@ -417,9 +446,7 @@ class TestBoundedFit:
         fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
         assert fit.std_errors is not None
         theta = fit.estimates
-        assert fit.loglik == extensions._stbingarch_loglik(
-            theta[:3], theta[3], series, 1, 1, 0, 5, 0.01
-        )
+        assert fit.loglik == _window_loglik(theta[:3], series, 1, 1, 0, 0.01, 5, theta[3])
 
     # delta = 1e300 overflows lambda1 * lambda2 on its way to the refusal
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -464,6 +491,33 @@ class TestBoundedFit:
         report = pearson_residuals(spec, series)
         assert abs(report.mean) < 5.0 / math.sqrt(50_000)
         assert report.variance == pytest.approx(1.0, abs=0.03)
+
+
+class TestOneObservationLaw:
+    """A fitter's log-likelihood is the sum of ``ln conditional_pmf`` over its window."""
+
+    @staticmethod
+    def pmf_loglik(spec, series):
+        start = max(spec.p, spec.q)
+        means = conditional_mean_path(spec, series)[start : len(series)]
+        terms = zip(series.counts[start:], means)
+        return math.fsum(math.log(conditional_pmf(x, m, spec)) for x, m in terms)
+
+    def test_bounded_one_inflated_fit(self):
+        spec = ModelSpec(
+            alpha0=0.787, alphas=(0.699,), betas=(-0.127,), delta=0.01, bound=5, kappa=0.118
+        )
+        series = simulate(spec, 400, burn_in=500, rng=np.random.default_rng(55))
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert fit.spec.kappa > 0.0 and fit.spec.bound == 5
+        assert fit.loglik == pytest.approx(self.pmf_loglik(fit.spec, series), rel=1e-12)
+
+    def test_unbounded_fit(self):
+        spec = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
+        series = simulate(spec, 400, burn_in=500, rng=np.random.default_rng(56))
+        fit = fit_mle(series, (1, 1), 0.25)
+        assert fit.spec.bound is None and fit.spec.kappa == 0.0
+        assert fit.loglik == pytest.approx(self.pmf_loglik(fit.spec, series), rel=1e-12)
 
 
 class TestCovariates:

@@ -201,6 +201,16 @@ class TestSkellamTails:
             ref = mp.log(mp_pmf(int(x), lam1, lam2))
             assert abs(value - ref) <= 1e-13 * max(1.0, abs(float(ref)))
 
+    # ln x! past the Bessel kernel's running-sum table comes from gammaln; the
+    # table's drift alone would reach 4x this tolerance at 1e5 and 310x at
+    # 1e6.  From about 3e6 on, rounding x/2 ln(lambda1/lambda2) - lambda1
+    # costs about 2e-9 by itself, so the grid stops at 1e6
+    @pytest.mark.parametrize("x", [10_000, 65_536, 100_000, 1_000_000])
+    def test_log_pmf_at_large_counts(self, x):
+        got = _log_pmf_arr(np.array([x]), np.array([float(x)]), 2.0)[0]
+        ref = mp.log(mp_pmf(x, *mp_lambdas(x, 2.0)))
+        assert abs(got - ref) <= 1e-10 * (1.0 + abs(float(ref)))
+
 
 class TestNoncentralChisq:
     @pytest.mark.parametrize("nu", [1.0, 3.0, 7.0])

@@ -223,6 +223,20 @@ class TestVectorizedCompanions:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_log_bessel_large_order_sizes_nothing_by_the_order(self):
+        # the pmf of a count of 4e8 at mean 4e8, delta = 0.25: a ln n! table up
+        # to the order would take 3 GiB
+        z = 2.0 * math.sqrt((4e8 + 0.125) * 0.125)
+        tracemalloc.start()
+        try:
+            value = float(_log_bessel_i_arr(np.array([400_000_000]), np.array([z]))[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # mpmath.besseli in 40-digit arithmetic
+        assert value == pytest.approx(-3977283339.9853444, rel=1e-14)
+
     def test_log_bessel_zero_argument(self):
         vec = _log_bessel_i_arr(np.array([0, 2]), np.array([0.0, 0.0]))
         assert vec[0] == 0.0 and vec[1] == -math.inf

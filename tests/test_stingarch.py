@@ -31,6 +31,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(alpha0=1.0, kappa=0.1)
         ModelSpec(alpha0=1.0, bound=5, kappa=0.1)
+        assert ModelSpec(alpha0=1.0, kappa=0.0).kappa == 0.0
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.0, math.nan])
+    def test_kappa_outside_unit_interval_refused(self, kappa):
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            ModelSpec(alpha0=1.0, bound=5, kappa=kappa)
 
     def test_integer_intercept_is_coerced(self):
         spec = ModelSpec(alpha0=20)
@@ -128,12 +134,12 @@ class TestConditionalPmf:
         assert conditional_pmf(0, -1.0, spec) == 1.0
         assert conditional_pmf(3, -1.0, spec) == 0.0
 
-    def test_rejects_negative_counts_and_bounded_specs(self):
+    def test_rejects_counts_outside_the_support(self):
         spec = ModelSpec(alpha0=1.0, delta=0.25)
         with pytest.raises(ValueError):
             conditional_pmf(-1, 0.0, spec)
-        with pytest.raises(ValueError):
-            conditional_pmf(0, 0.0, ModelSpec(alpha0=1.0, delta=0.25, bound=5))
+        with pytest.raises(ValueError, match=r"0\.\.5, got 6"):
+            conditional_pmf(6, 0.0, ModelSpec(alpha0=1.0, delta=0.25, bound=5))
 
     @pytest.mark.parametrize("m", [math.nan, math.inf])
     @pytest.mark.parametrize("delta", [0.0, 0.25])
