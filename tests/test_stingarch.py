@@ -1,12 +1,13 @@
 """Tests for the STINGARCH process layer."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from tobitcount import cli
+from tobitcount import cli, estimation
 from tobitcount.skellam import SkellamStar, censored_moments
 from tobitcount.stingarch import (
     CountSeries,
@@ -181,6 +182,85 @@ class TestSimulate:
         spec = ModelSpec(alpha0=1.0, delta=0.25)
         with pytest.raises(ValueError):
             simulate(spec, 0)
+
+
+def _sha256(counts):
+    assert counts.dtype == np.int64
+    return hashlib.sha256(counts.tobytes()).hexdigest()
+
+
+class TestSimulationStreams:
+    """Golden digests of seeded paths: the generator-call order of
+    ``simulate`` is its reproducibility contract, so any drift fails here."""
+
+    @pytest.mark.parametrize(
+        "spec, covariates, seed, digest",
+        [
+            (  # mean 40: the Poisson sampler's rejection branch
+                ModelSpec(alpha0=20.0, alphas=(0.5,), delta=2.0),
+                None,
+                1,
+                "1546323467a670161031f08e2478036135403ccf486d55f7acb71a49f7d26866",
+            ),
+            (  # the paper's (1,1) design: small means, inversion
+                ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25),
+                None,
+                2,
+                "dc23df9cd8cac685277d5684f9d5b3ba1874a6914ad42ca75e1f6a1ba28b139c",
+            ),
+            (  # negative means: the mirrored Poisson difference
+                ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
+                None,
+                3,
+                "fd746673588936833504840b95009425323eaa66422824fc648326e06be39ca5",
+            ),
+            (  # delta = 0: censored Poisson, no shared draw
+                ModelSpec(alpha0=1.0, alphas=(0.3, 0.1), betas=(0.2, 0.1), delta=0.0),
+                None,
+                4,
+                "da99248e9b017c524a3102afa7d8dc1cb29849cb348b1dccce9a19bda4ae7927",
+            ),
+            (  # bounded, one-inflated: one uniform per step
+                ModelSpec(
+                    alpha0=1.0, alphas=(0.3,), betas=(0.3,), delta=0.01, bound=5, kappa=0.1
+                ),
+                None,
+                5,
+                "5d1d06e2735939e971a330ab0bbfb88a41c1fa1a530df33bae317d9df81048cd",
+            ),
+            (
+                ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.5, gammas=(0.5, 0.25)),
+                (np.arange(2000) % 7)[:, None] / np.array([4.0, -8.0]),
+                6,
+                "9bbe4f50acd0e7aa7335930bc2d73c850401536f646c340edf359f04d8c66e60",
+            ),
+        ],
+        ids=["mean40", "paper11", "negative-mean", "delta0-p2q2", "bounded", "covariates"],
+    )
+    def test_simulate_digest(self, spec, covariates, seed, digest):
+        series = simulate(spec, 2000, rng=np.random.default_rng(seed), covariates=covariates)
+        assert _sha256(series.counts) == digest
+
+    def test_mc_study_replication_digest(self, monkeypatch):
+        paths = []
+
+        def recording_simulate(*args, **kwargs):
+            series = simulate(*args, **kwargs)
+            paths.append(series.counts)
+            return series
+
+        monkeypatch.setattr(estimation, "simulate", recording_simulate)
+        dgp = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
+        estimation.mc_study(dgp, n=250, replications=1, methods=("cls",), seed=460486347)
+        assert len(paths) == 1
+        assert _sha256(paths[0]) == "4a2f51916204c6206e43a17080b03b93cb6a0eb6912f4ec9c0fdc47458e79993"
+
+    def test_cli_simulate_csv_digest(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--alpha0", "20", "--alpha1", "0.5", "--delta", "2", "--n", "5000"]
+        assert cli.main([*argv, "--seed", "5", "--output", str(out)]) == cli.EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "0728418f963b3c00586bc0b867f12154111f6aebb77fb23cfedbe6ce4c078369"
 
 
 class TestExactMoments:
