@@ -47,6 +47,10 @@ class IngestError(Exception):
     pass
 
 
+# 2**53 is the first integer whose successor a float cannot hold
+_EXACT_INT_LIMIT = 2.0**53
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route everything through
     # the config-error path instead
@@ -54,53 +58,88 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _refusal(cells: list[str], width: int) -> Optional[str]:
+    """The first check a stripped data row fails, in precedence order."""
+    if len(cells) != width:
+        return f"expected {width} columns, got {len(cells)}"
+    if "" in cells:
+        return "missing value"
+    try:
+        value = float(cells[0])
+    except ValueError:
+        return f"{cells[0]!r} is not a number"
+    if not value.is_integer():
+        return f"count {cells[0]!r} is fractional"
+    if value < 0:
+        return f"count {cells[0]!r} is negative"
+    if value >= _EXACT_INT_LIMIT:
+        return f"count {cells[0]!r} is too large"
+    try:
+        list(map(float, cells[1:]))
+    except ValueError:
+        return "bad covariate value"
+    return None
+
+
 def ingest_csv(path: str) -> CountSeries:
     """Read counts (first column) and covariates (remaining columns).
 
-    A non-numeric first row is treated as a header.  Negative, fractional
-    or missing values are rejected with the offending 1-based row number.
+    Blank rows are skipped, and so is a first row whose first cell is not a
+    number (a header).  The first data row fixes the width.  Every other
+    row raises ``IngestError`` naming its 1-based row number; the earliest
+    bad row wins, and within a row the checks run in this order:
+
+    - ``expected W columns, got K``;
+    - ``missing value``, for an empty cell;
+    - ``'…' is not a number``, for the count;
+    - ``count '…' is fractional``, ``NaN`` and infinities included;
+    - ``count '…' is negative``;
+    - ``count '…' is too large``, at 2**53 or more, where a float no
+      longer holds every integer exactly;
+    - ``bad covariate value``.
+
+    A file that cannot be opened or holds no data row is refused too.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from exc
-    counts: list[int] = []
+    counts: list[float] = []
     covars: list[list[float]] = []
-    width: Optional[int] = None
+    width = 0  # until the first data row
     with handle:
-        reader = csv.reader(handle)
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            cells = [cell.strip() for cell in row]
-            if row_no == 1:
-                try:
-                    float(cells[0])
-                except ValueError:
-                    continue  # header row
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise IngestError(f"row {row_no}: expected {width} columns, got {len(cells)}")
-            if any(cell == "" for cell in cells):
-                raise IngestError(f"row {row_no}: missing value")
+        for row_no, row in enumerate(csv.reader(handle), start=1):
+            # a clean row costs its float parses (which strip whitespace
+            # themselves); any other row goes through the ordered checks
             try:
+                value = float(row[0])
+                zrow = list(map(float, row[1:])) if width > 1 else None
+            except (IndexError, ValueError):
+                value = -1.0  # fails the range test below
+            if len(row) != width or not (
+                value.is_integer() and 0.0 <= value < _EXACT_INT_LIMIT
+            ):
+                cells = list(map(str.strip, row))
+                if not any(cells):
+                    continue
+                if row_no == 1:
+                    try:
+                        float(cells[0])
+                    except ValueError:
+                        continue  # header row
+                width = width or len(cells)
+                refusal = _refusal(cells, width)
+                if refusal is not None:
+                    raise IngestError(f"row {row_no}: {refusal}")
                 value = float(cells[0])
-            except ValueError as exc:
-                raise IngestError(f"row {row_no}: {cells[0]!r} is not a number") from exc
-            if not value.is_integer():
-                raise IngestError(f"row {row_no}: count {cells[0]!r} is fractional")
-            if value < 0:
-                raise IngestError(f"row {row_no}: count {cells[0]!r} is negative")
-            counts.append(int(value))
-            try:
-                covars.append([float(cell) for cell in cells[1:]])
-            except ValueError as exc:
-                raise IngestError(f"row {row_no}: bad covariate value") from exc
+                zrow = list(map(float, cells[1:]))
+            counts.append(value)
+            if width > 1:
+                covars.append(zrow)
     if not counts:
         raise IngestError(f"{path}: no data rows")
-    z = np.asarray(covars) if covars and covars[0] else None
-    return CountSeries(np.asarray(counts), covariates=z)
+    z = np.array(covars) if covars else None
+    return CountSeries(np.array(counts).astype(np.int64), covariates=z)
 
 
 def _parse_float_list(text: Optional[str]) -> tuple[float, ...]:
@@ -164,15 +203,14 @@ def _json_dump(payload: dict, path: Optional[str]) -> None:
 
 
 def _write_series_csv(series: CountSeries, path: Optional[str]) -> None:
-    lines = []
-    r = 0 if series.covariates is None else series.covariates.shape[1]
-    lines.append(",".join(["count"] + [f"z{k+1}" for k in range(r)]))
-    for t in range(len(series)):
-        row = [str(int(series.counts[t]))]
-        if r:
-            row += [repr(float(v)) for v in series.covariates[t]]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+    counts = series.counts.tolist()
+    if series.covariates is None:
+        header, rows = "count", map(str, counts)
+    else:
+        z = series.covariates.tolist()
+        header = ",".join(["count"] + [f"z{k + 1}" for k in range(len(z[0]))])
+        rows = (",".join([str(c), *map(repr, zrow)]) for c, zrow in zip(counts, z))
+    text = "\n".join([header, *rows]) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

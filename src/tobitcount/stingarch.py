@@ -276,10 +276,18 @@ def simulate(
 ) -> CountSeries:
     """Simulate a path of length ``n`` after discarding ``burn_in`` steps.
 
-    Pre-sample conditional means start at ``alpha0`` and pre-sample counts
-    at the rounded censored unconditional mean.  Covariate rows, when given,
-    apply to the emitted segment only (the burn-in runs covariate-free).
-    A nonstationary specification triggers a warning, not an error.
+    Pre-sample conditional means are ``alpha0``.  Pre-sample counts are the
+    rounded linear mean ``alpha0 / (1 - sum alpha - sum beta)`` clipped at
+    0, or the rounded ``max(0, alpha0)`` when that mean is undefined.
+    Covariate rows, when given, apply to the emitted segment only (the
+    burn-in runs covariate-free).  A nonstationary specification triggers a
+    warning, not an error.
+
+    Reproducibility contract: a seeded ``rng`` gives the same path on every
+    run because the generator is called in a fixed order.  When
+    ``delta > 0``, one vector draw of ``burn_in + n`` Poisson(delta/2)
+    variates comes first.  Then each step makes one scalar Poisson call, and
+    one ``rng.random()`` only when the model is bounded with ``kappa > 0``.
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
@@ -291,58 +299,57 @@ def simulate(
         import warnings
 
         warnings.warn("simulating a specification outside the stationarity region")
-    if spec.r:
+    r = spec.r
+    if r:
         if covariates is None:
             raise ValueError("spec has covariate coefficients; pass covariates")
         covariates = np.asarray(covariates, dtype=float)
         if covariates.ndim == 1:
             covariates = covariates[:, None]
-        if covariates.shape != (n, spec.r):
-            raise ValueError(f"covariates must have shape ({n}, {spec.r})")
-    p, q = spec.p, spec.q
+        if covariates.shape != (n, r):
+            raise ValueError(f"covariates must have shape ({n}, {r})")
     try:
         x0 = int(round(max(0.0, linear_mean(spec))))
     except ValueError:
         x0 = int(round(max(0.0, spec.alpha0)))
-    x_hist = [x0] * max(p, 1)
-    m_hist = [spec.alpha0] * max(q, 1)
-    total = burn_in + n
+    alpha0, gammas, bound, kappa = spec.alpha0, spec.gammas, spec.bound, spec.kappa
+    alpha_lags = [(a, -i) for i, a in enumerate(spec.alphas, start=1)]
+    beta_lags = [(b, -j) for j, b in enumerate(spec.betas, start=1)]
+    poisson, uniform = rng.poisson, rng.random
     half = 0.5 * spec.delta
-    shared = rng.poisson(half, size=total) if spec.delta > 0.0 else np.zeros(total, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    bound, kappa = spec.bound, spec.kappa
-    for t in range(total):
-        m = spec.alpha0
-        for i in range(p):
-            m += spec.alphas[i] * x_hist[-1 - i]
-        for j in range(q):
-            m += spec.betas[j] * m_hist[-1 - j]
-        if spec.r and t >= burn_in:
-            m += float(np.dot(spec.gammas, covariates[t - burn_in]))
-        if spec.delta > 0.0:
-            # Sk*(m, delta) as a Poisson difference; the delta/2 component is
-            # parameter-free and pre-drawn
+    # Sk*(m, delta) as a Poisson difference; the delta/2 component is
+    # parameter-free and pre-drawn
+    shared = rng.poisson(half, size=burn_in + n).tolist() if spec.delta > 0.0 else None
+    xs = [x0] * spec.p  # pre-sample counts, then every drawn count
+    ms = [alpha0] * spec.q  # the last q conditional means
+    for t in range(burn_in + n):
+        m = alpha0
+        for a, lag in alpha_lags:
+            m += a * xs[lag]
+        for b, lag in beta_lags:
+            m += b * ms[lag]
+        if r and t >= burn_in:
+            m += float(np.dot(gammas, covariates[t - burn_in]))
+        if shared is not None:
             if m >= 0.0:
-                xstar = rng.poisson(m + half) - shared[t]
+                x = poisson(m + half) - shared[t]
             else:
-                xstar = shared[t] - rng.poisson(-m + half)
+                x = shared[t] - poisson(-m + half)
+            if x < 0:
+                x = 0
         else:
-            xstar = rng.poisson(m) if m > 0.0 else 0
-        x = xstar if xstar > 0 else 0
+            x = poisson(m) if m > 0.0 else 0
         if bound is not None:
             if x > bound:
                 x = bound
-            if kappa > 0.0 and rng.random() < kappa:
+            if kappa > 0.0 and uniform() < kappa:
                 x = 1
-        if p:
-            x_hist.append(x)
-            del x_hist[0]
-        if q:
-            m_hist.append(m)
-            del m_hist[0]
-        if t >= burn_in:
-            out[t - burn_in] = x
-    return CountSeries(out, covariates=covariates if spec.r else None)
+        xs.append(x)
+        if beta_lags:
+            ms.append(m)
+            del ms[0]
+    out = np.array(xs[len(xs) - n :], dtype=np.int64)
+    return CountSeries(out, covariates=covariates if r else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,120 @@
+"""Tests for the CLI's CSV reader and writer."""
+
+import re
+
+import numpy as np
+import pytest
+
+from tobitcount import cli
+from tobitcount.stingarch import CountSeries
+
+DIAGNOSE = ["diagnose", "--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25"]
+
+
+def _csv(tmp_path, text, name="series.csv"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestIngestRefusals:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("count\n3\n4,5\n", "row 3: expected 1 columns, got 2"),
+            ("count,z1\n3,0.5\n4,\n", "row 3: missing value"),
+            ("count,z1\n3,0.5\n , 0.5\n", "row 3: missing value"),
+            ("3\nabc\n", "row 2: 'abc' is not a number"),
+            ("3\n 2.5 \n", "row 2: count '2.5' is fractional"),
+            ("3\nnan\n", "row 2: count 'nan' is fractional"),
+            ("3\n-inf\n", "row 2: count '-inf' is fractional"),
+            ("3\n-1\n", "row 2: count '-1' is negative"),
+            ("3\n9007199254740993\n", "row 2: count '9007199254740993' is too large"),
+            ("3\n9007199254740992\n", "row 2: count '9007199254740992' is too large"),
+            ("3\n1e30\n", "row 2: count '1e30' is too large"),
+            ("count,z1\n3,0.5\n4,x\n", "row 3: bad covariate value"),
+            ("count\n\n", "no data rows"),
+        ],
+    )
+    def test_message_row_and_exit_code(self, tmp_path, capsys, text, message):
+        path = _csv(tmp_path, text)
+        with pytest.raises(cli.IngestError, match=re.escape(message) + "$"):
+            cli.ingest_csv(path)
+        assert cli.main([*DIAGNOSE, "--input", path]) == cli.EXIT_INGEST
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        with pytest.raises(cli.IngestError, match="cannot open"):
+            cli.ingest_csv(missing)
+        assert cli.main([*DIAGNOSE, "--input", missing]) == cli.EXIT_INGEST
+
+    def test_large_counts_below_the_limit_are_exact(self, tmp_path):
+        series = cli.ingest_csv(_csv(tmp_path, "9007199254740991\n1e15\n"))
+        assert series.counts.tolist() == [2**53 - 1, 10**15]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the earliest bad row wins, whatever its check
+            ("3\n2.5\n4,5\n", "row 2: count '2.5' is fractional"),
+            ("3\n4,5\n2.5\n", "row 2: expected 1 columns, got 2"),
+            ("3,1\n4,1\n-1,x\n1e30,1,2\n", "row 3: count '-1' is negative"),
+            # within a row: width, missing, not a number, fractional,
+            # negative, too large, covariate
+            ("3,1\nabc,,2\n", "row 2: expected 2 columns, got 3"),
+            ("3,1\nabc,\n", "row 2: missing value"),
+            ("3,1\nabc,x\n", "row 2: 'abc' is not a number"),
+            ("3,1\n-1.5,x\n", "row 2: count '-1.5' is fractional"),
+            ("3,1\n-1,x\n", "row 2: count '-1' is negative"),
+            ("3,1\n1e30,x\n", "row 2: count '1e30' is too large"),
+            ("3,1\n4,x\n", "row 2: bad covariate value"),
+        ],
+    )
+    def test_precedence(self, tmp_path, text, message):
+        with pytest.raises(cli.IngestError, match="^" + re.escape(message) + "$"):
+            cli.ingest_csv(_csv(tmp_path, text))
+
+
+class TestIngestLayout:
+    def test_header_and_blank_rows_are_skipped(self, tmp_path):
+        text = "count,z1\n\n3 , 0.5\n , \n4,-0.25\n,\n"
+        series = cli.ingest_csv(_csv(tmp_path, text))
+        assert series.counts.dtype == np.int64
+        assert series.counts.tolist() == [3, 4]
+        assert series.covariates.tolist() == [[0.5], [-0.25]]
+
+    def test_header_only_in_the_first_row(self, tmp_path):
+        with pytest.raises(cli.IngestError, match="^row 2: 'count' is not a number$"):
+            cli.ingest_csv(_csv(tmp_path, "3\ncount\n"))
+        with pytest.raises(cli.IngestError, match="^row 2: 'count' is not a number$"):
+            cli.ingest_csv(_csv(tmp_path, "\ncount\n3\n"))
+
+    def test_header_with_an_empty_first_cell(self, tmp_path):
+        series = cli.ingest_csv(_csv(tmp_path, ",z1\n3,0.5\n"))
+        assert series.counts.tolist() == [3]
+        assert series.covariates.tolist() == [[0.5]]
+
+    def test_one_column_has_no_covariates(self, tmp_path):
+        series = cli.ingest_csv(_csv(tmp_path, "count\n0\n7\n-0\n"))
+        assert series.counts.tolist() == [0, 7, 0]
+        assert series.covariates is None
+
+    def test_write_then_ingest_round_trip(self, tmp_path):
+        z = np.array(
+            [[0.1, 1.0 / 3.0], [5e-324, -2.5e300], [-0.0, 1e16], [123456.789, 2.0**-1074]]
+        )
+        series = CountSeries(np.array([0, 17, 2**52, 3]), covariates=z)
+        first = tmp_path / "first.csv"
+        cli._write_series_csv(series, str(first))
+        assert first.read_text().splitlines()[0] == "count,z1,z2"
+        again = cli.ingest_csv(str(first))
+        assert np.array_equal(again.counts, series.counts)
+        assert again.covariates.tobytes() == series.covariates.tobytes()
+        second = tmp_path / "second.csv"
+        cli._write_series_csv(again, str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_writer_without_covariates(self, tmp_path, capsys):
+        cli._write_series_csv(CountSeries(np.array([4, 0, 12])), None)
+        assert capsys.readouterr().out == "count\n4\n0\n12\n"

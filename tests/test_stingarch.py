@@ -252,8 +252,8 @@ class TestSimulationStreams:
         monkeypatch.setattr(estimation, "simulate", recording_simulate)
         dgp = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
         estimation.mc_study(dgp, n=250, replications=1, methods=("cls",), seed=460486347)
-        assert len(paths) == 1
-        assert _sha256(paths[0]) == "4a2f51916204c6206e43a17080b03b93cb6a0eb6912f4ec9c0fdc47458e79993"
+        digest = "4a2f51916204c6206e43a17080b03b93cb6a0eb6912f4ec9c0fdc47458e79993"
+        assert len(paths) == 1 and _sha256(paths[0]) == digest
 
     def test_cli_simulate_csv_digest(self, tmp_path):
         out = tmp_path / "sim.csv"
