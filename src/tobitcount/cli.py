@@ -1,8 +1,11 @@
 """Command-line interface: simulate, fit, moments, diagnose, mc-study.
 
 CSV comes in (one count column, optional covariate columns), JSON or CSV
-goes out.  Exit codes: 0 success, 1 configuration error, 2 ingestion error,
-3 numerical failure, a non-finite output value included (nothing is
+goes out.  Only ``fit`` and ``diagnose`` read a CSV, so only ``diagnose``
+takes covariate coefficients (``--gammas``).  Exit codes: 0 success,
+1 configuration error, an unknown flag included, 2 ingestion error, a
+non-finite covariate included, 3 numerical failure, a fit window without a
+positive count and a non-finite output value included (nothing is
 written), 4 non-convergence (the result is still written).
 Number serialization relies on Python's shortest-round-trip float
 representation, so re-reading and re-serializing any output reproduces it
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
@@ -24,6 +28,7 @@ from .diagnostics import pearson_residuals
 from .estimation import FitResult, fit_clade, fit_cls, fit_mle, mc_study
 from .extensions import fit_stbingarch_mle, fit_tinars1_mle
 from .stingarch import (
+    _EXACT_INT_LIMIT,
     CountSeries,
     ModelSpec,
     exact_moments_stinarch1,
@@ -45,10 +50,6 @@ class ConfigError(Exception):
 
 class IngestError(Exception):
     pass
-
-
-# 2**53 is the first integer whose successor a float cannot hold
-_EXACT_INT_LIMIT = 2.0**53
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,10 +76,11 @@ def _refusal(cells: list[str], width: int) -> Optional[str]:
     if value >= _EXACT_INT_LIMIT:
         return f"count {cells[0]!r} is too large"
     try:
-        list(map(float, cells[1:]))
+        if all(map(math.isfinite, map(float, cells[1:]))):
+            return None
     except ValueError:
-        return "bad covariate value"
-    return None
+        pass
+    return "bad covariate value"
 
 
 def ingest_csv(path: str) -> CountSeries:
@@ -96,7 +98,8 @@ def ingest_csv(path: str) -> CountSeries:
     - ``count '…' is negative``;
     - ``count '…' is too large``, at 2**53 or more, where a float no
       longer holds every integer exactly;
-    - ``bad covariate value``.
+    - ``bad covariate value``, for a covariate that is not a finite
+      number (``nan`` and ``inf`` included).
 
     A file that cannot be opened or holds no data row is refused too.
     """
@@ -116,8 +119,10 @@ def ingest_csv(path: str) -> CountSeries:
                 zrow = list(map(float, row[1:])) if width > 1 else None
             except (IndexError, ValueError):
                 value = -1.0  # fails the range test below
-            if len(row) != width or not (
-                value.is_integer() and 0.0 <= value < _EXACT_INT_LIMIT
+            if (
+                len(row) != width
+                or not (value.is_integer() and 0.0 <= value < _EXACT_INT_LIMIT)
+                or (width > 1 and not all(map(math.isfinite, zrow)))
             ):
                 cells = list(map(str.strip, row))
                 if not any(cells):
@@ -406,7 +411,6 @@ def _add_spec_arguments(parser, with_bound: bool = True) -> None:
     parser.add_argument("--alphas", type=str, help="comma-separated count coefficients")
     parser.add_argument("--beta1", type=float, help="lag-1 feedback coefficient")
     parser.add_argument("--betas", type=str, help="comma-separated feedback coefficients")
-    parser.add_argument("--gammas", type=str, help="comma-separated covariate coefficients")
     parser.add_argument("--delta", type=float, help="dispersion parameter")
     if with_bound:
         parser.add_argument("--bound", type=int, help="upper bound N for bounded counts")
@@ -445,6 +449,8 @@ def build_parser() -> _Parser:
 
     diag = sub.add_parser("diagnose", help="Pearson-residual report for a given model")
     _add_spec_arguments(diag)
+    # of the commands that take a model, only diagnose reads covariates
+    diag.add_argument("--gammas", type=str, help="comma-separated covariate coefficients")
     diag.add_argument("--input", type=str, required=True)
     diag.add_argument("--max-lag", type=int, default=5, dest="max_lag")
     diag.add_argument("--output", type=str, default=None)

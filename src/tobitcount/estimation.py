@@ -214,60 +214,39 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
 # ---------------------------------------------------------------------------
 
 
-# Coefficients of p(x-2) .. p(x+2) in the lambda-derivatives
-# (Q1, Q2, Q11, Q12, Q22) of a likelihood term Q, from the Skellam difference
-# identities dp(x)/dlambda1 = p(x-1) - p(x) and dp(x)/dlambda2 = p(x+1) - p(x).
-# A positive count has Q = p(x); a zero has Q = F(0), so that
-# dF(0)/dlambda1 = -p(0) and dF(0)/dlambda2 = p(1).
-_SHIFTS = np.arange(-2, 3)
-_POSITIVE_TERM = np.array(
-    [
-        [0, 1, -1, 0, 0],
-        [0, 0, -1, 1, 0],
-        [1, -2, 1, 0, 0],
-        [0, -1, 2, -1, 0],
-        [0, 0, 1, -2, 1],
-    ],
-    dtype=float,
-)
-_ZERO_TERM = np.array(
-    [
-        [0, 0, -1, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, -1, 1, 0, 0],
-        [0, 0, 1, -1, 0],
-        [0, 0, 0, -1, 1],
-    ],
-    dtype=float,
-)
-
-
 def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     """First and second derivatives of each likelihood term's log.
 
-    Returns ``(g_m, g_d, h_mm, h_dd, h_md)`` for ``ln Q`` in ``(m, delta)``,
-    where ``Q = P(X* = x)`` for a positive count and ``Q = P(X* <= 0)`` for a
-    zero.  The lambda-derivatives of ``Q`` are fixed combinations of
-    ``p(x-2) .. p(x+2)``, so ``g_i = Q_i/Q`` and ``h_ij = Q_ij/Q - g_i g_j``
-    are sums of pmf ratios.  ``lambda1,2 = (|m| +- m + delta)/2`` is linear
-    on each side of ``m = 0``: ``dlambda/dm`` is ``(1, 0)`` for ``m >= 0``
-    (the knife edge included) and ``(0, -1)`` below, and ``dlambda/ddelta``
-    is ``(1/2, 1/2)``.  Raises ``ArithmeticError`` when a term's probability
-    underflows to zero.
+    Returns ``(g_m, g_d, h_mm, h_dd, h_md)`` for ``ln Q`` in ``(m, delta)``.
+    Each term is the latent mass of an interval, ``Q = sum_{lo..hi} p(y)``:
+    ``[x, x]`` for a positive count, ``(-inf, 0]`` for a zero.  The Skellam
+    identities ``dp(y)/dlambda1 = p(y-1) - p(y)`` and ``dp(y)/dlambda2 =
+    p(y+1) - p(y)`` telescope over it, with ``p = 0`` at an infinite end:
+    ``Q1 = p(lo-1) - p(hi)``, ``Q2 = p(hi+1) - p(lo)``, ``Q11 = p(lo-2) -
+    p(lo-1) - p(hi-1) + p(hi)``, ``Q12 = p(lo) - p(lo-1) - p(hi+1) + p(hi)``
+    and ``Q22 = p(hi+2) - p(hi+1) - p(lo+1) + p(lo)``.  So ``g_i = Q_i/Q``
+    and ``h_ij = Q_ij/Q - g_i g_j`` are sums of pmf ratios.  ``lambda1,2 =
+    (|m| +- m + delta)/2`` is linear on each side of ``m = 0``:
+    ``dlambda/dm`` is ``(1, 0)`` for ``m >= 0`` (the knife edge included)
+    and ``(0, -1)`` below, and ``dlambda/ddelta`` is ``(1/2, 1/2)``.  Raises
+    ``ArithmeticError`` when a term's probability underflows to zero.
     """
     zero = x <= 0
-    log_p = skellam._log_pmf_arr(x + _SHIFTS[:, None], m, delta)
+    log_p = skellam._log_pmf_arr(x + np.arange(-2, 3)[:, None], m, delta)
     log_q = log_p[2].copy()
     if zero.any():  # the mixture kernel costs tens of microseconds even when empty
         with np.errstate(divide="ignore"):
             log_q[zero] = np.log(skellam._cdf0_arr(m[zero], delta))
     if not np.all(np.isfinite(log_q)):
         raise ArithmeticError("likelihood term probability underflowed")
-    ratios = np.exp(log_p - log_q)
-    g1, g2, q11, q12, q22 = np.where(zero, _ZERO_TERM @ ratios, _POSITIVE_TERM @ ratios)
-    h11 = q11 - g1 * g1
-    h12 = q12 - g1 * g2
-    h22 = q22 - g2 * g2
+    # p(hi-2) .. p(hi+2) and p(lo-2) .. p(lo+2) over Q; lo = -inf for a zero
+    hi = np.exp(log_p - log_q)
+    lo = np.where(zero, 0.0, hi)
+    g1 = lo[1] - hi[2]
+    g2 = hi[3] - lo[2]
+    h11 = lo[0] - lo[1] - hi[1] + hi[2] - g1 * g1
+    h12 = lo[2] - lo[1] - hi[3] + hi[2] - g1 * g2
+    h22 = hi[4] - hi[3] - lo[3] + lo[2] - g2 * g2
     up = m >= 0.0
     g_m = np.where(up, g1, -g2)
     g_d = 0.5 * (g1 + g2)
@@ -312,11 +291,12 @@ def _mean_derivatives(theta_dyn, series, p, q, r):
 
 
 def _score_parts(theta, series: CountSeries, orders, scenario):
-    """Shared core of the analytic score and Hessian over the likelihood window.
+    """Per-observation gradients and the summed Hessian of :func:`loglik`.
 
-    Returns ``(dm_w, g_m, g_d, hess)``: the mean derivatives, the
-    per-observation log-density derivatives in ``m`` and ``delta``, and the
-    summed Hessian of :func:`loglik` with respect to the natural parameters.
+    Returns ``(grads, hess)``.  Row ``t`` of the ``(n_eff, k)`` array
+    ``grads`` is term ``t``'s gradient in the natural parameters:
+    ``dM_t g_m,t``, then ``g_d,t`` under scenario 2.  ``hess`` is the
+    ``(k, k)`` Hessian of the summed terms.
     """
     p, q, r = _orders(orders, series)
     _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
@@ -330,6 +310,8 @@ def _score_parts(theta, series: CountSeries, orders, scenario):
         series.counts[start:], m[start:], delta
     )
     dm_w = dm[start:]
+    grads = np.empty((dm_w.shape[0], k_all))
+    grads[:, :k_dyn] = dm_w * g_m[:, None]
     # sum_t g_m d2M_t is nonzero only in the beta rows and columns
     curvature = np.zeros((k_dyn, k_dyn))
     beta_rows = np.tensordot(g_m, d2m_beta[start:], axes=1)
@@ -338,11 +320,12 @@ def _score_parts(theta, series: CountSeries, orders, scenario):
     hess = np.zeros((k_all, k_all))
     hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None]) + curvature
     if scenario.estimates_delta:
+        grads[:, -1] = g_d
         cross = dm_w.T @ h_md
         hess[:k_dyn, -1] = cross
         hess[-1, :k_dyn] = cross
         hess[-1, -1] = h_dd.sum()
-    return dm_w, g_m, g_d, hess
+    return grads, hess
 
 
 def analytic_score_hessian(theta, series: CountSeries, orders, scenario):
@@ -353,30 +336,22 @@ def analytic_score_hessian(theta, series: CountSeries, orders, scenario):
     the Hessian is returned as ``d^2 L / dtheta dtheta'`` (negative definite
     near the optimum).
     """
-    dm_w, g_m, g_d, hess = _score_parts(theta, series, orders, scenario)
-    grad = np.zeros(hess.shape[0])
-    grad[: dm_w.shape[1]] = dm_w.T @ g_m
-    if scenario.estimates_delta:
-        grad[-1] = g_d.sum()
-    return grad, hess
+    grads, hess = _score_parts(theta, series, orders, scenario)
+    return grads.sum(axis=0), hess
 
 
 def information_matrices(theta, series: CountSeries, orders, scenario):
-    """Outer-product and curvature information estimates ``(U_hat, V_hat)``.
+    """Curvature and outer-product information estimates ``(U_hat, V_hat)``.
 
-    ``V_hat`` averages the per-observation score outer products and
-    ``U_hat`` the negated per-observation Hessians, both evaluated at
-    ``theta``.  Exposed for inspection; reported standard errors use the
-    plain inverse numerical Hessian instead.
+    ``U_hat = -H/n`` is the negated analytic Hessian per observation and
+    ``V_hat = (1/n) sum_t s_t s_t'`` averages the outer products of the
+    per-observation scores ``s_t``, both at ``theta`` over the ``n``
+    likelihood terms.  Exposed for inspection; reported standard errors use
+    the plain inverse numerical Hessian instead.
     """
-    dm_w, g_m, g_d, hess = _score_parts(theta, series, orders, scenario)
-    count = dm_w.shape[0]
-    per_term_grad = np.zeros((count, hess.shape[0]))
-    per_term_grad[:, : dm_w.shape[1]] = dm_w * g_m[:, None]
-    if scenario.estimates_delta:
-        per_term_grad[:, -1] = g_d
-    v_hat = per_term_grad.T @ per_term_grad / count
-    return -hess / count, v_hat
+    grads, hess = _score_parts(theta, series, orders, scenario)
+    count = grads.shape[0]
+    return -hess / count, grads.T @ grads / count
 
 
 def _se_from_loglik_hessian(hess: np.ndarray):
@@ -503,6 +478,15 @@ def _nelder_mead(fun, x0, fatol=1e-10):
     )
 
 
+def _require_positive_count(window: np.ndarray) -> None:
+    """Refuse a fit window without a positive count, which every parameter
+    keeping all ``M_t <= 0`` fits perfectly."""
+    if not np.any(window > 0):
+        raise ValueError(
+            "no positive count after the conditioning prefix: the fit has no unique optimum"
+        )
+
+
 def _fit(
     natural_loglik,
     theta0: np.ndarray,
@@ -533,14 +517,11 @@ def _fit(
     standard errors invert its Hessian with :func:`_difference_steps`
     (none for ``delta <= 1e-8`` or ``kappa <= 1e-5``).  ``window`` holds
     the counts after the conditioning prefix.  Raises ``ValueError`` when
-    none of them is positive (the likelihood then has no maximum) or a
+    none of them is positive (:func:`_require_positive_count`) or a
     ``signed`` parameter runs to +-1, and ``ArithmeticError`` when the best
     point is a penalty value.
     """
-    if not np.any(window > 0):
-        raise ValueError(
-            "no positive count after the conditioning prefix: the likelihood has no maximum"
-        )
+    _require_positive_count(window)
     table = [_KINDS[kind] for kind in kinds]
     mapped = [(i, _KINDS[kind]) for i, kind in enumerate(kinds) if kind != "free"]
 
@@ -691,6 +672,7 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
     n = len(series)
     n_eff = n - max(p, q)
     names = _param_names(p, q, r, with_delta=False)
+    _require_positive_count(series.counts[max(p, q):])
     if p == 0 and q == 0 and r == 0:
         # closed-form location case: the objective is minimized by the
         # median (absolute deviations) or mean (squared deviations)
@@ -743,6 +725,8 @@ def fit_clade(series: CountSeries, orders=(1, 0)) -> FitResult:
     (the objective is non-convex and piecewise-flat, so jittered restarts
     are mandatory).  No dispersion estimate, no standard errors and no
     ``spec`` are produced; the attained objective value is reported instead.
+    Raises ``ValueError`` when no count after the conditioning prefix is
+    positive.
     """
     return _fit_censored_deviation(series, orders, power=1, method="clade")
 
@@ -752,7 +736,8 @@ def fit_cls(series: CountSeries, orders=(1, 0)) -> FitResult:
 
     The objective is continuous in the parameters, but ``max(0, M_t)``
     makes its slope jump where a mean crosses zero and the objective is not
-    convex, hence the same multi-start strategy as :func:`fit_clade`.
+    convex, hence the same multi-start strategy and refusal as
+    :func:`fit_clade`.
     """
     return _fit_censored_deviation(series, orders, power=2, method="cls")
 
@@ -830,17 +815,11 @@ def _mc_one_replication(args):
                     [dgp.alpha0, *dgp.alphas, *dgp.betas]
                     + ([dgp.delta] if scenario.estimates_delta else [])
                 )
-                ll_true = loglik(truth, series, orders, scenario)
-                if fit.loglik is not None and fit.loglik < ll_true - 1e-6:
+                if fit.loglik < loglik(truth, series, orders, scenario) - 1e-6:
                     regression = 1
-                out[name] = (
-                    fit.estimates,
-                    fit.std_errors,
-                    fit.hessian_invertible,
-                )
             else:
                 fit = _METHOD_FITTERS[name](series, orders)
-                out[name] = (fit.estimates, None, None)
+            out[name] = (fit.estimates, fit.std_errors)
         except (ValueError, ArithmeticError, np.linalg.LinAlgError):
             out[name] = None
     return out, regression
@@ -860,8 +839,15 @@ def mc_study(
     Each path is simulated after a burn-in of 500 steps.  Each replication
     owns an independently spawned random stream derived from ``seed``, so
     results are identical no matter how many worker processes execute them.
-    Per-replication estimation failures are tallied, not raised.
+    Per-replication estimation failures are tallied, not raised.  The
+    fitters estimate the unbounded covariate-free model, so a ``dgp`` with a
+    ``bound`` or covariate coefficients raises ``ValueError``.
     """
+    if dgp.bound is not None or dgp.r:
+        raise ValueError(
+            "mc_study simulates and fits the unbounded model without covariates: "
+            f"got bound={dgp.bound}, {dgp.r} covariate coefficients"
+        )
     scenario = _as_scenario(scenario)
     methods = tuple(methods)
     unknown = set(methods) - set(_METHOD_FITTERS)
@@ -882,31 +868,20 @@ def mc_study(
         results = [_mc_one_replication(t) for t in tasks]
     means, sim_se, approx_se, noninv, fails, names = {}, {}, {}, {}, {}, {}
     for name in methods:
-        ests = [r[0][name][0] for r in results if r[0][name] is not None]
-        fails[name] = replications - len(ests)
-        if ests:
-            arr = np.vstack(ests)
+        fits = [r[0][name] for r in results if r[0][name] is not None]
+        fails[name] = replications - len(fits)
+        means[name] = sim_se[name] = np.array([])
+        if fits:
+            arr = np.vstack([est for est, _ in fits])
             means[name] = arr.mean(axis=0)
-            sim_se[name] = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(
-                arr.shape[1]
-            )
-        else:
-            means[name] = np.array([])
-            sim_se[name] = np.array([])
+            sim_se[name] = arr.std(axis=0, ddof=1) if len(fits) > 1 else np.zeros(arr.shape[1])
+        # only the likelihood fit has standard errors; a fit without them
+        # had a non-invertible Hessian
+        ses = [se for _, se in fits if se is not None]
+        approx_se[name] = np.vstack(ses).mean(axis=0) if ses else None
+        noninv[name] = None
         if name == "mle":
-            ses = [
-                r[0][name][1]
-                for r in results
-                if r[0][name] is not None and r[0][name][1] is not None
-            ]
-            approx_se[name] = np.vstack(ses).mean(axis=0) if ses else None
-            flags = [
-                not r[0][name][2] for r in results if r[0][name] is not None
-            ]
-            noninv[name] = float(np.mean(flags)) if flags else 0.0
-        else:
-            approx_se[name] = None
-            noninv[name] = None
+            noninv[name] = float(np.mean([se is None for _, se in fits])) if fits else 0.0
         names[name] = _param_names(
             dgp.p, dgp.q, 0, scenario.estimates_delta and name == "mle"
         )

@@ -91,9 +91,14 @@ class ModelSpec:
         return len(self.gammas)
 
 
+# 2**53 is the first integer whose successor a float cannot hold
+_EXACT_INT_LIMIT = 2.0**53
+
+
 @dataclass(frozen=True)
 class CountSeries:
-    """Observed counts plus optional covariate columns."""
+    """Observed counts plus optional covariate columns; float counts must be
+    integers below 2**53 in magnitude and covariates finite."""
 
     counts: np.ndarray
     covariates: Optional[np.ndarray] = None
@@ -103,7 +108,11 @@ class CountSeries:
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(np.asarray(counts, dtype=float))
+            counts = np.asarray(counts, dtype=float)
+            bad = counts[~(np.abs(counts) < _EXACT_INT_LIMIT)]  # NaN included
+            if bad.size:
+                raise ValueError(f"counts must be below 2**53 in magnitude, got {bad[:3]}")
+            rounded = np.rint(counts)
             if not np.allclose(counts, rounded, atol=0.0):
                 raise ValueError("counts must be integers")
             counts = rounded.astype(np.int64)
@@ -112,6 +121,9 @@ class CountSeries:
         object.__setattr__(self, "counts", counts.astype(np.int64))
         if self.covariates is not None:
             z = np.asarray(self.covariates, dtype=float)
+            bad = z[~np.isfinite(z)]
+            if bad.size:
+                raise ValueError(f"covariates must be finite, got {bad[:3]}")
             if z.ndim == 1:
                 z = z[:, None]
             if z.shape[0] != counts.shape[0]:

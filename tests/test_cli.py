@@ -33,6 +33,9 @@ class TestIngestRefusals:
             ("3\n9007199254740992\n", "row 2: count '9007199254740992' is too large"),
             ("3\n1e30\n", "row 2: count '1e30' is too large"),
             ("count,z1\n3,0.5\n4,x\n", "row 3: bad covariate value"),
+            ("count,z1\n3,0.5\n4,nan\n", "row 3: bad covariate value"),
+            ("count,z1\n3,0.5\n4, inf \n", "row 3: bad covariate value"),
+            ("count,z1,z2\n3,0.5,-inf\n", "row 2: bad covariate value"),
             ("count\n\n", "no data rows"),
         ],
     )
@@ -69,6 +72,8 @@ class TestIngestRefusals:
             ("3,1\n-1,x\n", "row 2: count '-1' is negative"),
             ("3,1\n1e30,x\n", "row 2: count '1e30' is too large"),
             ("3,1\n4,x\n", "row 2: bad covariate value"),
+            ("3,1\n1e30,nan\n", "row 2: count '1e30' is too large"),
+            ("3,1\n4,nan\n2.5,1\n", "row 2: bad covariate value"),
         ],
     )
     def test_precedence(self, tmp_path, text, message):
@@ -118,3 +123,43 @@ class TestIngestLayout:
     def test_writer_without_covariates(self, tmp_path, capsys):
         cli._write_series_csv(CountSeries(np.array([4, 0, 12])), None)
         assert capsys.readouterr().out == "count\n4\n0\n12\n"
+
+
+class TestRefusedFlagsAndFits:
+    def test_fit_on_a_nan_covariate_is_an_ingestion_error(self, tmp_path, capsys):
+        rows = [f"{k % 5},{(k % 7) / 4}" for k in range(50)]
+        rows[20] = "3,nan"
+        path = _csv(tmp_path, "count,z1\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "fit.json"
+        argv = ["fit", "-p", "1", "-q", "0", "--input", path, "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_INGEST
+        assert capsys.readouterr().err.endswith("row 22: bad covariate value\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["cls", "clade"])
+    def test_fit_on_zeros_is_a_numerical_failure(self, tmp_path, capsys, method):
+        path = _csv(tmp_path, "count\n" + "0\n" * 60)
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--method", method, "--input", path, "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert "no positive count" in capsys.readouterr().err
+        assert not out.exists()
+
+    # moments is covered by test_cli_exact_without_the_route_is_a_configuration_error
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--n", "10"], ["mc-study", "--n", "50", "--replications", "1"]],
+        ids=["simulate", "mc-study"],
+    )
+    def test_gammas_only_on_diagnose(self, capsys, argv):
+        spec = ["--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25", "--gammas", "0.5"]
+        assert cli.main([*argv, *spec]) == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --gammas 0.5" in capsys.readouterr().err
+
+    def test_diagnose_takes_gammas_with_a_covariate_csv(self, tmp_path):
+        rows = [f"{k % 5},{(k % 7) / 4}" for k in range(60)]
+        path = _csv(tmp_path, "count,z1\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "diagnose.json"
+        argv = [*DIAGNOSE, "--gammas", "0.5", "--input", path, "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert out.exists()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tobitcount import cli, estimation
+from tobitcount import cli, estimation, skellam
 from tobitcount.diagnostics import information_criteria
 from tobitcount.estimation import (
     EstimationScenario,
@@ -271,6 +271,47 @@ class TestAnalyticDerivatives:
         ratio = np.diag(u_hat) / np.diag(v_hat)
         assert np.all(ratio > 0.3) and np.all(ratio < 3.0)
 
+
+    @pytest.mark.parametrize(
+        "case, theta",
+        [
+            ("10", [7.45, -0.49, 0.3]),
+            ("11", [8.4, -0.44, -0.26, 0.3]),
+            ("11-zeros", [-0.45, 0.38, 0.32, 0.9]),
+        ],
+    )
+    def test_outer_product_information_matches_term_differences(
+        self, case, theta, series_10, series_11
+    ):
+        # V_hat = (1/n) sum_t s_t s_t' with s_t a central difference of term
+        # t's log through the mean path, at points clear of the kink; the
+        # zero-heavy series is 83% zeros
+        series = {
+            "10": series_10,
+            "11": series_11,
+            "11-zeros": simulate(
+                ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
+                600,
+                rng=np.random.default_rng(37),
+            ),
+        }[case]
+        theta = np.array(theta)
+        p, q, r = estimation._orders((1, 0) if case == "10" else (1, 1), series)
+        assert not _stencil_crosses_kink(theta, series, p, q, r)
+        x = series.counts[max(p, q):]
+
+        def terms(t):
+            m = _mean_path(t[:-1], series, p, q, r)[max(p, q):]
+            return skellam._log_obs_arr(x, m, t[-1])
+
+        scores = np.empty((x.shape[0], theta.shape[0]))
+        for i in range(theta.shape[0]):
+            e = np.zeros_like(theta)
+            e[i] = 1e-5 * (1.0 + abs(theta[i]))
+            scores[:, i] = (terms(theta + e) - terms(theta - e)) / (2.0 * e[i])
+        reference = scores.T @ scores / x.shape[0]
+        _, v_hat = information_matrices(theta, series, (p, q), SC2)
+        assert np.max(np.abs(v_hat - reference) / (1.0 + np.abs(reference))) < 1e-6
 
     def test_curvature_information_is_scaled_analytic_hessian(self, series_11):
         theta = np.array([8.4, -0.44, -0.26, 0.3])
@@ -701,6 +742,17 @@ class TestCensoredDeviationFits:
         # the deviation fits estimate no delta, so they report no model
         assert fitter(series_10, orders).spec is None
 
+    @pytest.mark.parametrize("fitter", [fit_clade, fit_cls])
+    @pytest.mark.parametrize("orders", [(0, 0), (1, 0), (1, 1)])
+    def test_window_without_a_positive_count_is_refused(self, fitter, orders):
+        # every parameter keeping all M_t <= 0 attains the objective 0; the
+        # positive count sits in the conditioning prefix (or, for (0, 0),
+        # there is none)
+        counts = np.zeros(60, dtype=int)
+        counts[0] = 0 if orders == (0, 0) else 4
+        with pytest.raises(ValueError, match="no positive count"):
+            fitter(CountSeries(counts), orders)
+
 
 class TestMcStudy:
     def test_structure_and_determinism(self):
@@ -722,6 +774,19 @@ class TestMcStudy:
         assert np.array_equal(
             serial.mean_approx_se["mle"], parallel.mean_approx_se["mle"]
         )
+
+    @pytest.mark.parametrize(
+        "dgp",
+        [
+            ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.25, bound=5, kappa=0.2),
+            ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.25, bound=5),
+            ModelSpec(alpha0=1.0, alphas=(0.3,), delta=0.25, gammas=(0.5,)),
+        ],
+        ids=["bounded-kappa", "bounded", "covariates"],
+    )
+    def test_dgp_outside_the_fitted_model_is_refused(self, dgp):
+        with pytest.raises(ValueError, match="unbounded model without covariates"):
+            mc_study(dgp, n=100, replications=2, methods=("cls",))
 
     def test_unknown_method_rejected(self):
         spec = ModelSpec(alpha0=5.0, delta=0.25)

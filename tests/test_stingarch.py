@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ class TestSpecValidation:
             CountSeries(np.array([1.5, 2.0]))
         with pytest.raises(ValueError):
             CountSeries(np.array([1, 2]), covariates=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [1e30, math.inf, -math.inf, math.nan, 2.0**60, 2.0**53])
+    def test_float_counts_beyond_exact_integers_are_named(self, bad):
+        # refused before the integer cast, which would warn and wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"below 2\*\*53 in magnitude, got \["):
+                CountSeries(np.array([3.0, bad]))
+
+    def test_float_counts_below_the_limit_are_exact(self):
+        series = CountSeries(np.array([3.0, 2.0**53 - 1.0]))
+        assert series.counts.tolist() == [3, 2**53 - 1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covariates_are_named(self, bad):
+        z = np.array([[0.5], [bad], [1.0]])
+        with pytest.raises(ValueError, match=r"covariates must be finite, got \[(nan|inf)\]"):
+            CountSeries(np.array([1, 2, 3]), covariates=z)
 
 
 class TestStationarity:
@@ -316,16 +335,22 @@ class TestExactMoments:
 
     MOMENTS_ARGV = ["moments", "--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25"]
 
+    # moments takes no covariate coefficients, so --gammas is an unknown flag
     @pytest.mark.parametrize(
-        "extra", [["--beta1", "0.2"], ["--gammas", "0.3"]], ids=["feedback", "covariates"]
+        "extra, message",
+        [
+            (["--beta1", "0.2"], "--method exact needs a STINARCH(1) model"),
+            (["--gammas", "0.3"], "unrecognized arguments: --gammas 0.3"),
+        ],
+        ids=["feedback", "covariates"],
     )
     def test_cli_exact_without_the_route_is_a_configuration_error(
-        self, extra, tmp_path, capsys
+        self, extra, message, tmp_path, capsys
     ):
         out = tmp_path / "moments.json"
         argv = [*self.MOMENTS_ARGV, *extra, "--method", "exact", "--output", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert "--method exact needs a STINARCH(1) model" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_all_without_the_route_writes_null(self, tmp_path):
