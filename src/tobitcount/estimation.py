@@ -15,6 +15,13 @@ gradient and the nonzero beta rows of its Hessian each come from one banded
 triangular solve of the recursion's feedback ``1 - sum_j beta_j B^j``.
 Approximate standard errors follow the usual practice of inverting a
 numerical Hessian of the maximized log-likelihood.
+
+Every likelihood fit runs one Nelder-Mead pass and then evaluates that
+numerical Hessian, with the central gradient its stencil yields for free.
+A negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g`` below
+``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and the fit
+ends there; otherwise a second pass restarts from that point and, where an
+analytic score exists, a BFGS polish follows.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ __all__ = [
 ]
 
 _PENALTY = 1e12
+# a first simplex point whose Newton decrement g'(-H)^-1 g is at most this
+# times 1 + |loglik| is a certified maximum and ends the search
+_CERTIFICATE = 1e-10
 # |log delta| beyond this lets delta**2 in the score under- or overflow
 _LOG_DELTA_LIMIT = 300.0
 
@@ -379,17 +389,26 @@ def _se_from_loglik_hessian(hess: np.ndarray):
     return np.sqrt(diag)
 
 
-def numerical_hessian(fun, x0: np.ndarray, steps) -> np.ndarray:
-    """Central-difference Hessian of a scalar function with per-coordinate ``steps``."""
+def numerical_hessian(fun, x0: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradient and Hessian of a scalar function with
+    per-coordinate ``steps``.
+
+    The gradient reuses the Hessian diagonal's ``fun(x0 +- h_i e_i)``, so it
+    costs no extra call.
+    """
     x0 = np.asarray(x0, dtype=float)
     k = x0.shape[0]
     h = np.asarray(steps, dtype=float)
+    grad = np.empty(k)
     hess = np.empty((k, k))
     f0 = fun(x0)
     for i in range(k):
         ei = np.zeros(k)
         ei[i] = h[i]
-        hess[i, i] = (fun(x0 + ei) - 2.0 * f0 + fun(x0 - ei)) / (h[i] * h[i])
+        fp = fun(x0 + ei)
+        fm = fun(x0 - ei)
+        grad[i] = (fp - fm) / (2.0 * h[i])
+        hess[i, i] = (fp - 2.0 * f0 + fm) / (h[i] * h[i])
         for j in range(i + 1, k):
             ej = np.zeros(k)
             ej[j] = h[j]
@@ -398,7 +417,7 @@ def numerical_hessian(fun, x0: np.ndarray, steps) -> np.ndarray:
             fmp = fun(x0 - ei + ej)
             fmm = fun(x0 - ei - ej)
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return hess
+    return grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +487,32 @@ def _difference_steps(theta: np.ndarray, kinds: tuple[str, ...]) -> Optional[np.
     return np.minimum(1e-4 * (1.0 + np.abs(theta)), np.array(edges) / 3.0)
 
 
+def _stencil(natural_loglik, theta: np.ndarray, kinds: tuple[str, ...]):
+    """:func:`numerical_hessian` of ``natural_loglik`` at ``theta`` on
+    :func:`_difference_steps`; ``None`` when the steps are withheld or a
+    stencil point raises."""
+    steps = _difference_steps(theta, kinds)
+    if steps is None:
+        return None
+    try:
+        return numerical_hessian(natural_loglik, theta, steps)
+    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
+        return None
+
+
+def _certifies(grad: np.ndarray, hess: np.ndarray, ll: float) -> bool:
+    """Whether ``-hess`` is positive definite and the Newton decrement
+    ``grad' (-hess)^-1 grad`` is at most ``_CERTIFICATE (1 + |ll|)``."""
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return False
+    try:
+        lower = np.linalg.cholesky(-hess)
+    except np.linalg.LinAlgError:
+        return False
+    half = np.linalg.solve(lower, grad)
+    return float(half @ half) <= _CERTIFICATE * (1.0 + abs(ll))
+
+
 def _nelder_mead(fun, x0, fatol=1e-10):
     budget = 400 * len(x0)
     return optimize.minimize(
@@ -504,22 +549,33 @@ def _fit(
     the natural parameters and ``theta0`` is the natural start.  Each of
     ``kinds`` names a row of ``_KINDS``: ``free`` (identity), ``positive``
     (``exp``, with ``|log theta| < _LOG_DELTA_LIMIT``), ``unit`` (logistic
-    onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  Two Nelder-Mead
-    passes minimize the negative log-likelihood over the search
-    coordinates, charged ``_PENALTY`` outside the search domain, where it is
-    not finite, where the special-function kernels refuse it with
-    ``PrecisionError``, or (given ``orders = (p, q)``) past stationarity;
-    a start point the kernels refuse raises their ``PrecisionError``.  Given
-    ``score``, a BFGS polish on its chain-ruled gradient is kept if it
-    lowers the objective.  ``converged`` is the success flag of the stage
-    whose point is returned; a polish that raises leaves the simplex point
-    unconverged.  ``loglik`` is ``natural_loglik`` at the estimates, and
-    standard errors invert its Hessian with :func:`_difference_steps`
-    (none for ``delta <= 1e-8`` or ``kappa <= 1e-5``).  ``window`` holds
-    the counts after the conditioning prefix.  Raises ``ValueError`` when
-    none of them is positive (:func:`_require_positive_count`) or a
-    ``signed`` parameter runs to +-1, and ``ArithmeticError`` when the best
-    point is a penalty value.
+    onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  Nelder-Mead
+    minimizes the negative log-likelihood over the search coordinates,
+    charged ``_PENALTY`` outside the search domain, where it is not finite,
+    where the special-function kernels refuse it with ``PrecisionError``,
+    or (given ``orders = (p, q)``) past stationarity; a start point the
+    kernels refuse raises their ``PrecisionError``.
+
+    After the first pass, the standard-error stencil (:func:`numerical_hessian`
+    on :func:`_difference_steps`) is evaluated at its point.  When the
+    negated Hessian is positive definite and the Newton decrement
+    ``g' (-H)^-1 g`` is at most ``_CERTIFICATE (1 + |loglik|)``, the point
+    is a certified maximum: it is returned with ``converged`` true, the
+    first pass's iterations, and that Hessian's standard errors.  Otherwise
+    (steps withheld, a stencil point raising, ``-H`` not finite or not
+    positive definite, or the decrement too large) a second pass restarts
+    from the first pass's point and, given ``score``, a BFGS polish on its
+    chain-ruled gradient is kept if it lowers the objective.  On this
+    restart path ``converged`` is the success flag of the stage whose point
+    is returned; a polish that raises leaves the simplex point unconverged.
+
+    ``loglik`` is ``natural_loglik`` at the estimates, and standard errors
+    invert its stencil Hessian there (none for ``delta <= 1e-8`` or
+    ``kappa <= 1e-5``, where :func:`_difference_steps` withholds the
+    steps).  ``window`` holds the counts after the conditioning prefix.
+    Raises ``ValueError`` when none of them is positive
+    (:func:`_require_positive_count`) or a ``signed`` parameter runs to
+    +-1, and ``ArithmeticError`` when the best point is a penalty value.
     """
     _require_positive_count(window)
     table = [_KINDS[kind] for kind in kinds]
@@ -560,31 +616,39 @@ def _fit(
     natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
     res = _nelder_mead(objective, x0)
-    res = _nelder_mead(objective, res.x)
-    best_x, best_f = res.x, res.fun
-    iterations, converged = int(res.nit), bool(res.success)
-    if score is not None:
-        try:
-            pol = optimize.minimize(
-                obj_grad, best_x, method="BFGS", jac=True, options={"maxiter": 200}
-            )
-        except (ArithmeticError, ValueError):
-            converged = False
-        else:
-            if math.isfinite(pol.fun) and pol.fun < best_f:
-                best_x, best_f = pol.x, pol.fun
-                iterations += int(pol.nit)
-                converged = bool(pol.success)
+    stencil = None
+    if res.fun < _PENALTY / 2:
+        stencil = _stencil(natural_loglik, np.array(natural(res.x)), kinds)
+    certified = stencil is not None and _certifies(*stencil, -res.fun)
+    if certified:
+        best_x, best_f = res.x, res.fun
+        iterations, converged = int(res.nit), True
+    else:
+        res = _nelder_mead(objective, res.x)
+        best_x, best_f = res.x, res.fun
+        iterations, converged = int(res.nit), bool(res.success)
+        if score is not None:
+            try:
+                pol = optimize.minimize(
+                    obj_grad, best_x, method="BFGS", jac=True, options={"maxiter": 200}
+                )
+            except (ArithmeticError, ValueError):
+                converged = False
+            else:
+                if math.isfinite(pol.fun) and pol.fun < best_f:
+                    best_x, best_f = pol.x, pol.fun
+                    iterations += int(pol.nit)
+                    converged = bool(pol.success)
     if not best_f < _PENALTY / 2:
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
     theta_hat = np.array(natural(best_x))
     ll = -best_f
+    if not certified:
+        stencil = _stencil(natural_loglik, theta_hat, kinds)
     std_errors = None
-    steps = _difference_steps(theta_hat, kinds)
-    if steps is not None:
+    if stencil is not None:
         try:
-            hess = numerical_hessian(natural_loglik, theta_hat, steps)
-            std_errors = _se_from_loglik_hessian(hess)
+            std_errors = _se_from_loglik_hessian(stencil[1])
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
             std_errors = None  # withheld, which hessian_invertible reports
     n_eff = window.shape[0]
@@ -618,7 +682,13 @@ def fit_mle(
     orders=(1, 0),
     scenario: EstimationScenario | float | None = 0.25,
 ) -> FitResult:
-    """Conditional MLE by simplex search with a quasi-Newton polish.
+    """Conditional MLE by simplex search, certified or restarted and polished.
+
+    One Nelder-Mead pass ends the search when the numerical Hessian and
+    gradient at its point certify a maximum (see :func:`_fit`); ``converged``
+    is then true.  Otherwise a second pass restarts from that point and a
+    BFGS polish on the analytic score follows, and ``converged`` is the
+    success flag of the stage whose point is returned.
 
     ``scenario`` may be an :class:`EstimationScenario`, a float (shorthand
     for a fixed scenario-1 dispersion) or ``None`` (scenario 2).  Trial

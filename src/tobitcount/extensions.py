@@ -199,8 +199,12 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
     """Conditional MLE of the Tobit INARS(1) model.
 
     The fit driver searches ``log innovation_mean`` and ``atanh alpha1``, so
-    both constraints are automatic; standard errors come from the numerical
-    Hessian in the natural parametrization.  ``spec`` holds the fitted
+    both constraints are automatic.  One Nelder-Mead pass ends the search
+    when the numerical Hessian in the natural parametrization certifies its
+    point as a maximum (``converged`` true); otherwise a second pass
+    restarts from it and ``converged`` is that pass's success flag.
+    Standard errors come from the same numerical Hessian, at the returned
+    point.  ``spec`` holds the fitted
     :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
     ``alpha1`` to ``-1`` or ``1`` in floating point: the likelihood then has
     no interior maximum.
@@ -255,9 +259,13 @@ def fit_stbingarch_mle(
 
     Optimizes the dynamics plus the one-inflation weight, the latter on the
     logit scale, so ``kappa`` approaches 0 continuously and ``loglik`` is
-    the likelihood at the reported ``kappa``.  Standard errors come from the
-    numerical Hessian in the natural parametrization, withheld when
-    ``kappa`` is within 1e-5 of 0 or 1.  ``delta`` is the fixed dispersion
+    the likelihood at the reported ``kappa``.  One Nelder-Mead pass ends
+    the search when the numerical Hessian in the natural parametrization
+    certifies its point as a maximum (``converged`` true); otherwise,
+    including every point with ``kappa`` within 1e-5 of 0 or 1, a second
+    pass restarts from it and ``converged`` is that pass's success flag.
+    Standard errors come from the same numerical Hessian at the returned
+    point, withheld near those edges of ``kappa``.  ``delta`` is the fixed dispersion
     and must be positive and finite.
     """
     scenario = EstimationScenario.fixed(delta)

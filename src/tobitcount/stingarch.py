@@ -113,7 +113,7 @@ class CountSeries:
             if bad.size:
                 raise ValueError(f"counts must be below 2**53 in magnitude, got {bad[:3]}")
             rounded = np.rint(counts)
-            if not np.allclose(counts, rounded, atol=0.0):
+            if not np.array_equal(counts, rounded):
                 raise ValueError("counts must be integers")
             counts = rounded.astype(np.int64)
         if np.any(counts < 0):

@@ -251,8 +251,21 @@ class TestAnalyticDerivatives:
             return loglik(t, series_10, (1, 0), SC2)
 
         analytic = analytic_score_hessian(theta, series_10, (1, 0), SC2)[1]
-        numeric = numerical_hessian(fun, theta, 1e-4 * (1 + abs(theta)))
+        numeric = numerical_hessian(fun, theta, 1e-4 * (1 + abs(theta)))[1]
         assert np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic))) < 1e-3
+
+    def test_numerical_gradient_matches_the_score(self, series_11):
+        # the stencil's gradient reuses the Hessian diagonal's calls
+        theta = np.array([8.4, -0.44, -0.26, 0.27])
+        steps = 1e-4 * (1 + abs(theta))
+        assert not _stencil_crosses_kink(theta, series_11, 1, 1, 0, step=2e-4)
+
+        def fun(t):
+            return loglik(t, series_11, (1, 1), SC2)
+
+        score = analytic_score_hessian(theta, series_11, (1, 1), SC2)[0]
+        numeric = numerical_hessian(fun, theta, steps)[0]
+        assert np.all(np.abs(score - numeric) <= 1e-4 * (1.0 + np.abs(score)))
 
     def test_underflowed_zero_mass_raises(self):
         # at M_t = 800 the positive counts keep a finite log-pmf, but
@@ -530,10 +543,98 @@ class TestFitDriver:
             raise ArithmeticError("score failed")
 
         monkeypatch.setattr(estimation, "analytic_score_hessian", broken)
+        # this series' first pass is certified, which skips the polish
+        monkeypatch.setattr(estimation, "_certifies", lambda *args: False)
         fit = fit_mle(series, (1, 0), SC1)
         assert not fit.converged
         assert math.isfinite(fit.loglik)
         assert fit.loglik == pytest.approx(loglik(fit.estimates, series, (1, 0), SC1))
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        nelder_mead = estimation._nelder_mead
+
+        def counted(*args, **kwargs):
+            passes.append(nelder_mead(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(estimation, "_nelder_mead", counted)
+        return passes
+
+    @staticmethod
+    def _restart_path(monkeypatch, fit):
+        # the certificate rejecting every point leaves the two-pass pipeline
+        with monkeypatch.context() as patched:
+            patched.setattr(estimation, "_certifies", lambda *args: False)
+            return fit()
+
+    @staticmethod
+    def _assert_same_fit(fit, other):
+        assert np.array_equal(fit.estimates, other.estimates)
+        assert fit.loglik == other.loglik
+        assert (fit.std_errors is None) == (other.std_errors is None)
+        assert fit.std_errors is None or np.array_equal(fit.std_errors, other.std_errors)
+        assert (fit.converged, fit.iterations) == (other.converged, other.iterations)
+
+    PAPER_DGP = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
+
+    def test_certified_first_pass_ends_the_search(self, monkeypatch):
+        series = simulate(self.PAPER_DGP, 300, rng=np.random.default_rng(70))
+        passes = self._count_passes(monkeypatch)
+        fit = fit_mle(series, (1, 1), SC2)
+        assert len(passes) == 1 and fit.converged
+        assert fit.iterations == passes[0].nit
+        steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
+        hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
+        restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
+        assert len(passes) == 3
+        assert fit.loglik >= restarted.loglik - 1e-9 * (1.0 + abs(restarted.loglik))
+
+    @pytest.mark.parametrize(
+        "grad, hess_diag, ll, expected",
+        [
+            ([1e-6, 2e-6], [-1.0, -4.0], 0.0, True),  # decrement 2e-12
+            ([1e-3, 0.0], [-1.0, -4.0], 0.0, False),  # decrement 1e-6
+            ([1e-4, 0.0], [-1.0, -1.0], 1e6, True),  # 1e-8 against 1e-10 (1 + 1e6)
+            ([1e-4, 0.0], [-1.0, -1.0], 0.0, False),
+            ([0.0, 0.0], [-1.0, 1.0], 0.0, False),  # -H indefinite
+            ([0.0, 0.0], [-1.0, math.nan], 0.0, False),
+        ],
+    )
+    def test_certificate_is_the_scaled_newton_decrement(self, grad, hess_diag, ll, expected):
+        assert estimation._certifies(np.array(grad), np.diag(hess_diag), ll) is expected
+
+    def test_withheld_steps_restart_the_search(self, monkeypatch):
+        # the series mc_study(..., seed=405) simulates for this DGP at n = 250:
+        # the first pass leaves delta within 1e-8 of 0, where the steps are withheld
+        stream = np.random.SeedSequence(405).spawn(1)[0]
+        rng = np.random.Generator(np.random.PCG64(stream))
+        series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
+        passes = self._count_passes(monkeypatch)
+        fit = fit_mle(series, (1, 1), SC2)
+        assert len(passes) == 2
+        assert math.exp(passes[0].x[-1]) < 1e-8
+        restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
+        self._assert_same_fit(fit, restarted)
+
+    def test_indefinite_stencil_restarts_the_search(self, series, monkeypatch):
+        stencils = []
+        stencil = estimation.numerical_hessian
+
+        def indefinite_first(*args):
+            grad, hess = stencil(*args)
+            stencils.append(hess)
+            return (grad, -hess) if len(stencils) == 1 else (grad, hess)
+
+        monkeypatch.setattr(estimation, "numerical_hessian", indefinite_first)
+        passes = self._count_passes(monkeypatch)
+        fit = fit_mle(series, (1, 0), SC1)
+        assert len(passes) == 2 and len(stencils) == 2
+        monkeypatch.setattr(estimation, "numerical_hessian", stencil)
+        restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 0), SC1))
+        self._assert_same_fit(fit, restarted)
 
     def test_penalty_valued_optimum_raises(self, series, monkeypatch):
         monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)

@@ -70,6 +70,12 @@ class TestSpecValidation:
         series = CountSeries(np.array([3.0, 2.0**53 - 1.0]))
         assert series.counts.tolist() == [3, 2**53 - 1]
 
+    @pytest.mark.parametrize("fraction", [1000000.5, 12400000.3, 2.0**51 + 0.5])
+    def test_fractional_large_counts_are_refused(self, fraction):
+        # a relative closeness test would round these within 1e-5 of an integer
+        with pytest.raises(ValueError, match="counts must be integers"):
+            CountSeries(np.array([3.0, fraction]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_covariates_are_named(self, bad):
         z = np.array([[0.5], [bad], [1.0]])
