@@ -18,10 +18,14 @@ numerical Hessian of the maximized log-likelihood.
 
 Every likelihood fit runs one Nelder-Mead pass and then evaluates that
 numerical Hessian, with the central gradient its stencil yields for free.
-A negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g`` below
-``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and the fit
-ends there; otherwise a second pass restarts from that point and, where an
-analytic score exists, a BFGS polish follows.
+Where the analytic score and Hessian exist (:func:`fit_mle`), the pass
+stops at coarse tolerances and a trust-region Newton step on them finishes
+it.  A negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g``
+below ``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and
+the fit ends there; otherwise a second pass restarts from that point and,
+where the derivatives exist, the Newton stage polishes it.  The CLS fit
+runs Gauss-Newton on the Jacobian of its censored residuals, and CLADE a
+Nelder-Mead multi-start.
 """
 
 from __future__ import annotations
@@ -64,6 +68,16 @@ _PENALTY = 1e12
 # a first simplex point whose Newton decrement g'(-H)^-1 g is at most this
 # times 1 + |loglik| is a certified maximum and ends the search
 _CERTIFICATE = 1e-10
+# the simplex's objective tolerance, and its tolerances (fatol and xatol)
+# in a first pass that a Newton stage finishes
+_FATOL = 1e-10
+_COARSE = 1e-3
+# the Newton stage stops at this gradient norm or after this many iterations
+_NEWTON_GTOL = 1e-8
+_NEWTON_MAXITER = 100
+# ftol, xtol and gtol of the CLS Gauss-Newton runs; least_squares' default
+# 1e-8 stops short of the simplex's objective
+_GN_TOL = 1e-15
 # |log delta| beyond this lets delta**2 in the score under- or overflow
 _LOG_DELTA_LIMIT = 300.0
 
@@ -266,23 +280,18 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     return g_m, g_d, h_mm, h_dd, h_md
 
 
-def _mean_derivatives(theta_dyn, series, p, q, r):
-    """``M``, ``dM/dtheta*`` and the beta rows of ``d2M/dtheta* dtheta*``.
+def _mean_gradient(theta_dyn, series, p, q, r):
+    """``M`` and ``dM/dtheta*`` of the dynamics block theta*, shapes ``(n,)``
+    and ``(n, k)``.
 
-    theta* is the dynamics block (everything except delta).  The derivatives
-    obey the recursion's own feedback, so each is one :func:`_ar_filter` call:
-    ``dM`` is driven by ``1, X_{t-i}, M_{t-j}, z_t``.  ``d2M`` is nonzero only
-    in the beta rows and columns; row ``beta_j`` is driven by ``dM_{t-j}``
-    plus, in column ``beta_l``, ``dM_{t-l}/dbeta_j``.  Returns arrays of shape
-    ``(n,)``, ``(n, k)`` and ``(n, q, k)``.
+    ``dM`` obeys the recursion's own feedback, so it is one :func:`_ar_filter`
+    call driven by ``1, X_{t-i}, M_{t-j}, z_t``.
     """
     theta_dyn = np.asarray(theta_dyn, dtype=float)
-    betas = theta_dyn[1 + p : 1 + p + q]
     n = len(series)
-    k = 1 + p + q + r
     start = max(p, q)
     m = _mean_path(theta_dyn, series, p, q, r)
-    rhs = np.zeros((n, k))
+    rhs = np.zeros((n, 1 + p + q + r))
     rhs[:, 0] = 1.0
     for i in range(1, p + 1):
         rhs[start:, i] = series.counts[start - i : n - i]
@@ -290,12 +299,27 @@ def _mean_derivatives(theta_dyn, series, p, q, r):
         rhs[start:, p + j] = m[start - j : n - j]
     if r:
         rhs[start:, 1 + p + q :] = series.covariates[start:]
-    dm = _ar_filter(rhs, betas, start)
+    return m, _ar_filter(rhs, theta_dyn[1 + p : 1 + p + q], start)
+
+
+def _mean_derivatives(theta_dyn, series, p, q, r):
+    """``M``, ``dM/dtheta*`` (:func:`_mean_gradient`) and the beta rows of
+    ``d2M/dtheta* dtheta*``.
+
+    ``d2M`` is nonzero only in the beta rows and columns; row ``beta_j`` is
+    driven through the same feedback by ``dM_{t-j}`` plus, in column
+    ``beta_l``, ``dM_{t-l}/dbeta_j``.  Returns arrays of shape ``(n,)``,
+    ``(n, k)`` and ``(n, q, k)``.
+    """
+    m, dm = _mean_gradient(theta_dyn, series, p, q, r)
+    n, k = dm.shape
+    start = max(p, q)
     lagged = np.zeros((n, q, k))
     for j in range(1, q + 1):
         lagged[start:, j - 1] = dm[start - j : n - j]
     beta_cols = slice(1 + p, 1 + p + q)
     lagged[:, :, beta_cols] += lagged[:, :, beta_cols].transpose(0, 2, 1).copy()
+    betas = np.asarray(theta_dyn, dtype=float)[beta_cols]
     d2m_beta = _ar_filter(lagged.reshape(n, q * k), betas, start).reshape(n, q, k)
     return m, dm, d2m_beta
 
@@ -453,26 +477,28 @@ def _stationarity_penalty(theta: Sequence[float], p: int, q: int) -> float:
 
 
 # A kind maps an unconstrained search coordinate onto a parameter's domain.
-# Its fields: the map, its inverse, d natural / d search at a natural value,
-# the distance from a natural value to the domain's edge, the distance at or
-# below which standard errors are withheld, and whether reaching the edge
-# means the likelihood has no interior maximum.
-_Kind = namedtuple("_Kind", "to_natural to_search slope edge floor refused_edge")
+# Its fields: the map, its inverse, d natural / d search and d2 natural /
+# d search2 at a natural value, the distance from a natural value to the
+# domain's edge, the distance at or below which standard errors are
+# withheld, and whether reaching the edge means the likelihood has no
+# interior maximum.
+_Kind = namedtuple("_Kind", "to_natural to_search slope curvature edge floor refused_edge")
 _KINDS = {
-    "free": _Kind(float, float, lambda t: 1.0, lambda t: math.inf, 0.0, False),
+    "free": _Kind(float, float, lambda t: 1.0, lambda t: 0.0, lambda t: math.inf, 0.0, False),
     # a search coordinate beyond the limit maps to nan, which is penalized
     "positive": _Kind(
         lambda x: math.exp(x) if abs(x) < _LOG_DELTA_LIMIT else math.nan,
-        math.log, lambda t: t, lambda t: t, 1e-8, False,
+        math.log, lambda t: t, lambda t: t, lambda t: t, 1e-8, False,
     ),
     # 1/(1 + e^-x) overflows below x = -709.78; e^x equals it to 1e-304 there
     "unit": _Kind(
         lambda x: 1.0 / (1.0 + math.exp(-x)) if x > -700.0 else math.exp(x),
         lambda t: math.log(t / (1.0 - t)), lambda t: t * (1.0 - t),
-        lambda t: min(t, 1.0 - t), 1e-5, False,
+        lambda t: t * (1.0 - t) * (1.0 - 2.0 * t), lambda t: min(t, 1.0 - t), 1e-5, False,
     ),
     "signed": _Kind(
-        math.tanh, math.atanh, lambda t: 1.0 - t * t, lambda t: 1.0 - abs(t), 1e-8, True
+        math.tanh, math.atanh, lambda t: 1.0 - t * t, lambda t: -2.0 * t * (1.0 - t * t),
+        lambda t: 1.0 - abs(t), 1e-8, True,
     ),
 }
 
@@ -485,6 +511,16 @@ def _difference_steps(theta: np.ndarray, kinds: tuple[str, ...]) -> Optional[np.
     if not all(edge > kind.floor for kind, edge in zip(table, edges)):
         return None
     return np.minimum(1e-4 * (1.0 + np.abs(theta)), np.array(edges) / 3.0)
+
+
+def _search_derivatives(kinds: tuple[str, ...], theta, grad: np.ndarray, hess: np.ndarray):
+    """The gradient ``g s`` and Hessian ``H s s' + diag(g s'')`` in the search
+    coordinates, from the natural ``grad`` and ``hess`` at ``theta``; ``s``
+    and ``s''`` are the kinds' ``slope`` and ``curvature`` there."""
+    table = [_KINDS[kind] for kind in kinds]
+    slope = np.array([kind.slope(t) for kind, t in zip(table, theta)])
+    curvature = np.array([kind.curvature(t) for kind, t in zip(table, theta)])
+    return grad * slope, hess * np.outer(slope, slope) + np.diag(grad * curvature)
 
 
 def _stencil(natural_loglik, theta: np.ndarray, kinds: tuple[str, ...]):
@@ -510,16 +546,41 @@ def _certifies(grad: np.ndarray, hess: np.ndarray, ll: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     half = np.linalg.solve(lower, grad)
-    return float(half @ half) <= _CERTIFICATE * (1.0 + abs(ll))
+    return bool(half @ half <= _CERTIFICATE * (1.0 + abs(ll)))
 
 
-def _nelder_mead(fun, x0, fatol=1e-10):
+def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
+    """Nelder-Mead from ``x0``, or from the initial ``simplex`` when given."""
     budget = 400 * len(x0)
+    options = {"fatol": fatol, "xatol": xatol, "maxiter": budget, "maxfev": budget}
+    if simplex is not None:
+        options["initial_simplex"] = simplex
+    return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+
+
+def _newton(fun, derivatives, x0):
+    """Trust-region Newton (``trust-exact``) on ``fun`` from ``x0``, with
+    ``derivatives(x)`` returning the gradient and Hessian together.
+
+    trust-exact asks for the Hessian at every trial point and for the
+    gradient at the accepted ones, so a one-entry memo evaluates
+    ``derivatives`` once per point.
+    """
+    memo = [None, None]
+
+    def both(x: np.ndarray):
+        key = x.tobytes()
+        if memo[0] != key:
+            memo[:] = key, derivatives(x)
+        return memo[1]
+
     return optimize.minimize(
         fun,
         x0,
-        method="Nelder-Mead",
-        options={"fatol": fatol, "xatol": 1e-8, "maxiter": budget, "maxfev": budget},
+        method="trust-exact",
+        jac=lambda x: both(x)[0],
+        hess=lambda x: both(x)[1],
+        options={"gtol": _NEWTON_GTOL, "maxiter": _NEWTON_MAXITER},
     )
 
 
@@ -540,34 +601,46 @@ def _fit(
     method: str,
     window: np.ndarray,
     spec=None,
-    score=None,
+    derivatives=None,
     orders: Optional[tuple[int, int]] = None,
 ) -> FitResult:
     """Maximum-likelihood pipeline shared by every likelihood fitter.
 
-    ``natural_loglik``, the optional analytic ``score`` and ``spec`` take
+    ``natural_loglik``, ``spec`` and the optional ``derivatives``, which
+    returns the analytic gradient and Hessian of ``natural_loglik``, take
     the natural parameters and ``theta0`` is the natural start.  Each of
     ``kinds`` names a row of ``_KINDS``: ``free`` (identity), ``positive``
     (``exp``, with ``|log theta| < _LOG_DELTA_LIMIT``), ``unit`` (logistic
-    onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  Nelder-Mead
+    onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  The search
     minimizes the negative log-likelihood over the search coordinates,
     charged ``_PENALTY`` outside the search domain, where it is not finite,
     where the special-function kernels refuse it with ``PrecisionError``,
     or (given ``orders = (p, q)``) past stationarity; a start point the
     kernels refuse raises their ``PrecisionError``.
 
-    After the first pass, the standard-error stencil (:func:`numerical_hessian`
-    on :func:`_difference_steps`) is evaluated at its point.  When the
-    negated Hessian is positive definite and the Newton decrement
-    ``g' (-H)^-1 g`` is at most ``_CERTIFICATE (1 + |loglik|)``, the point
-    is a certified maximum: it is returned with ``converged`` true, the
-    first pass's iterations, and that Hessian's standard errors.  Otherwise
+    The first stage is one Nelder-Mead pass.  Given ``derivatives``, the
+    pass stops at the coarse tolerances ``_COARSE`` and a trust-region
+    Newton stage (:func:`_newton`) finishes it on the chain-ruled gradient
+    ``g s`` and Hessian ``H s s' + diag(g s'')``, where ``s`` and ``s''``
+    are the kinds' ``slope`` and ``curvature`` (:func:`_search_derivatives`).
+    When that stage raises or gains more than ``_COARSE``, the simplex had
+    not reached its tail: it resumes from its final simplex to the full
+    tolerances, which is the pass a fit without ``derivatives`` runs, and
+    the better of its point and the Newton point is kept.  Then the
+    standard-error stencil
+    (:func:`numerical_hessian` on :func:`_difference_steps`) is evaluated
+    at the stage's point.  When the negated Hessian is positive definite
+    and the Newton decrement ``g' (-H)^-1 g`` is at most ``_CERTIFICATE (1
+    + |loglik|)``, the point is a certified maximum: it is returned with
+    ``converged`` true and that Hessian's standard errors.  Otherwise
     (steps withheld, a stencil point raising, ``-H`` not finite or not
-    positive definite, or the decrement too large) a second pass restarts
-    from the first pass's point and, given ``score``, a BFGS polish on its
-    chain-ruled gradient is kept if it lowers the objective.  On this
-    restart path ``converged`` is the success flag of the stage whose point
-    is returned; a polish that raises leaves the simplex point unconverged.
+    positive definite, or the decrement too large) a full Nelder-Mead pass
+    restarts from that point and, given ``derivatives``, a Newton polish is
+    kept if it lowers the objective by more than the pass's ``_FATOL``.
+    On this restart path ``converged`` is
+    the success flag of the stage whose point is returned; a polish that
+    raises leaves the simplex point unconverged.  ``iterations`` sums the
+    iterations of every stage that ran.
 
     ``loglik`` is ``natural_loglik`` at the estimates, and standard errors
     invert its stencil Hessian there (none for ``delta <= 1e-8`` or
@@ -605,40 +678,65 @@ def _fit(
             return _PENALTY
         return -value if math.isfinite(value) else _PENALTY
 
-    def obj_grad(u: np.ndarray):
-        value = objective(u)
-        if value >= _PENALTY / 2:
-            return value, np.zeros_like(u)
+    def search_derivatives(u: np.ndarray):
         theta = natural(u)
-        slopes = np.array([kind.slope(t) for kind, t in zip(table, theta)])
-        return value, -score(np.array(theta)) * slopes
+        try:
+            grad, hess = derivatives(np.array(theta))
+        except (ArithmeticError, ValueError):
+            if objective(u) < _PENALTY / 2:
+                raise
+            # a penalized trial point, which the step rejects
+            return np.zeros_like(u), np.zeros((u.size, u.size))
+        grad, hess = _search_derivatives(kinds, theta, grad, hess)
+        return -grad, -hess
+
+    def newton(x: np.ndarray):
+        """The Newton stage from ``x``, or ``None`` when it raises."""
+        try:
+            return _newton(objective, search_derivatives, x)
+        except (ArithmeticError, ValueError):
+            return None
 
     natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
-    res = _nelder_mead(objective, x0)
-    stencil = None
-    if res.fun < _PENALTY / 2:
-        stencil = _stencil(natural_loglik, np.array(natural(res.x)), kinds)
-    certified = stencil is not None and _certifies(*stencil, -res.fun)
-    if certified:
-        best_x, best_f = res.x, res.fun
-        iterations, converged = int(res.nit), True
+    if derivatives is None:
+        res = _nelder_mead(objective, x0)
+        best_x, best_f, iterations = res.x, res.fun, int(res.nit)
     else:
-        res = _nelder_mead(objective, res.x)
+        res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
+        best_x, best_f, iterations = res.x, res.fun, int(res.nit)
+        pol = newton(res.x)
+        if pol is not None:
+            iterations += int(pol.nit)
+            if pol.fun < best_f:
+                best_x, best_f = pol.x, pol.fun
+        if pol is None or res.fun - best_f > _COARSE:
+            # a Newton gain beyond the simplex's own tolerance means the
+            # simplex had not reached its tail: it resumes to the full
+            # tolerances and the better point is kept
+            full = _nelder_mead(objective, res.x, simplex=res.final_simplex[0])
+            iterations += int(full.nit)
+            if full.fun < best_f:
+                best_x, best_f = full.x, full.fun
+    stencil = None
+    if best_f < _PENALTY / 2:
+        stencil = _stencil(natural_loglik, np.array(natural(best_x)), kinds)
+    certified = stencil is not None and _certifies(*stencil, -best_f)
+    converged = certified
+    if not certified:
+        res = _nelder_mead(objective, best_x)
         best_x, best_f = res.x, res.fun
-        iterations, converged = int(res.nit), bool(res.success)
-        if score is not None:
-            try:
-                pol = optimize.minimize(
-                    obj_grad, best_x, method="BFGS", jac=True, options={"maxiter": 200}
-                )
-            except (ArithmeticError, ValueError):
+        iterations += int(res.nit)
+        converged = bool(res.success)
+        if derivatives is not None:
+            pol = newton(best_x)
+            if pol is None:
                 converged = False
             else:
-                if math.isfinite(pol.fun) and pol.fun < best_f:
-                    best_x, best_f = pol.x, pol.fun
-                    iterations += int(pol.nit)
-                    converged = bool(pol.success)
+                iterations += int(pol.nit)
+                # a gain within the simplex's fatol leaves its point and flag
+                if pol.fun < best_f - _FATOL:
+                    best_x, best_f, converged = pol.x, pol.fun, bool(pol.success)
     if not best_f < _PENALTY / 2:
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
     theta_hat = np.array(natural(best_x))
@@ -682,13 +780,18 @@ def fit_mle(
     orders=(1, 0),
     scenario: EstimationScenario | float | None = 0.25,
 ) -> FitResult:
-    """Conditional MLE by simplex search, certified or restarted and polished.
+    """Conditional MLE by a coarse simplex search finished by Newton steps,
+    certified or restarted and polished.
 
-    One Nelder-Mead pass ends the search when the numerical Hessian and
-    gradient at its point certify a maximum (see :func:`_fit`); ``converged``
-    is then true.  Otherwise a second pass restarts from that point and a
-    BFGS polish on the analytic score follows, and ``converged`` is the
-    success flag of the stage whose point is returned.
+    A Nelder-Mead pass at coarse tolerances is finished by a trust-region
+    Newton stage on :func:`analytic_score_hessian`; when that stage gains
+    more than the coarse tolerance, the simplex resumes to its full
+    tolerances and the better point is kept.  The search ends when the
+    numerical Hessian and gradient at that point certify a maximum (see
+    :func:`_fit`); ``converged`` is then true.  Otherwise a second pass
+    restarts from that point and a Newton polish follows, and ``converged``
+    is the success flag of the stage whose point is returned.
+    ``iterations`` sums every stage's iterations.
 
     ``scenario`` may be an :class:`EstimationScenario`, a float (shorthand
     for a fixed scenario-1 dispersion) or ``None`` (scenario 2).  Trial
@@ -714,7 +817,7 @@ def fit_mle(
         "mle-s2" if scenario.estimates_delta else "mle-s1",
         series.counts[max(p, q):],
         spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario),
-        score=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario)[0],
+        derivatives=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario),
         orders=(p, q),
     )
 
@@ -737,7 +840,45 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
     return objective
 
 
+def _censored_residuals(series: CountSeries, p, q, r):
+    """The CLS residuals ``X_t - max(0, M_t)`` after the conditioning prefix
+    and their Jacobian ``-1[M_t > 0] dM_t`` (:func:`_mean_gradient`)."""
+    start = max(p, q)
+    x = series.counts[start:]
+
+    def residuals(theta_dyn: np.ndarray) -> np.ndarray:
+        return x - np.maximum(0.0, _mean_path(theta_dyn, series, p, q, r)[start:])
+
+    def jacobian(theta_dyn: np.ndarray) -> np.ndarray:
+        m, dm = _mean_gradient(theta_dyn, series, p, q, r)
+        return np.where(m[start:, None] > 0.0, -dm[start:], 0.0)
+
+    return residuals, jacobian
+
+
+def _starts(series: CountSeries, p, q, r) -> list[np.ndarray]:
+    """:func:`_moment_start` and eight jittered copies of it."""
+    start = _moment_start(series, p, q, r)
+    scale = 0.1 * (1.0 + np.abs(start))
+    jitter_rng = np.random.default_rng(12345)
+    return [start] + [
+        start + scale * jitter_rng.standard_normal(start.shape)
+        for _ in range(8)
+    ]
+
+
 def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str) -> FitResult:
+    """The CLADE (``power = 1``) or CLS (``power = 2``) fit from the nine
+    :func:`_starts`, the best result by ``(objective, |theta|)``.
+
+    CLADE runs Nelder-Mead from each start.  CLS runs Gauss-Newton
+    (``least_squares``' ``trf``) on :func:`_censored_residuals`, skips a
+    start past stationarity and drops a result past it; when no result is
+    left it runs CLADE's Nelder-Mead multi-start on the squared
+    deviations.  ``converged`` is the chosen run's success flag and
+    ``iterations`` sums every run's iterations (Jacobian evaluations for
+    Gauss-Newton).  The intercept-only model has a closed form.
+    """
     p, q, r = _orders(orders, series)
     n = len(series)
     n_eff = n - max(p, q)
@@ -761,30 +902,37 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
             objective=obj,
         )
     objective = _censored_objective(series, p, q, r, power)
-    start = _moment_start(series, p, q, r)
-    scale = 0.1 * (1.0 + np.abs(start))
-    jitter_rng = np.random.default_rng(12345)
-    candidates = [start] + [
-        start + scale * jitter_rng.standard_normal(start.shape)
-        for _ in range(8)
-    ]
-    best = None
+    starts = _starts(series, p, q, r)
+    # (objective, |theta|, theta, success) of each kept run
+    runs = []
     iterations = 0
-    for x0 in candidates:
-        res = _nelder_mead(objective, x0, fatol=1e-9)
-        iterations += int(res.nit)
-        key = (res.fun, float(np.linalg.norm(res.x)))
-        if best is None or key < (best.fun, float(np.linalg.norm(best.x))):
-            best = res
-    est = best.x
+    if power == 2:
+        residuals, jacobian = _censored_residuals(series, p, q, r)
+        for x0 in starts:
+            if _stationarity_penalty(x0.tolist(), p, q):
+                continue
+            res = optimize.least_squares(
+                residuals, x0, jac=jacobian, method="trf",
+                ftol=_GN_TOL, xtol=_GN_TOL, gtol=_GN_TOL,
+            )
+            iterations += int(res.njev)
+            value = objective(res.x)
+            if value < _PENALTY / 2:
+                runs.append((value, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
+    if not runs:
+        for x0 in starts:
+            res = _nelder_mead(objective, x0, fatol=1e-9)
+            iterations += int(res.nit)
+            runs.append((res.fun, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
+    value, _, est, success = min(runs, key=lambda run: run[:2])
     return FitResult(
         estimates=est,
         param_names=names,
         method=method,
-        converged=bool(best.success),
+        converged=success,
         iterations=iterations,
         n_effective=n_eff,
-        objective=float(best.fun),
+        objective=float(value),
     )
 
 

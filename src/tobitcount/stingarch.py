@@ -411,7 +411,12 @@ def _transition_matrix(spec: ModelSpec, cap: int) -> np.ndarray:
 
 
 def _stationary_distribution(T: np.ndarray) -> np.ndarray:
-    """Stationary law by power iteration (L1 tol 1e-13), direct solve fallback."""
+    """Stationary law by power iteration (L1 tol 1e-13) from the uniform law.
+
+    The rows of :func:`_transition_matrix` have full support, so the chain
+    is aperiodic and the iteration converges; a chain on which it does not
+    raises ``ArithmeticError``.
+    """
     size = T.shape[0]
     pi = np.full(size, 1.0 / size)
     for _ in range(200_000):
@@ -419,13 +424,6 @@ def _stationary_distribution(T: np.ndarray) -> np.ndarray:
         if np.abs(nxt - pi).sum() < 1e-13:
             return nxt / nxt.sum()
         pi = nxt
-    if size <= 2000:
-        a = np.vstack([T.T - np.eye(size), np.ones(size)])
-        b = np.zeros(size + 1)
-        b[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        sol = np.maximum(sol, 0.0)
-        return sol / sol.sum()
     raise ArithmeticError("stationary distribution did not converge")
 
 

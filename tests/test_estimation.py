@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from tobitcount import cli, estimation, skellam
 from tobitcount.diagnostics import information_criteria
@@ -543,7 +544,8 @@ class TestFitDriver:
             raise ArithmeticError("score failed")
 
         monkeypatch.setattr(estimation, "analytic_score_hessian", broken)
-        # this series' first pass is certified, which skips the polish
+        # the first stage's Newton step raises too, and the simplex point it
+        # leaves is certified unless the certificate rejects it
         monkeypatch.setattr(estimation, "_certifies", lambda *args: False)
         fit = fit_mle(series, (1, 0), SC1)
         assert not fit.converged
@@ -551,16 +553,17 @@ class TestFitDriver:
         assert fit.loglik == pytest.approx(loglik(fit.estimates, series, (1, 0), SC1))
 
     @staticmethod
-    def _count_passes(monkeypatch):
-        passes = []
-        nelder_mead = estimation._nelder_mead
+    def _count(monkeypatch, stage="_nelder_mead"):
+        # the results of every call of the optimizer stage
+        runs = []
+        run = getattr(estimation, stage)
 
         def counted(*args, **kwargs):
-            passes.append(nelder_mead(*args, **kwargs))
-            return passes[-1]
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
 
-        monkeypatch.setattr(estimation, "_nelder_mead", counted)
-        return passes
+        monkeypatch.setattr(estimation, stage, counted)
+        return runs
 
     @staticmethod
     def _restart_path(monkeypatch, fit):
@@ -581,16 +584,63 @@ class TestFitDriver:
 
     def test_certified_first_pass_ends_the_search(self, monkeypatch):
         series = simulate(self.PAPER_DGP, 300, rng=np.random.default_rng(70))
-        passes = self._count_passes(monkeypatch)
+        passes = self._count(monkeypatch)
+        newtons = self._count(monkeypatch, "_newton")
         fit = fit_mle(series, (1, 1), SC2)
-        assert len(passes) == 1 and fit.converged
-        assert fit.iterations == passes[0].nit
+        assert len(passes) == len(newtons) == 1 and fit.converged
+        assert passes[0].fun - newtons[0].fun <= estimation._COARSE
+        assert fit.iterations == passes[0].nit + newtons[0].nit
         steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
         hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
         restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
-        assert len(passes) == 3
+        # the restart: a second full pass and a Newton polish
+        assert len(passes) == 3 and len(newtons) == 3
+        assert restarted.iterations == sum(run.nit for run in passes[1:] + newtons[1:])
         assert fit.loglik >= restarted.loglik - 1e-9 * (1.0 + abs(restarted.loglik))
+
+    def test_restart_without_derivatives_counts_both_passes(self, monkeypatch):
+        passes = self._count(monkeypatch)
+        fit = self._restart_path(
+            monkeypatch,
+            lambda: estimation._fit(
+                lambda t: -((t[0] - 1.0) ** 2) - (t[1] - 2.0) ** 2, np.array([0.0, 0.0]),
+                ("free", "free"), ("a", "b"), "quadratic", np.array([1]),
+            ),
+        )
+        assert len(passes) == 2
+        assert fit.iterations == passes[0].nit + passes[1].nit
+        np.testing.assert_allclose(fit.estimates, [1.0, 2.0], atol=1e-6)
+
+    def test_newton_gain_beyond_the_coarse_tolerance_resumes_the_simplex(self, monkeypatch):
+        # on this 83%-zero series the coarse simplex stops on a ridge of kinks
+        # 0.64 below a local maximum that the Newton stage climbs to; the
+        # resumed simplex is the full-tolerance pass of the simplex-only
+        # pipeline, which reaches a higher maximum, and the better is kept
+        series = simulate(
+            ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
+            600,
+            rng=np.random.default_rng(37),
+        )
+        passes = self._count(monkeypatch)
+        newtons = self._count(monkeypatch, "_newton")
+        fit = fit_mle(series, (1, 1), SC2)
+        assert passes[0].fun - newtons[0].fun > estimation._COARSE
+        assert len(passes) >= 2 and passes[1].nit > 0
+        simplex_only = self._count(monkeypatch)
+        natural = estimation._fit(
+            lambda t: loglik(t, series, (1, 1), SC2),
+            np.append(estimation._moment_start(series, 1, 1, 0), 0.25),
+            ("free",) * 3 + ("positive",),
+            ("alpha0", "alpha1", "beta1", "delta"),
+            "mle-s2",
+            series.counts[1:],
+            orders=(1, 1),
+        )
+        assert np.array_equal(passes[1].x, simplex_only[0].x)
+        assert passes[1].fun == simplex_only[0].fun < newtons[0].fun
+        assert fit.loglik == natural.loglik
+        assert np.array_equal(fit.estimates, natural.estimates)
 
     @pytest.mark.parametrize(
         "grad, hess_diag, ll, expected",
@@ -612,7 +662,7 @@ class TestFitDriver:
         stream = np.random.SeedSequence(405).spawn(1)[0]
         rng = np.random.Generator(np.random.PCG64(stream))
         series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
-        passes = self._count_passes(monkeypatch)
+        passes = self._count(monkeypatch)
         fit = fit_mle(series, (1, 1), SC2)
         assert len(passes) == 2
         assert math.exp(passes[0].x[-1]) < 1e-8
@@ -629,7 +679,7 @@ class TestFitDriver:
             return (grad, -hess) if len(stencils) == 1 else (grad, hess)
 
         monkeypatch.setattr(estimation, "numerical_hessian", indefinite_first)
-        passes = self._count_passes(monkeypatch)
+        passes = self._count(monkeypatch)
         fit = fit_mle(series, (1, 0), SC1)
         assert len(passes) == 2 and len(stencils) == 2
         monkeypatch.setattr(estimation, "numerical_hessian", stencil)
@@ -716,6 +766,33 @@ class TestFitDriver:
             u, h = row.to_search(value), 1e-6
             numeric = (row.to_natural(u + h) - row.to_natural(u - h)) / (2.0 * h)
             assert row.slope(value) == pytest.approx(numeric, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_search_derivatives_match_central_differences(self, kind):
+        # a cubic in the natural parameters (a, theta), free a and theta of
+        # the kind, differentiated through the map by the stencil
+        def natural(t):
+            return 0.5 * t[0] ** 2 * t[1] + t[1] ** 3 - 2.0 * t[0] * t[1]
+
+        def natural_derivatives(t):
+            grad = np.array(
+                [t[0] * t[1] - 2.0 * t[1], 0.5 * t[0] ** 2 + 3.0 * t[1] ** 2 - 2.0 * t[0]]
+            )
+            hess = np.array([[t[1], t[0] - 2.0], [t[0] - 2.0, 6.0 * t[1]]])
+            return grad, hess
+
+        row = estimation._KINDS[kind]
+        for value in self.KINDS[kind][0][1:3]:
+            theta = np.array([0.7, value])
+            u = np.array([0.7, row.to_search(value)])
+            grad, hess = estimation._search_derivatives(
+                ("free", kind), theta, *natural_derivatives(theta)
+            )
+            numeric_grad, numeric_hess = numerical_hessian(
+                lambda v: natural([v[0], row.to_natural(v[1])]), u, [1e-4, 1e-4]
+            )
+            np.testing.assert_allclose(grad, numeric_grad, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(hess, numeric_hess, rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_step_is_at_most_a_third_of_the_way_to_the_edge(self, kind):
@@ -837,6 +914,45 @@ class TestCensoredDeviationFits:
             float(np.abs(x - np.maximum(0.0, m)).sum()), rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "order, theta",
+        [((1, 1, 1), [2.0, -0.45, -0.25, 0.8]), ((2, 2), [3.0, -0.4, -0.1, -0.2, 0.1])],
+    )
+    def test_cls_jacobian_matches_central_differences(self, order, theta, series_by_order):
+        series = series_by_order[order]
+        p, q, r = estimation._orders(order, series)
+        theta = np.array(theta)
+        m = _mean_path(theta, series, p, q, r)[max(p, q):]
+        # both sides of the censoring point, and no sign change in the stencil
+        assert np.any(m < 0.0) and np.any(m > 0.0)
+        assert not _stencil_crosses_kink(theta, series, p, q, r)
+        residuals, jacobian = estimation._censored_residuals(series, p, q, r)
+        numeric = np.empty((m.shape[0], theta.shape[0]))
+        for i in range(theta.shape[0]):
+            e = np.zeros_like(theta)
+            e[i] = 1e-5 * (1.0 + abs(theta[i]))
+            numeric[:, i] = (residuals(theta + e) - residuals(theta - e)) / (2.0 * e[i])
+        np.testing.assert_allclose(jacobian(theta), numeric, rtol=1e-6, atol=1e-6)
+
+    def test_cls_without_an_admissible_result_is_the_simplex_multi_start(
+        self, series_11, monkeypatch
+    ):
+        # every Gauss-Newton run ending past stationarity drops them all
+        def outside(fun, x0, **kwargs):
+            return optimize.OptimizeResult(x=np.array([1.0, 0.6, 0.6]), success=True, njev=3)
+
+        monkeypatch.setattr(estimation.optimize, "least_squares", outside)
+        fit = fit_cls(series_11, (1, 1))
+        objective = estimation._censored_objective(series_11, 1, 1, 0, 2)
+        runs = [
+            estimation._nelder_mead(objective, x0, fatol=1e-9)
+            for x0 in estimation._starts(series_11, 1, 1, 0)
+        ]
+        best = min(runs, key=lambda res: (res.fun, float(np.linalg.norm(res.x))))
+        assert np.array_equal(fit.estimates, best.x)
+        assert fit.objective == best.fun and fit.converged == best.success
+        assert fit.iterations == 3 * len(runs) + sum(res.nit for res in runs)
+
     @pytest.mark.parametrize("fitter", [fit_clade, fit_cls])
     @pytest.mark.parametrize("orders", [(0, 0), (1, 0)])
     def test_no_spec_without_a_dispersion_estimate(self, series_10, fitter, orders):
@@ -853,6 +969,78 @@ class TestCensoredDeviationFits:
         counts[0] = 0 if orders == (0, 0) else 4
         with pytest.raises(ValueError, match="no positive count"):
             fitter(CountSeries(counts), orders)
+
+
+class TestDerivativeStagesAgainstSimplex:
+    """Logliks and CLS objectives of the simplex-only pipelines (Nelder-Mead
+    passes for the MLE, a Nelder-Mead multi-start for CLS) on these series,
+    recorded as literals.  The derivative stages may do better, never worse
+    beyond 1e-9 (1 + |v|)."""
+
+    @staticmethod
+    def _series(case):
+        if case == "10":
+            return simulate(
+                ModelSpec(alpha0=7.5, alphas=(-0.5,), delta=0.25), 300,
+                rng=np.random.default_rng(76),
+            )
+        if case == "11":
+            return simulate(TestFitDriver.PAPER_DGP, 250, rng=np.random.default_rng(70))
+        if case == "11-mc420":  # the series mc_study(..., seed=420) simulates
+            stream = np.random.SeedSequence(420).spawn(1)[0]
+            rng = np.random.Generator(np.random.PCG64(stream))
+            return simulate(
+                TestFitDriver.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False
+            )
+        if case == "11-zeros":  # 83% zeros
+            return simulate(
+                ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0), 600,
+                rng=np.random.default_rng(37),
+            )
+        spec = ModelSpec(alpha0=8.5, alphas=(-0.45,), betas=(-0.25,), gammas=(0.8,), delta=0.25)
+        z = np.random.default_rng(35).standard_normal((600, 1))
+        return simulate(spec, 600, rng=np.random.default_rng(36), covariates=z)
+
+    ORDERS = {
+        "10": (1, 0), "11": (1, 1), "11-mc420": (1, 1), "11-zeros": (1, 1), "11-covariate": (1, 1)
+    }
+
+    # (case, scenario-1 delta or None for scenario 2, simplex loglik)
+    @pytest.mark.parametrize(
+        "case, delta, simplex",
+        [
+            ("10", 0.25, -680.0188969092359),
+            ("10", None, -678.248793594337),
+            ("11", 0.25, -559.5058017398806),
+            ("11", None, -559.4722175948673),
+            ("11-mc420", 0.25, -549.3843035745717),
+            ("11-mc420", None, -549.014618250859),
+            ("11-zeros", 1.0, -335.1399417964592),
+            ("11-zeros", None, -335.5229136584994),
+            ("11-covariate", 0.25, -1295.4897452891098),
+            ("11-covariate", None, -1295.3738817521735),
+        ],
+    )
+    def test_mle_loglik_is_no_lower(self, case, delta, simplex):
+        fit = fit_mle(self._series(case), self.ORDERS[case], delta)
+        assert fit.converged
+        assert fit.loglik >= simplex - 1e-9 * (1.0 + abs(simplex))
+
+    @pytest.mark.parametrize(
+        "case, simplex",
+        [
+            ("10", 1767.009063668486),
+            ("11", 1336.6563250863496),
+            # least_squares' default tolerances stop 4.8e-9 (1 + |v|) above it
+            ("11-mc420", 1314.9989569380764),
+            ("11-zeros", 162.80386587917872),
+            ("11-covariate", 2934.701900405717),
+        ],
+    )
+    def test_cls_objective_is_no_higher(self, case, simplex):
+        fit = fit_cls(self._series(case), self.ORDERS[case])
+        assert fit.converged
+        assert fit.objective <= simplex + 1e-9 * (1.0 + abs(simplex))
 
 
 class TestMcStudy:

@@ -12,6 +12,7 @@ from tobitcount import cli, estimation
 from tobitcount.skellam import SkellamStar, censored_moments
 from tobitcount.stingarch import (
     CountSeries,
+    _stationary_distribution,
     ModelSpec,
     check_stationarity,
     conditional_mean_path,
@@ -338,6 +339,13 @@ class TestExactMoments:
             )
         with pytest.raises(ValueError):
             exact_moments_stinarch1(ModelSpec(alpha0=1.0, alphas=(1.1,), delta=0.25))
+
+    def test_periodic_chain_is_refused(self):
+        # 0 -> 1 -> {0, 2} -> 1 has period 2: from the uniform law the power
+        # iteration alternates between (1/3, 1/3, 1/3) and (1/6, 2/3, 1/6)
+        chain = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        with pytest.raises(ArithmeticError, match="stationary distribution did not converge"):
+            _stationary_distribution(chain)
 
     MOMENTS_ARGV = ["moments", "--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25"]
 
