@@ -31,6 +31,7 @@ from .stingarch import (
     _EXACT_INT_LIMIT,
     CountSeries,
     ModelSpec,
+    _positive_bound,
     exact_moments_stinarch1,
     linear_approx_moments,
     simulate,
@@ -307,6 +308,10 @@ def _cmd_fit(args) -> int:
     elif args.model == "stbingarch":
         if args.bound is None:
             raise ConfigError("--bound is required for the bounded model")
+        try:
+            _positive_bound(args.bound)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         fit = fit_stbingarch_mle(
             series,
             (p, q),

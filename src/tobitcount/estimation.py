@@ -18,9 +18,11 @@ numerical Hessian of the maximized log-likelihood.
 
 Every likelihood fit runs one Nelder-Mead pass and then evaluates that
 numerical Hessian, with the central gradient its stencil yields for free.
-Where the analytic score and Hessian exist (:func:`fit_mle`), the pass
-stops at coarse tolerances and a trust-region Newton step on them finishes
-it.  A negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g``
+Where the analytic score and Hessian exist, which is for every
+:class:`ModelSpec` (:func:`fit_mle`, and the bounded one-inflated fit in
+:mod:`tobitcount.extensions`) but not the TINARS(1) fit, the pass stops at
+coarse tolerances and a trust-region Newton step on them finishes it.  A
+negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g``
 below ``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and
 the fit ends there; otherwise a second pass restarts from that point and,
 where the derivatives exist, the Newton stage polishes it.  The CLS fit
@@ -72,9 +74,12 @@ _CERTIFICATE = 1e-10
 # in a first pass that a Newton stage finishes
 _FATOL = 1e-10
 _COARSE = 1e-3
-# the Newton stage stops at this gradient norm or after this many iterations
+# the Newton stage stops at this gradient norm or after this many iterations;
+# the stage that finishes the coarse pass stops sooner, as a gain beyond
+# _COARSE resumes the simplex anyway
 _NEWTON_GTOL = 1e-8
 _NEWTON_MAXITER = 100
+_COARSE_NEWTON_MAXITER = 20
 # ftol, xtol and gtol of the CLS Gauss-Newton runs; least_squares' default
 # 1e-8 stops short of the simplex's objective
 _GN_TOL = 1e-15
@@ -238,12 +243,14 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> 
 # ---------------------------------------------------------------------------
 
 
-def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
+def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float, bound=None):
     """First and second derivatives of each likelihood term's log.
 
-    Returns ``(g_m, g_d, h_mm, h_dd, h_md)`` for ``ln Q`` in ``(m, delta)``.
-    Each term is the latent mass of an interval, ``Q = sum_{lo..hi} p(y)``:
-    ``[x, x]`` for a positive count, ``(-inf, 0]`` for a zero.  The Skellam
+    Returns ``(g_m, g_d, h_mm, h_dd, h_md, log_q)`` for ``ln Q`` in ``(m,
+    delta)``, with ``log_q = ln Q`` itself.  Each term is the latent mass of
+    an interval, ``Q = sum_{lo..hi} p(y)``: ``[x, x]`` for a positive count,
+    ``(-inf, 0]`` for a zero and, given a ``bound`` N, ``[N, inf)`` for a
+    count at it, whose ``Q`` is the upper tail ``P(X* >= N)``.  The Skellam
     identities ``dp(y)/dlambda1 = p(y-1) - p(y)`` and ``dp(y)/dlambda2 =
     p(y+1) - p(y)`` telescope over it, with ``p = 0`` at an infinite end:
     ``Q1 = p(lo-1) - p(hi)``, ``Q2 = p(hi+1) - p(lo)``, ``Q11 = p(lo-2) -
@@ -256,16 +263,22 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     ``ArithmeticError`` when a term's probability underflows to zero.
     """
     zero = x <= 0
+    top = np.zeros(x.shape, dtype=bool) if bound is None else x == bound
     log_p = skellam._log_pmf_arr(x + np.arange(-2, 3)[:, None], m, delta)
     log_q = log_p[2].copy()
-    if zero.any():  # the mixture kernel costs tens of microseconds even when empty
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        # the mixture kernel costs tens of microseconds even when empty
+        if zero.any():
             log_q[zero] = np.log(skellam._cdf0_arr(m[zero], delta))
+        if top.any():
+            log_q[top] = np.log(skellam._survival_arr(bound, m[top], delta))
     if not np.all(np.isfinite(log_q)):
         raise ArithmeticError("likelihood term probability underflowed")
     # p(hi-2) .. p(hi+2) and p(lo-2) .. p(lo+2) over Q; lo = -inf for a zero
+    # and hi = +inf at the bound
     hi = np.exp(log_p - log_q)
     lo = np.where(zero, 0.0, hi)
+    hi[:, top] = 0.0
     g1 = lo[1] - hi[2]
     g2 = hi[3] - lo[2]
     h11 = lo[0] - lo[1] - hi[1] + hi[2] - g1 * g1
@@ -277,7 +290,7 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float):
     h_mm = np.where(up, h11, h22)
     h_dd = 0.25 * (h11 + 2.0 * h12 + h22)
     h_md = 0.5 * np.where(up, h11 + h12, -(h12 + h22))
-    return g_m, g_d, h_mm, h_dd, h_md
+    return g_m, g_d, h_mm, h_dd, h_md, log_q
 
 
 def _mean_gradient(theta_dyn, series, p, q, r):
@@ -324,25 +337,54 @@ def _mean_derivatives(theta_dyn, series, p, q, r):
     return m, dm, d2m_beta
 
 
-def _score_parts(theta, series: CountSeries, orders, scenario):
-    """Per-observation gradients and the summed Hessian of :func:`loglik`.
+def _score_parts(theta, series: CountSeries, orders, scenario, bound=None):
+    """Per-observation gradients and the summed Hessian of the conditional
+    log-likelihood: :func:`loglik`, or given a ``bound`` N the bounded
+    one-inflated model's, whose ``theta`` ends with the weight ``kappa``.
 
     Returns ``(grads, hess)``.  Row ``t`` of the ``(n_eff, k)`` array
     ``grads`` is term ``t``'s gradient in the natural parameters:
-    ``dM_t g_m,t``, then ``g_d,t`` under scenario 2.  ``hess`` is the
-    ``(k, k)`` Hessian of the summed terms.
+    ``dM_t g_m,t``, then ``g_d,t`` under scenario 2, then ``g_kappa,t``
+    given a bound.  ``hess`` is the ``(k, k)`` Hessian of the summed terms.
+    A bounded term is ``L = (1 - kappa) Q + kappa [x = 1]`` of the clipped
+    law's ``Q`` (:func:`_per_term_derivs`).  With ``w = (1 - kappa) Q / L``
+    the chain rule gives ``d ln L = w d ln Q`` and ``d2 ln L = w h + w (1 -
+    w) g g'`` from ``ln Q``'s gradient ``g`` and Hessian ``h``, ``d ln L /
+    dkappa = ([x = 1] - Q) / L``, ``d2 ln L / dkappa2`` its negated square
+    and ``d2 ln L / dkappa d theta = -[x = 1] Q g / L^2``.
     """
     p, q, r = _orders(orders, series)
+    theta = np.asarray(theta, dtype=float)
+    kappa = 0.0
+    if bound is not None:
+        theta, kappa = theta[:-1], float(theta[-1])
     _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
     if not (delta > 0.0):
         raise ValueError("score requires delta > 0")
     start = max(p, q)
     k_dyn = 1 + p + q + r
     m, dm, d2m_beta = _mean_derivatives(theta[:k_dyn], series, p, q, r)
-    k_all = k_dyn + (1 if scenario.estimates_delta else 0)
-    g_m, g_d, h_mm, h_dd, h_md = _per_term_derivs(
-        series.counts[start:], m[start:], delta
-    )
+    k_nat = k_dyn + (1 if scenario.estimates_delta else 0)
+    k_all = k_nat + (0 if bound is None else 1)
+    x = series.counts[start:]
+    g_m, g_d, h_mm, h_dd, h_md, log_q = _per_term_derivs(x, m[start:], delta, bound)
+    if bound is not None:
+        one = x == 1
+        q_one = np.exp(log_q[one])
+        like = (1.0 - kappa) * q_one + kappa
+        # w = 1 and d ln L / dkappa = -1 / (1 - kappa) off the inflated cell
+        w = np.ones(x.shape)
+        w[one] = (1.0 - kappa) * q_one / like
+        g_kappa = np.full(x.shape, -1.0 / (1.0 - kappa))
+        g_kappa[one] = (1.0 - q_one) / like
+        c_kappa = np.zeros(x.shape)
+        c_kappa[one] = -q_one / (like * like)
+        v = w * (1.0 - w)
+        h_mm = w * h_mm + v * g_m * g_m
+        h_dd = w * h_dd + v * g_d * g_d
+        h_md = w * h_md + v * g_m * g_d
+        c_m, c_d = c_kappa * g_m, c_kappa * g_d
+        g_m, g_d = w * g_m, w * g_d
     dm_w = dm[start:]
     grads = np.empty((dm_w.shape[0], k_all))
     grads[:, :k_dyn] = dm_w * g_m[:, None]
@@ -354,36 +396,48 @@ def _score_parts(theta, series: CountSeries, orders, scenario):
     hess = np.zeros((k_all, k_all))
     hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None]) + curvature
     if scenario.estimates_delta:
-        grads[:, -1] = g_d
+        grads[:, k_dyn] = g_d
         cross = dm_w.T @ h_md
-        hess[:k_dyn, -1] = cross
-        hess[-1, :k_dyn] = cross
-        hess[-1, -1] = h_dd.sum()
+        hess[:k_dyn, k_dyn] = cross
+        hess[k_dyn, :k_dyn] = cross
+        hess[k_dyn, k_dyn] = h_dd.sum()
+    if bound is not None:
+        grads[:, -1] = g_kappa
+        cross = dm_w.T @ c_m
+        if scenario.estimates_delta:
+            cross = np.append(cross, c_d.sum())
+        hess[:k_nat, -1] = cross
+        hess[-1, :k_nat] = cross
+        hess[-1, -1] = -(g_kappa @ g_kappa)
     return grads, hess
 
 
-def analytic_score_hessian(theta, series: CountSeries, orders, scenario):
-    """Closed-form score vector and Hessian matrix of :func:`loglik`.
+def analytic_score_hessian(theta, series: CountSeries, orders, scenario, bound=None):
+    """Closed-form score vector and Hessian matrix of :func:`loglik`, or
+    given a ``bound`` of the bounded one-inflated model's log-likelihood,
+    whose ``theta`` ends with ``kappa``.
 
     Both are derivatives of the conditional log-likelihood with respect to
-    the natural parameters (dynamics block, then delta under scenario 2);
-    the Hessian is returned as ``d^2 L / dtheta dtheta'`` (negative definite
-    near the optimum).
+    the natural parameters (dynamics block, then delta under scenario 2,
+    then kappa given a bound); the Hessian is returned as ``d^2 L / dtheta
+    dtheta'`` (negative definite near the optimum).
     """
-    grads, hess = _score_parts(theta, series, orders, scenario)
+    grads, hess = _score_parts(theta, series, orders, scenario, bound)
     return grads.sum(axis=0), hess
 
 
-def information_matrices(theta, series: CountSeries, orders, scenario):
+def information_matrices(theta, series: CountSeries, orders, scenario, bound=None):
     """Curvature and outer-product information estimates ``(U_hat, V_hat)``.
 
     ``U_hat = -H/n`` is the negated analytic Hessian per observation and
     ``V_hat = (1/n) sum_t s_t s_t'`` averages the outer products of the
     per-observation scores ``s_t``, both at ``theta`` over the ``n``
-    likelihood terms.  Exposed for inspection; reported standard errors use
-    the plain inverse numerical Hessian instead.
+    likelihood terms; ``bound`` and a trailing ``kappa`` in ``theta`` select
+    the bounded one-inflated model as in :func:`analytic_score_hessian`.
+    Exposed for inspection; reported standard errors use the plain inverse
+    numerical Hessian instead.
     """
-    grads, hess = _score_parts(theta, series, orders, scenario)
+    grads, hess = _score_parts(theta, series, orders, scenario, bound)
     count = grads.shape[0]
     return -hess / count, grads.T @ grads / count
 
@@ -558,9 +612,10 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
     return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
 
 
-def _newton(fun, derivatives, x0):
+def _newton(fun, derivatives, x0, maxiter=_NEWTON_MAXITER):
     """Trust-region Newton (``trust-exact``) on ``fun`` from ``x0``, with
-    ``derivatives(x)`` returning the gradient and Hessian together.
+    ``derivatives(x)`` returning the gradient and Hessian together, for at
+    most ``maxiter`` iterations.
 
     trust-exact asks for the Hessian at every trial point and for the
     gradient at the accepted ones, so a one-entry memo evaluates
@@ -580,7 +635,7 @@ def _newton(fun, derivatives, x0):
         method="trust-exact",
         jac=lambda x: both(x)[0],
         hess=lambda x: both(x)[1],
-        options={"gtol": _NEWTON_GTOL, "maxiter": _NEWTON_MAXITER},
+        options={"gtol": _NEWTON_GTOL, "maxiter": maxiter},
     )
 
 
@@ -618,11 +673,13 @@ def _fit(
     or (given ``orders = (p, q)``) past stationarity; a start point the
     kernels refuse raises their ``PrecisionError``.
 
-    The first stage is one Nelder-Mead pass.  Given ``derivatives``, the
+    The first stage is one Nelder-Mead pass.  Given ``derivatives`` (every
+    :class:`ModelSpec` fit passes them; the TINARS(1) fit has none), the
     pass stops at the coarse tolerances ``_COARSE`` and a trust-region
-    Newton stage (:func:`_newton`) finishes it on the chain-ruled gradient
-    ``g s`` and Hessian ``H s s' + diag(g s'')``, where ``s`` and ``s''``
-    are the kinds' ``slope`` and ``curvature`` (:func:`_search_derivatives`).
+    Newton stage (:func:`_newton`) of at most ``_COARSE_NEWTON_MAXITER``
+    iterations finishes it on the chain-ruled gradient ``g s`` and Hessian
+    ``H s s' + diag(g s'')``, where ``s`` and ``s''`` are the kinds'
+    ``slope`` and ``curvature`` (:func:`_search_derivatives`).
     When that stage raises or gains more than ``_COARSE``, the simplex had
     not reached its tail: it resumes from its final simplex to the full
     tolerances, which is the pass a fit without ``derivatives`` runs, and
@@ -690,10 +747,10 @@ def _fit(
         grad, hess = _search_derivatives(kinds, theta, grad, hess)
         return -grad, -hess
 
-    def newton(x: np.ndarray):
+    def newton(x: np.ndarray, maxiter=_NEWTON_MAXITER):
         """The Newton stage from ``x``, or ``None`` when it raises."""
         try:
-            return _newton(objective, search_derivatives, x)
+            return _newton(objective, search_derivatives, x, maxiter)
         except (ArithmeticError, ValueError):
             return None
 
@@ -705,7 +762,7 @@ def _fit(
     else:
         res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
         best_x, best_f, iterations = res.x, res.fun, int(res.nit)
-        pol = newton(res.x)
+        pol = newton(res.x, _COARSE_NEWTON_MAXITER)
         if pol is not None:
             iterations += int(pol.nit)
             if pol.fun < best_f:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, pdtr, xlog1py, xlogy
 
-from . import skellam
+from . import estimation, skellam
 from .diagnostics import sample_acf
 from .estimation import (
     EstimationScenario,
@@ -32,7 +32,7 @@ from .estimation import (
     _spec_from_theta,
     _window_loglik,
 )
-from .stingarch import CountSeries, ModelSpec
+from .stingarch import CountSeries, ModelSpec, _positive_bound
 
 __all__ = [
     "TinarsSpec",
@@ -259,20 +259,25 @@ def fit_stbingarch_mle(
 
     Optimizes the dynamics plus the one-inflation weight, the latter on the
     logit scale, so ``kappa`` approaches 0 continuously and ``loglik`` is
-    the likelihood at the reported ``kappa``.  One Nelder-Mead pass ends
-    the search when the numerical Hessian in the natural parametrization
-    certifies its point as a maximum (``converged`` true); otherwise,
-    including every point with ``kappa`` within 1e-5 of 0 or 1, a second
-    pass restarts from it and ``converged`` is that pass's success flag.
+    the likelihood at the reported ``kappa``.  The fit driver runs the same
+    stages as :func:`~tobitcount.estimation.fit_mle`: a coarse Nelder-Mead
+    pass finished by trust-region Newton steps on the analytic score and
+    Hessian (:func:`~tobitcount.estimation.analytic_score_hessian` with the
+    ``bound``), ending when the numerical Hessian in the natural
+    parametrization certifies the point as a maximum (``converged`` true).
+    Otherwise, including every point with ``kappa`` within 1e-5 of 0 or 1,
+    a second pass restarts from it, a Newton polish follows, and
+    ``converged`` is the success flag of the stage whose point is returned.
     Standard errors come from the same numerical Hessian at the returned
-    point, withheld near those edges of ``kappa``.  ``delta`` is the fixed dispersion
-    and must be positive and finite.
+    point, withheld near those edges of ``kappa``.  ``delta`` is the fixed
+    dispersion and must be positive and finite; ``bound`` must be an
+    integer >= 1 and no count may exceed it.
     """
     scenario = EstimationScenario.fixed(delta)
     p, q, r = _orders(orders, series)
+    bound = _positive_bound(bound)
     if np.any(series.counts > bound):
         raise ValueError("series exceeds the declared bound")
-    bound = int(bound)
     start_dyn = _moment_start(series, p, q, r)
     k_dyn = start_dyn.shape[0]
 
@@ -288,5 +293,9 @@ def fit_stbingarch_mle(
         "mle-stbingarch",
         series.counts[max(p, q):],
         spec=spec,
+        # looked up on the module, where the profiling harness wraps it
+        derivatives=lambda theta: estimation.analytic_score_hessian(
+            theta, series, (p, q, r), scenario, bound
+        ),
         orders=(p, q),
     )

@@ -17,6 +17,7 @@ Yule-Walker-style approximation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,6 +41,14 @@ __all__ = [
     "simulated_moments",
     "pacf_from_acf",
 ]
+
+
+def _positive_bound(bound) -> int:
+    """``bound`` as an ``int``; ``ValueError`` unless it is an integer >= 1
+    (``True`` is not a bound)."""
+    if isinstance(bound, bool) or not isinstance(bound, numbers.Integral) or bound < 1:
+        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    return int(bound)
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,8 @@ class ModelSpec:
             raise ValueError("alpha0 must be finite")
         if not (self.delta >= 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be >= 0, got {self.delta!r}")
-        if self.bound is not None and self.bound < 1:
-            raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
+        if self.bound is not None:
+            object.__setattr__(self, "bound", _positive_bound(self.bound))
         if not (0.0 <= self.kappa < 1.0):
             raise ValueError(f"kappa must lie in [0, 1), got {self.kappa!r}")
         if self.kappa > 0.0 and self.bound is None:

@@ -327,6 +327,77 @@ class TestAnalyticDerivatives:
         _, v_hat = information_matrices(theta, series, (p, q), SC2)
         assert np.max(np.abs(v_hat - reference) / (1.0 + np.abs(reference))) < 1e-6
 
+    # bounded one-inflated series: N = 1, where the count at the bound is the
+    # inflated count, N = 2 and N = 5; above N = 1 the means take both signs
+    @pytest.fixture(scope="class")
+    def bounded_series(self):
+        return {
+            bound: simulate(
+                ModelSpec(
+                    alpha0=0.8, alphas=(-0.5,), betas=(0.2,), delta=0.25, bound=bound, kappa=0.15
+                ),
+                400,
+                rng=np.random.default_rng(40 + bound),
+            )
+            for bound in (1, 2, 5)
+        }
+
+    @staticmethod
+    def _bounded_point(scenario):
+        # (alpha0, alpha1, beta1[, delta], kappa)
+        return np.array([0.75, -0.45, 0.15] + ([0.3] if scenario.estimates_delta else []) + [0.12])
+
+    @staticmethod
+    def _bounded_terms(theta, series, scenario, bound):
+        delta = theta[3] if scenario.estimates_delta else scenario.fixed_delta
+        m = _mean_path(theta[:3], series, 1, 1, 0)[1:]
+        return skellam._log_obs_arr(series.counts[1:], m, delta, bound, theta[-1])
+
+    @pytest.mark.parametrize("scenario", [SC1, SC2], ids=["scenario1", "scenario2"])
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    def test_bounded_score_and_hessian_match_central_differences(
+        self, bound, scenario, bounded_series
+    ):
+        series = bounded_series[bound]
+        theta = self._bounded_point(scenario)
+        m = _mean_path(theta[:3], series, 1, 1, 0)
+        assert np.any(m > 0) and (bound == 1 or np.any(m < 0))
+        assert not _stencil_crosses_kink(theta, series, 1, 1, 0)
+        grad, hess = analytic_score_hessian(theta, series, (1, 1), scenario, bound)
+        assert grad.shape == theta.shape and np.max(np.abs(hess - hess.T)) < 1e-8
+        fd_grad = np.empty_like(theta)
+        fd_hess = np.empty_like(hess)
+        for i in range(theta.shape[0]):
+            e = np.zeros_like(theta)
+            e[i] = 1e-5 * (1.0 + abs(theta[i]))
+            up = self._bounded_terms(theta + e, series, scenario, bound).sum()
+            down = self._bounded_terms(theta - e, series, scenario, bound).sum()
+            fd_grad[i] = (up - down) / (2.0 * e[i])
+            e *= 0.1
+            gp, _ = analytic_score_hessian(theta + e, series, (1, 1), scenario, bound)
+            gm, _ = analytic_score_hessian(theta - e, series, (1, 1), scenario, bound)
+            fd_hess[:, i] = (gp - gm) / (2.0 * e[i])
+        assert np.max(np.abs(grad - fd_grad) / (1.0 + np.abs(fd_grad))) < 1e-4
+        assert np.max(np.abs(hess - fd_hess) / (1.0 + np.abs(fd_hess))) < 1e-5
+
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    def test_bounded_outer_product_information_matches_term_differences(
+        self, bound, bounded_series
+    ):
+        series = bounded_series[bound]
+        theta = self._bounded_point(SC2)
+        x = series.counts[1:]
+        scores = np.empty((x.shape[0], theta.shape[0]))
+        for i in range(theta.shape[0]):
+            e = np.zeros_like(theta)
+            e[i] = 1e-5 * (1.0 + abs(theta[i]))
+            up = self._bounded_terms(theta + e, series, SC2, bound)
+            down = self._bounded_terms(theta - e, series, SC2, bound)
+            scores[:, i] = (up - down) / (2.0 * e[i])
+        reference = scores.T @ scores / x.shape[0]
+        _, v_hat = information_matrices(theta, series, (1, 1), SC2, bound)
+        assert np.max(np.abs(v_hat - reference) / (1.0 + np.abs(reference))) < 1e-6
+
     def test_curvature_information_is_scaled_analytic_hessian(self, series_11):
         theta = np.array([8.4, -0.44, -0.26, 0.3])
         u_hat, _ = information_matrices(theta, series_11, (1, 1), SC2)
@@ -641,6 +712,22 @@ class TestFitDriver:
         assert passes[1].fun == simplex_only[0].fun < newtons[0].fun
         assert fit.loglik == natural.loglik
         assert np.array_equal(fit.estimates, natural.estimates)
+
+    def test_first_newton_stage_stops_at_its_iteration_cap(self, monkeypatch):
+        # on this 85%-zero series the first Newton stage zig-zags across kinks
+        # (100 iterations without the cap) and the resumed simplex finds the
+        # better point anyway; the loglik is the uncapped fit's
+        series = simulate(
+            ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
+            1000,
+            rng=np.random.default_rng(7),
+        )
+        passes = self._count(monkeypatch)
+        newtons = self._count(monkeypatch, "_newton")
+        fit = fit_mle(series, (1, 1), 1.0)
+        assert newtons[0].nit == estimation._COARSE_NEWTON_MAXITER == 20
+        assert len(passes) >= 2 and fit.converged
+        assert fit.loglik >= -567.5879118867149 - 1e-9 * (1.0 + 567.5879118867149)
 
     @pytest.mark.parametrize(
         "grad, hess_diag, ll, expected",

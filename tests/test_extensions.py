@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tobitcount import cli, extensions
+from tobitcount import cli, estimation, extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
 from tobitcount.estimation import EstimationScenario, _window_loglik, fit_mle
 from tobitcount.extensions import (
@@ -477,6 +477,83 @@ class TestBoundedFit:
         series = CountSeries(np.array([0, 3, 7]))
         with pytest.raises(ValueError):
             fit_stbingarch_mle(series, (1, 0), bound=5, delta=0.25)
+
+    @pytest.mark.parametrize("bound", [0, -2, 1.5, 5.0, True])
+    def test_bound_that_is_not_a_positive_integer_refused(self, tmp_path, capsys, bound):
+        # refused before the series check, which bound = 0 would fail too
+        series = CountSeries(np.tile([1, 0, 2, 3], 15))
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            fit_stbingarch_mle(series, (1, 0), bound=bound, delta=0.25)
+        if isinstance(bound, int) and not isinstance(bound, bool):
+            path = tmp_path / "counts.csv"
+            path.write_text("count\n" + "1\n0\n2\n3\n" * 15)
+            argv = ["fit", "--model", "stbingarch", "--bound", str(bound), "--input", str(path)]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert "bound must be a positive integer" in capsys.readouterr().err
+
+    def test_bound_one_fits_from_the_cli(self, tmp_path):
+        path, out = tmp_path / "binary.csv", tmp_path / "fit.json"
+        spec = ["--alpha0", "0.1", "--alpha1", "0.4", "--delta", "0.25"]
+        sim = ["simulate", *spec, "--bound", "1", "--kappa", "0.1", "--n", "800", "--seed", "7"]
+        assert cli.main([*sim, "--output", str(path)]) == cli.EXIT_OK
+        argv = ["fit", "--model", "stbingarch", "--bound", "1", "-p", "1", "-q", "0"]
+        assert cli.main([*argv, "--input", str(path), "--output", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["converged"] is True
+
+    def test_newton_stage_runs_on_the_analytic_derivatives(self, monkeypatch):
+        calls = []
+        score = estimation.analytic_score_hessian
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "analytic_score_hessian", counted)
+        spec = ModelSpec(
+            alpha0=0.787, alphas=(0.699,), betas=(-0.127,), delta=0.01, bound=5, kappa=0.118
+        )
+        series = simulate(spec, 400, burn_in=500, rng=np.random.default_rng(55))
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert fit.converged and calls and set(calls) == {5}
+
+    # (spec, n, burn-in, seed, orders, loglik of the simplex-only fit, which
+    # ran no Newton stage), recorded as literals: the Newton stage may do
+    # better, never worse beyond 1e-9 (1 + |v|)
+    @pytest.mark.parametrize(
+        "spec, n, burn_in, seed, orders, simplex",
+        [
+            # kappa near 0: the objective must stay continuous there
+            (
+                ModelSpec(alpha0=1.0, alphas=(0.3,), betas=(0.3,), delta=0.01, bound=5, kappa=0.01),
+                1000, 500, 2, (1, 1), -1677.2071494512625,
+            ),
+            (
+                ModelSpec(
+                    alpha0=0.787, alphas=(0.699,), betas=(-0.127,), delta=0.01, bound=5, kappa=0.118
+                ),
+                400, 500, 55, (1, 1), -574.8276060827825,
+            ),
+            (
+                ModelSpec(alpha0=0.5, alphas=(0.4,), betas=(0.2,), delta=0.25, bound=2, kappa=0.1),
+                600, 500, 56, (1, 1), -619.711619184537,
+            ),
+            # N = 1: the count at the bound is the inflated count
+            (
+                ModelSpec(alpha0=0.1, alphas=(0.4,), delta=0.25, bound=1, kappa=0.1),
+                800, 100, 52, (1, 0), -483.4185276527711,
+            ),
+            # negative means: the Newton stage crosses M = 0
+            (
+                ModelSpec(alpha0=0.8, alphas=(-0.5,), betas=(0.2,), delta=0.25, bound=5, kappa=0.15),
+                600, 500, 57, (1, 1), -604.7148351959972,
+            ),
+        ],
+    )
+    def test_loglik_is_no_lower_than_the_simplex_fit(self, spec, n, burn_in, seed, orders, simplex):
+        series = simulate(spec, n, burn_in=burn_in, rng=np.random.default_rng(seed))
+        fit = fit_stbingarch_mle(series, orders, bound=spec.bound, delta=spec.delta)
+        assert fit.converged
+        assert fit.loglik >= simplex - 1e-9 * (1.0 + abs(simplex))
 
     def test_bounded_pearson_residuals(self):
         spec = ModelSpec(

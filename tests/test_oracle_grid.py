@@ -71,18 +71,26 @@ def mp_censored_moments(mu, delta):
     return mean, second
 
 
-def mp_log_term(x, mu, delta):
-    """``ln Q``: ``Q = p(x)`` for a positive count, ``Q = P(X* <= 0)`` for a zero."""
+def mp_log_term(x, mu, delta, bound=None):
+    """``ln Q``: ``Q = p(x)`` for a positive count, ``Q = P(X* <= 0)`` for a
+    zero and ``Q = P(X* >= N)`` for a count at the bound ``N``."""
     lam1, lam2 = mp_lambdas(mu, delta)
+    if x == bound:
+        return mp.log(mp_mixture(x, lam1, lam2))
     return mp.log(mp_pmf(x, lam1, lam2) if x > 0 else mp_mixture(0, lam2, lam1))
 
 
-def mp_term_derivs(x, mu, delta):
+def mp_term_derivs(x, mu, delta, bound=None):
     """``(g_m, g_d, h_mm, h_dd, h_md)`` of ``ln Q`` from the Skellam difference
-    identities ``dp(x)/dlambda1 = p(x-1) - p(x)``, ``dp(x)/dlambda2 = p(x+1) - p(x)``."""
+    identities ``dp(x)/dlambda1 = p(x-1) - p(x)``, ``dp(x)/dlambda2 = p(x+1) - p(x)``,
+    summed over ``Q``'s interval: ``[x, x]``, ``(-inf, 0]`` or ``[N, inf)``."""
     lam1, lam2 = mp_lambdas(mu, delta)
     p = {k: mp_pmf(x + k, lam1, lam2) for k in range(-2, 3)}
-    if x > 0:
+    if x == bound:
+        q = mp_mixture(x, lam1, lam2)
+        q1, q2 = p[-1], -p[0]
+        q11, q12, q22 = p[-2] - p[-1], p[0] - p[-1], p[0] - p[1]
+    elif x > 0:
         q = p[0]
         q1, q2 = p[-1] - p[0], p[1] - p[0]
         q11 = p[-2] - 2 * p[-1] + p[0]
@@ -282,14 +290,37 @@ class TestTermDerivatives:
             ref = mp_term_derivs(int(x), float(mu), delta)
             self.assert_close([g[i] for g in got], ref, (int(x), float(mu)))
 
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    @pytest.mark.parametrize("delta", [0.01, 0.25, 2.0])
+    def test_bound_grid(self, delta, bound):
+        # every count 0..N under the bound: only the count at N changes cell
+        xs = np.repeat(np.arange(bound + 1), len(self.MUS))
+        mus = np.tile(self.MUS, bound + 1)
+        got = _per_term_derivs(xs, mus, delta, bound)
+        for i, (x, mu) in enumerate(zip(xs, mus)):
+            ref = mp_term_derivs(int(x), float(mu), delta, bound)
+            self.assert_close([g[i] for g in got], ref, (int(x), float(mu)))
+            q = mp.exp(mp_log_term(int(x), float(mu), delta, bound))
+            assert rel_err(math.exp(got[5][i]), q) <= tail_tol(mu, delta, q)
+
+    def check_identities(self, x, mu, delta, bound=None):
+        ref = mp_term_derivs(x, mu, delta, bound)
+        orders = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+        for exact, order in zip(ref, orders):
+            numeric = mp.diff(lambda m, d: mp_log_term(x, m, d, bound), (mu, delta), order)
+            assert abs(exact - numeric) <= mp.mpf(10) ** -30 * (1 + abs(exact))
+        got = _per_term_derivs(np.array([x]), np.array([mu]), delta, bound)
+        self.assert_close([g[0] for g in got], ref, (x, mu))
+
     @pytest.mark.parametrize(
         "x, mu, delta", [(7, 7.3, 0.01), (60, 20.0, 0.01), (0, 20.0, 0.1), (0, -3.0, 0.25)]
     )
     def test_identities_match_numerical_derivatives(self, x, mu, delta):
-        ref = mp_term_derivs(x, mu, delta)
-        orders = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
-        for exact, order in zip(ref, orders):
-            numeric = mp.diff(lambda m, d: mp_log_term(x, m, d), (mu, delta), order)
-            assert abs(exact - numeric) <= mp.mpf(10) ** -30 * (1 + abs(exact))
-        got = _per_term_derivs(np.array([x]), np.array([mu]), delta)
-        self.assert_close([g[0] for g in got], ref, (x, mu))
+        self.check_identities(x, mu, delta)
+
+    @pytest.mark.parametrize(
+        "x, mu, delta", [(1, -3.0, 0.25), (2, 0.2, 0.01), (5, 7.3, 2.0), (5, -0.2, 0.25)]
+    )
+    def test_bound_identities_match_numerical_derivatives(self, x, mu, delta):
+        # the count sits at the bound N = x
+        self.check_identities(x, mu, delta, bound=x)

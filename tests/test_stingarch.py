@@ -41,6 +41,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="kappa must lie in"):
             ModelSpec(alpha0=1.0, bound=5, kappa=kappa)
 
+    @pytest.mark.parametrize("bound", [0, -3, 1.5, 5.0, True, "5"])
+    def test_bound_that_is_not_a_positive_integer_refused(self, bound):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            ModelSpec(alpha0=1.0, bound=bound)
+
+    def test_numpy_integer_bound_is_coerced(self):
+        spec = ModelSpec(alpha0=1.0, bound=np.int64(5))
+        assert spec.bound == 5 and type(spec.bound) is int
+
     def test_integer_intercept_is_coerced(self):
         spec = ModelSpec(alpha0=20)
         assert isinstance(spec.alpha0, float)
