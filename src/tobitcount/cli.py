@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import pearson_residuals
-from .estimation import FitResult, fit_clade, fit_cls, fit_mle, mc_study
+from .estimation import _METHOD_FITTERS, FitResult, fit_clade, fit_cls, fit_mle, mc_study
 from .extensions import fit_stbingarch_mle, fit_tinars1_mle
 from .stingarch import (
     _EXACT_INT_LIMIT,
@@ -337,6 +337,10 @@ def _cmd_moments(args) -> int:
     spec = _spec_from_args(args)
     if args.max_lag < 1:
         raise ConfigError("--max-lag must be >= 1")
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.method in ("simulated", "all") and args.n <= args.max_lag:
+        raise ConfigError(f"--n must exceed --max-lag {args.max_lag}, got {args.n}")
     payload = {"spec": {
         "alpha0": spec.alpha0,
         "alphas": list(spec.alphas),
@@ -388,15 +392,23 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_mc_study(args) -> int:
+    # the whole configuration is checked, also for zero replications
     spec = _spec_from_args(args)
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.replications < 0:
         raise ConfigError("--replications must be >= 0")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
+    if not methods:
+        raise ConfigError("--methods names no method")
+    unknown = sorted(set(methods) - set(_METHOD_FITTERS))
+    if unknown:
+        raise ConfigError(f"unknown --methods {unknown}; choose from {sorted(_METHOD_FITTERS)}")
     if args.replications == 0:
         _json_dump({"replications": 0, "methods": {}}, args.output)
         return EXIT_OK
-    methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
     result = mc_study(
         spec,
         n=args.n,

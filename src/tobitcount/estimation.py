@@ -16,18 +16,18 @@ triangular solve of the recursion's feedback ``1 - sum_j beta_j B^j``.
 Approximate standard errors follow the usual practice of inverting a
 numerical Hessian of the maximized log-likelihood.
 
-Every likelihood fit runs one Nelder-Mead pass and then evaluates that
-numerical Hessian, with the central gradient its stencil yields for free.
+Every likelihood fit runs one Nelder-Mead pass at coarse tolerances.
 Where the analytic score and Hessian exist, which is for every
 :class:`ModelSpec` (:func:`fit_mle`, and the bounded one-inflated fit in
-:mod:`tobitcount.extensions`) but not the TINARS(1) fit, the pass stops at
-coarse tolerances and a trust-region Newton step on them finishes it.  A
-negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g``
-below ``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and
-the fit ends there; otherwise a second pass restarts from that point and,
-where the derivatives exist, the Newton stage polishes it.  The CLS fit
-runs Gauss-Newton on the Jacobian of its censored residuals, and CLADE a
-Nelder-Mead multi-start.
+:mod:`tobitcount.extensions`) but not the TINARS(1) fit, a trust-region
+Newton stage on them finishes it, and the numerical Hessian is evaluated
+there, with the central gradient its stencil yields for free.  A
+negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g`` below
+``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and the
+fit ends there.  Otherwise the one fallback runs: the coarse pass resumes
+from its final simplex to the full tolerances and the better point is
+kept.  The CLS fit runs Gauss-Newton on the Jacobian of its censored
+residuals, and CLADE a Nelder-Mead multi-start.
 """
 
 from __future__ import annotations
@@ -70,15 +70,13 @@ _PENALTY = 1e12
 # a first simplex point whose Newton decrement g'(-H)^-1 g is at most this
 # times 1 + |loglik| is a certified maximum and ends the search
 _CERTIFICATE = 1e-10
-# the simplex's objective tolerance, and its tolerances (fatol and xatol)
-# in a first pass that a Newton stage finishes
+# the simplex's full objective tolerance, and its tolerances (fatol and
+# xatol) in the coarse first pass that a Newton stage finishes
 _FATOL = 1e-10
 _COARSE = 1e-3
-# the Newton stage stops at this gradient norm or after this many iterations;
-# the stage that finishes the coarse pass stops sooner, as a gain beyond
-# _COARSE resumes the simplex anyway
+# the Newton stage stops at this gradient norm or after this many
+# iterations: a gain beyond _COARSE resumes the simplex anyway
 _NEWTON_GTOL = 1e-8
-_NEWTON_MAXITER = 100
 _COARSE_NEWTON_MAXITER = 20
 # ftol, xtol and gtol of the CLS Gauss-Newton runs; least_squares' default
 # 1e-8 stops short of the simplex's objective
@@ -612,10 +610,10 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
     return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
 
 
-def _newton(fun, derivatives, x0, maxiter=_NEWTON_MAXITER):
+def _newton(fun, derivatives, x0):
     """Trust-region Newton (``trust-exact``) on ``fun`` from ``x0``, with
     ``derivatives(x)`` returning the gradient and Hessian together, for at
-    most ``maxiter`` iterations.
+    most ``_COARSE_NEWTON_MAXITER`` iterations.
 
     trust-exact asks for the Hessian at every trial point and for the
     gradient at the accepted ones, so a one-entry memo evaluates
@@ -635,7 +633,7 @@ def _newton(fun, derivatives, x0, maxiter=_NEWTON_MAXITER):
         method="trust-exact",
         jac=lambda x: both(x)[0],
         hess=lambda x: both(x)[1],
-        options={"gtol": _NEWTON_GTOL, "maxiter": maxiter},
+        options={"gtol": _NEWTON_GTOL, "maxiter": _COARSE_NEWTON_MAXITER},
     )
 
 
@@ -673,31 +671,22 @@ def _fit(
     or (given ``orders = (p, q)``) past stationarity; a start point the
     kernels refuse raises their ``PrecisionError``.
 
-    The first stage is one Nelder-Mead pass.  Given ``derivatives`` (every
-    :class:`ModelSpec` fit passes them; the TINARS(1) fit has none), the
-    pass stops at the coarse tolerances ``_COARSE`` and a trust-region
-    Newton stage (:func:`_newton`) of at most ``_COARSE_NEWTON_MAXITER``
-    iterations finishes it on the chain-ruled gradient ``g s`` and Hessian
-    ``H s s' + diag(g s'')``, where ``s`` and ``s''`` are the kinds'
-    ``slope`` and ``curvature`` (:func:`_search_derivatives`).
-    When that stage raises or gains more than ``_COARSE``, the simplex had
-    not reached its tail: it resumes from its final simplex to the full
-    tolerances, which is the pass a fit without ``derivatives`` runs, and
-    the better of its point and the Newton point is kept.  Then the
-    standard-error stencil
-    (:func:`numerical_hessian` on :func:`_difference_steps`) is evaluated
-    at the stage's point.  When the negated Hessian is positive definite
-    and the Newton decrement ``g' (-H)^-1 g`` is at most ``_CERTIFICATE (1
-    + |loglik|)``, the point is a certified maximum: it is returned with
-    ``converged`` true and that Hessian's standard errors.  Otherwise
-    (steps withheld, a stencil point raising, ``-H`` not finite or not
-    positive definite, or the decrement too large) a full Nelder-Mead pass
-    restarts from that point and, given ``derivatives``, a Newton polish is
-    kept if it lowers the objective by more than the pass's ``_FATOL``.
-    On this restart path ``converged`` is
-    the success flag of the stage whose point is returned; a polish that
-    raises leaves the simplex point unconverged.  ``iterations`` sums the
-    iterations of every stage that ran.
+    Every fit runs a Nelder-Mead pass at the coarse tolerances
+    ``_COARSE``.  Given ``derivatives`` (every :class:`ModelSpec` fit; not
+    TINARS(1)), a trust-region Newton stage (:func:`_newton`) finishes it
+    on the chain-ruled gradient ``g s`` and Hessian ``H s s' + diag(g
+    s'')``, ``s`` and ``s''`` being the kinds' ``slope`` and ``curvature``
+    (:func:`_search_derivatives`), and the better point is kept.  Unless
+    there are no ``derivatives``, Newton raises or it gains more than
+    ``_COARSE`` (the simplex had not reached its tail), the standard-error
+    stencil (:func:`numerical_hessian` on :func:`_difference_steps`) runs
+    there; a positive definite ``-H`` and a Newton decrement ``g' (-H)^-1
+    g`` of at most ``_CERTIFICATE (1 + |loglik|)`` certify the point, which
+    is returned with ``converged`` true.  Otherwise the one fallback runs:
+    the coarse pass resumes from its final simplex to the full tolerances,
+    the better point is kept, the stencil runs again only at a point that
+    had none yet, and ``converged`` is true when it certifies that point
+    or the resumed pass reports success.  ``iterations`` sums every stage.
 
     ``loglik`` is ``natural_loglik`` at the estimates, and standard errors
     invert its stencil Hessian there (none for ``delta <= 1e-8`` or
@@ -747,59 +736,43 @@ def _fit(
         grad, hess = _search_derivatives(kinds, theta, grad, hess)
         return -grad, -hess
 
-    def newton(x: np.ndarray, maxiter=_NEWTON_MAXITER):
-        """The Newton stage from ``x``, or ``None`` when it raises."""
-        try:
-            return _newton(objective, search_derivatives, x, maxiter)
-        except (ArithmeticError, ValueError):
-            return None
-
     natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
-    if derivatives is None:
-        res = _nelder_mead(objective, x0)
-        best_x, best_f, iterations = res.x, res.fun, int(res.nit)
-    else:
-        res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
-        best_x, best_f, iterations = res.x, res.fun, int(res.nit)
-        pol = newton(res.x, _COARSE_NEWTON_MAXITER)
-        if pol is not None:
+    res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
+    best_x, best_f, iterations = res.x, res.fun, int(res.nit)
+    finished = False
+    if derivatives is not None:
+        try:
+            pol = _newton(objective, search_derivatives, res.x)
+        except (ArithmeticError, ValueError):
+            pass  # an unfinished point, which the resumed pass finishes
+        else:
             iterations += int(pol.nit)
             if pol.fun < best_f:
                 best_x, best_f = pol.x, pol.fun
-        if pol is None or res.fun - best_f > _COARSE:
-            # a Newton gain beyond the simplex's own tolerance means the
-            # simplex had not reached its tail: it resumes to the full
-            # tolerances and the better point is kept
-            full = _nelder_mead(objective, res.x, simplex=res.final_simplex[0])
-            iterations += int(full.nit)
-            if full.fun < best_f:
-                best_x, best_f = full.x, full.fun
+            # a gain beyond the simplex's own tolerance means the simplex
+            # had not reached its tail
+            finished = res.fun - best_f <= _COARSE
     stencil = None
-    if best_f < _PENALTY / 2:
+    if finished and best_f < _PENALTY / 2:
         stencil = _stencil(natural_loglik, np.array(natural(best_x)), kinds)
-    certified = stencil is not None and _certifies(*stencil, -best_f)
-    converged = certified
-    if not certified:
-        res = _nelder_mead(objective, best_x)
-        best_x, best_f = res.x, res.fun
-        iterations += int(res.nit)
-        converged = bool(res.success)
-        if derivatives is not None:
-            pol = newton(best_x)
-            if pol is None:
-                converged = False
-            else:
-                iterations += int(pol.nit)
-                # a gain within the simplex's fatol leaves its point and flag
-                if pol.fun < best_f - _FATOL:
-                    best_x, best_f, converged = pol.x, pol.fun, bool(pol.success)
+    converged = stencil is not None and _certifies(*stencil, -best_f)
+    if not converged:
+        # the one fallback: the coarse pass resumes from its final simplex
+        # to the full tolerances, and the better point is kept
+        full = _nelder_mead(objective, res.x, simplex=res.final_simplex[0])
+        iterations += int(full.nit)
+        if full.fun < best_f:
+            # a point without a stencil yet
+            best_x, best_f, finished = full.x, full.fun, False
     if not best_f < _PENALTY / 2:
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
     theta_hat = np.array(natural(best_x))
     ll = -best_f
-    if not certified:
-        stencil = _stencil(natural_loglik, theta_hat, kinds)
+    if not converged:
+        if not finished:
+            stencil = _stencil(natural_loglik, theta_hat, kinds)
+        converged = (stencil is not None and _certifies(*stencil, ll)) or bool(full.success)
     std_errors = None
     if stencil is not None:
         try:
@@ -838,17 +811,17 @@ def fit_mle(
     scenario: EstimationScenario | float | None = 0.25,
 ) -> FitResult:
     """Conditional MLE by a coarse simplex search finished by Newton steps,
-    certified or restarted and polished.
+    certified or else resumed.
 
     A Nelder-Mead pass at coarse tolerances is finished by a trust-region
-    Newton stage on :func:`analytic_score_hessian`; when that stage gains
-    more than the coarse tolerance, the simplex resumes to its full
-    tolerances and the better point is kept.  The search ends when the
-    numerical Hessian and gradient at that point certify a maximum (see
-    :func:`_fit`); ``converged`` is then true.  Otherwise a second pass
-    restarts from that point and a Newton polish follows, and ``converged``
-    is the success flag of the stage whose point is returned.
-    ``iterations`` sums every stage's iterations.
+    Newton stage on :func:`analytic_score_hessian`.  The search ends when
+    the numerical Hessian and gradient at that point certify a maximum
+    (see :func:`_fit`); ``converged`` is then true.  Otherwise, and
+    whenever the Newton stage raises or gains more than the coarse
+    tolerance, the simplex resumes from its final simplex to its full
+    tolerances and the better point is kept; ``converged`` is then true
+    when the stencil certifies that point or the resumed pass reports
+    success.  ``iterations`` sums every stage's iterations.
 
     ``scenario`` may be an :class:`EstimationScenario`, a float (shorthand
     for a fixed scenario-1 dispersion) or ``None`` (scenario 2).  Trial

@@ -199,12 +199,12 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
     """Conditional MLE of the Tobit INARS(1) model.
 
     The fit driver searches ``log innovation_mean`` and ``atanh alpha1``, so
-    both constraints are automatic.  One Nelder-Mead pass ends the search
-    when the numerical Hessian in the natural parametrization certifies its
-    point as a maximum (``converged`` true); otherwise a second pass
-    restarts from it and ``converged`` is that pass's success flag.
-    Standard errors come from the same numerical Hessian, at the returned
-    point.  ``spec`` holds the fitted
+    both constraints are automatic.  Without analytic derivatives, its
+    coarse Nelder-Mead pass always resumes to the full tolerances (the
+    driver's one fallback); ``converged`` is true when the numerical
+    Hessian in the natural parametrization certifies that point as a
+    maximum or the resumed pass reports success.  Standard errors come from
+    the same numerical Hessian.  ``spec`` holds the fitted
     :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
     ``alpha1`` to ``-1`` or ``1`` in floating point: the likelihood then has
     no interior maximum.
@@ -266,12 +266,13 @@ def fit_stbingarch_mle(
     ``bound``), ending when the numerical Hessian in the natural
     parametrization certifies the point as a maximum (``converged`` true).
     Otherwise, including every point with ``kappa`` within 1e-5 of 0 or 1,
-    a second pass restarts from it, a Newton polish follows, and
-    ``converged`` is the success flag of the stage whose point is returned.
-    Standard errors come from the same numerical Hessian at the returned
-    point, withheld near those edges of ``kappa``.  ``delta`` is the fixed
-    dispersion and must be positive and finite; ``bound`` must be an
-    integer >= 1 and no count may exceed it.
+    the coarse pass resumes to the full tolerances (the driver's one
+    fallback), and ``converged`` is true when the numerical Hessian
+    certifies the better point or the resumed pass reports success.
+    Standard errors come from the same numerical Hessian, withheld near
+    those edges of ``kappa``.  ``delta`` is the fixed dispersion and must
+    be positive and finite; ``bound`` must be an integer >= 1 and no count
+    may exceed it.
     """
     scenario = EstimationScenario.fixed(delta)
     p, q, r = _orders(orders, series)

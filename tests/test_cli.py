@@ -163,3 +163,49 @@ class TestRefusedFlagsAndFits:
         argv = [*DIAGNOSE, "--gammas", "0.5", "--input", path, "--output", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         assert out.exists()
+
+
+SPEC = ["--alpha0", "2", "--alpha1", "0.4", "--beta1", "0.2", "--delta", "0.25"]
+
+
+class TestConfigurationChecks:
+    # every check runs before the zero-replication shortcut
+    @pytest.mark.parametrize("replications", ["0", "1"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "0"], "--n must be >= 1, got 0"),
+            (["--n", "-5"], "--n must be >= 1, got -5"),
+            (["--n", "50", "--methods", "bogus"], "unknown --methods ['bogus']"),
+            (["--n", "50", "--methods", "mle,bogus"], "unknown --methods ['bogus']"),
+            (["--n", "50", "--methods", ""], "--methods names no method"),
+            (["--n", "50", "--methods", " , "], "--methods names no method"),
+        ],
+    )
+    def test_mc_study_refuses_a_bad_configuration(self, tmp_path, capsys, replications, flags, message):
+        out = tmp_path / "mc.json"
+        argv = ["mc-study", *SPEC, *flags, "--replications", replications, "--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mc_study_with_zero_replications(self, tmp_path):
+        out = tmp_path / "mc.json"
+        argv = ["mc-study", *SPEC, "--n", "50", "--replications", "0", "--methods", " mle, cls "]
+        assert cli.main([*argv, "--output", str(out)]) == cli.EXIT_OK
+        assert out.read_text() == '{\n  "methods": {},\n  "replications": 0\n}\n'
+
+    @pytest.mark.parametrize("method", ["simulated", "all", "linear"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_moments_refuses_a_path_shorter_than_one(self, capsys, method, n):
+        argv = ["moments", "--alpha0", "2", "--alpha1", "0.5", "--delta", "0.25"]
+        assert cli.main([*argv, "--method", method, "--n", n]) == cli.EXIT_CONFIG
+        assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["simulated", "all"])
+    def test_simulated_moments_need_a_path_longer_than_the_lags(self, capsys, method):
+        argv = ["moments", "--alpha0", "2", "--alpha1", "0.5", "--delta", "0.25", "--method", method]
+        assert cli.main([*argv, "--n", "3"]) == cli.EXIT_CONFIG
+        assert "--n must exceed --max-lag 3, got 3" in capsys.readouterr().err
+        assert cli.main([*argv, "--n", "4"]) == cli.EXIT_OK
+        assert cli.main([*argv, "--n", "1", "--max-lag", "1"]) == cli.EXIT_CONFIG

@@ -610,18 +610,18 @@ class TestFitDriver:
         spec = ModelSpec(alpha0=7.5, alphas=(-0.5,), delta=0.25)
         return simulate(spec, 300, rng=np.random.default_rng(76))
 
-    def test_polish_failure_reports_not_converged(self, series, monkeypatch):
+    def test_raising_score_returns_the_simplex_only_fit(self, series, monkeypatch):
         def broken(*args, **kwargs):
             raise ArithmeticError("score failed")
 
         monkeypatch.setattr(estimation, "analytic_score_hessian", broken)
-        # the first stage's Newton step raises too, and the simplex point it
-        # leaves is certified unless the certificate rejects it
-        monkeypatch.setattr(estimation, "_certifies", lambda *args: False)
+        # the Newton stage raises, so the coarse pass resumes as it does
+        # without derivatives
+        newtons = self._count(monkeypatch, "_newton")
         fit = fit_mle(series, (1, 0), SC1)
-        assert not fit.converged
-        assert math.isfinite(fit.loglik)
-        assert fit.loglik == pytest.approx(loglik(fit.estimates, series, (1, 0), SC1))
+        assert newtons == []
+        self._assert_same_fit(fit, self._simplex_only(monkeypatch, lambda: fit_mle(series, (1, 0), SC1)))
+        assert fit.loglik == loglik(fit.estimates, series, (1, 0), SC1)
 
     @staticmethod
     def _count(monkeypatch, stage="_nelder_mead"):
@@ -637,11 +637,29 @@ class TestFitDriver:
         return runs
 
     @staticmethod
-    def _restart_path(monkeypatch, fit):
-        # the certificate rejecting every point leaves the two-pass pipeline
+    def _uncertified(monkeypatch, fit):
+        # the certificate rejecting every point leaves the resumed pass
         with monkeypatch.context() as patched:
             patched.setattr(estimation, "_certifies", lambda *args: False)
             return fit()
+
+    @staticmethod
+    def _simplex_only(monkeypatch, fit):
+        # the fit driver without derivatives: the coarse pass and its resume
+        driver = estimation._fit
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                estimation, "_fit", lambda *args, derivatives=None, **kwargs: driver(*args, **kwargs)
+            )
+            return fit()
+
+    @staticmethod
+    def _quadratic_fit():
+        # a derivative-free fit of a concave quadratic peaking at (1, 2)
+        return estimation._fit(
+            lambda t: -((t[0] - 1.0) ** 2) - (t[1] - 2.0) ** 2, np.array([0.0, 0.0]),
+            ("free", "free"), ("a", "b"), "quadratic", np.array([1]),
+        )
 
     @staticmethod
     def _assert_same_fit(fit, other):
@@ -664,30 +682,39 @@ class TestFitDriver:
         steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
         hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
-        restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
-        # the restart: a second full pass and a Newton polish
-        assert len(passes) == 3 and len(newtons) == 3
-        assert restarted.iterations == sum(run.nit for run in passes[1:] + newtons[1:])
-        assert fit.loglik >= restarted.loglik - 1e-9 * (1.0 + abs(restarted.loglik))
+        uncertified = self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
+        # the coarse pass, its Newton stage and the resumed pass
+        assert len(passes) == 3 and len(newtons) == 2
+        assert uncertified.iterations == sum(run.nit for run in passes[1:] + newtons[1:])
+        assert uncertified.converged == passes[2].success
+        assert fit.loglik >= uncertified.loglik - 1e-9 * (1.0 + abs(uncertified.loglik))
 
-    def test_restart_without_derivatives_counts_both_passes(self, monkeypatch):
+    def test_uncertified_fit_without_derivatives_counts_both_passes(self, monkeypatch):
         passes = self._count(monkeypatch)
-        fit = self._restart_path(
-            monkeypatch,
-            lambda: estimation._fit(
-                lambda t: -((t[0] - 1.0) ** 2) - (t[1] - 2.0) ** 2, np.array([0.0, 0.0]),
-                ("free", "free"), ("a", "b"), "quadratic", np.array([1]),
-            ),
-        )
+        fit = self._uncertified(monkeypatch, self._quadratic_fit)
         assert len(passes) == 2
         assert fit.iterations == passes[0].nit + passes[1].nit
+        assert fit.converged == passes[1].success
         np.testing.assert_allclose(fit.estimates, [1.0, 2.0], atol=1e-6)
+
+    def test_resumed_point_is_converged_when_certified(self, monkeypatch):
+        # a resumed pass that reports failure at a point the stencil certifies
+        nelder_mead = estimation._nelder_mead
+
+        def failing(*args, **kwargs):
+            res = nelder_mead(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(estimation, "_nelder_mead", failing)
+        assert self._quadratic_fit().converged
+        assert not self._uncertified(monkeypatch, self._quadratic_fit).converged
 
     def test_newton_gain_beyond_the_coarse_tolerance_resumes_the_simplex(self, monkeypatch):
         # on this 83%-zero series the coarse simplex stops on a ridge of kinks
         # 0.64 below a local maximum that the Newton stage climbs to; the
-        # resumed simplex is the full-tolerance pass of the simplex-only
-        # pipeline, which reaches a higher maximum, and the better is kept
+        # resumed simplex is the one the simplex-only pipeline runs, which
+        # reaches a higher maximum, and the better is kept
         series = simulate(
             ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
             600,
@@ -699,24 +726,17 @@ class TestFitDriver:
         assert passes[0].fun - newtons[0].fun > estimation._COARSE
         assert len(passes) >= 2 and passes[1].nit > 0
         simplex_only = self._count(monkeypatch)
-        natural = estimation._fit(
-            lambda t: loglik(t, series, (1, 1), SC2),
-            np.append(estimation._moment_start(series, 1, 1, 0), 0.25),
-            ("free",) * 3 + ("positive",),
-            ("alpha0", "alpha1", "beta1", "delta"),
-            "mle-s2",
-            series.counts[1:],
-            orders=(1, 1),
-        )
-        assert np.array_equal(passes[1].x, simplex_only[0].x)
-        assert passes[1].fun == simplex_only[0].fun < newtons[0].fun
+        natural = self._simplex_only(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
+        assert len(simplex_only) == 2
+        assert np.array_equal(passes[1].x, simplex_only[1].x)
+        assert passes[1].fun == simplex_only[1].fun < newtons[0].fun
         assert fit.loglik == natural.loglik
         assert np.array_equal(fit.estimates, natural.estimates)
 
     def test_first_newton_stage_stops_at_its_iteration_cap(self, monkeypatch):
-        # on this 85%-zero series the first Newton stage zig-zags across kinks
-        # (100 iterations without the cap) and the resumed simplex finds the
-        # better point anyway; the loglik is the uncapped fit's
+        # on this 85%-zero series the Newton stage zig-zags across kinks (100
+        # iterations without the cap) and the resumed simplex finds the better
+        # point anyway; the loglik is the uncapped fit's
         series = simulate(
             ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
             1000,
@@ -743,20 +763,47 @@ class TestFitDriver:
     def test_certificate_is_the_scaled_newton_decrement(self, grad, hess_diag, ll, expected):
         assert estimation._certifies(np.array(grad), np.diag(hess_diag), ll) is expected
 
-    def test_withheld_steps_restart_the_search(self, monkeypatch):
+    def test_withheld_steps_resume_the_simplex(self, monkeypatch):
         # the series mc_study(..., seed=405) simulates for this DGP at n = 250:
         # the first pass leaves delta within 1e-8 of 0, where the steps are withheld
         stream = np.random.SeedSequence(405).spawn(1)[0]
         rng = np.random.Generator(np.random.PCG64(stream))
         series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
         passes = self._count(monkeypatch)
+        newtons = self._count(monkeypatch, "_newton")
+        stencils = self._count(monkeypatch, "_stencil")
         fit = fit_mle(series, (1, 1), SC2)
-        assert len(passes) == 2
+        assert len(passes) == 2 and len(newtons) == 1
         assert math.exp(passes[0].x[-1]) < 1e-8
-        restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
-        self._assert_same_fit(fit, restarted)
+        # the stencil (withheld) runs again only at a point the resumed pass moved to
+        assert stencils == [None] * (1 + (passes[1].fun < newtons[0].fun))
+        assert fit.std_errors is None
+        # the loglik of the fresh restart and polish this fallback replaced
+        restarted = -538.9032205317307
+        assert fit.loglik >= restarted - 1e-9 * (1.0 + abs(restarted))
+        self._assert_same_fit(fit, self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 1), SC2)))
 
-    def test_indefinite_stencil_restarts_the_search(self, series, monkeypatch):
+    def test_stencil_of_an_unmoved_point_is_kept(self, series, monkeypatch):
+        # a resumed pass that does not beat the Newton point: here it hands
+        # back the coarse pass's own result
+        coarse = []
+        nelder_mead = estimation._nelder_mead
+
+        def no_progress(*args, **kwargs):
+            coarse[:] = coarse or [nelder_mead(*args, **kwargs)]
+            return coarse[0]
+
+        monkeypatch.setattr(estimation, "_nelder_mead", no_progress)
+        newtons = self._count(monkeypatch, "_newton")
+        stencils = self._count(monkeypatch, "_stencil")
+        fit = self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 0), SC1))
+        assert newtons[0].fun <= coarse[0].fun and len(stencils) == 1
+        assert np.array_equal(fit.estimates, newtons[0].x)
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(stencils[0][1]))
+        assert fit.converged == coarse[0].success
+        assert fit.iterations == 2 * coarse[0].nit + newtons[0].nit
+
+    def test_indefinite_stencil_resumes_the_simplex(self, series, monkeypatch):
         stencils = []
         stencil = estimation.numerical_hessian
 
@@ -770,8 +817,7 @@ class TestFitDriver:
         fit = fit_mle(series, (1, 0), SC1)
         assert len(passes) == 2 and len(stencils) == 2
         monkeypatch.setattr(estimation, "numerical_hessian", stencil)
-        restarted = self._restart_path(monkeypatch, lambda: fit_mle(series, (1, 0), SC1))
-        self._assert_same_fit(fit, restarted)
+        self._assert_same_fit(fit, self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 0), SC1)))
 
     def test_penalty_valued_optimum_raises(self, series, monkeypatch):
         monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)

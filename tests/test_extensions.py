@@ -252,6 +252,32 @@ class TestTinarsFit:
         pairs, counts = extensions._transition_pair_counts(series.counts)
         assert fit.loglik == extensions._tinars_loglik_pairs(fit.spec, pairs, counts)
 
+    # (spec, n, seed, estimates, loglik, standard errors), recorded as
+    # literals from the full-tolerance first pass, which the coarse pass and
+    # its resume reproduce bit for bit
+    @pytest.mark.parametrize(
+        "spec, n, seed, estimates, ll, std_errors",
+        [
+            (
+                TinarsSpec(alpha1=-0.4, innovation_mean=5.0), 500, 45,
+                [5.25268085454162, -0.4659498549606957], -1065.5081060727273,
+                [0.18303525371841492, 0.044649062081833384],
+            ),
+            (
+                TinarsSpec(alpha1=0.3, innovation_mean=2.0), 400, 46,
+                [2.1078158530611515, 0.26891337083960337], -748.1714378849139,
+                [0.1447698405374579, 0.04540259967639249],
+            ),
+        ],
+    )
+    def test_fit_is_pinned(self, spec, n, seed, estimates, ll, std_errors):
+        series = simulate_tinars1(spec, n, rng=np.random.default_rng(seed))
+        fit = fit_tinars1_mle(series)
+        assert fit.converged
+        assert fit.estimates.tolist() == estimates
+        assert fit.loglik == ll
+        assert fit.std_errors.tolist() == std_errors
+
     def test_pearson_residuals_dispatch(self):
         spec = TinarsSpec(alpha1=-0.4, innovation_mean=5.0)
         series = simulate_tinars1(spec, 20_000, rng=np.random.default_rng(44))
