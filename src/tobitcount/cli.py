@@ -25,7 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import pearson_residuals
-from .estimation import _METHOD_FITTERS, FitResult, fit_clade, fit_cls, fit_mle, mc_study
+from .estimation import (
+    _METHOD_FITTERS,
+    FitResult,
+    _repeated,
+    fit_clade,
+    fit_cls,
+    fit_mle,
+    mc_study,
+)
 from .extensions import fit_stbingarch_mle, fit_tinars1_mle
 from .stingarch import (
     _EXACT_INT_LIMIT,
@@ -406,6 +414,9 @@ def _cmd_mc_study(args) -> int:
     unknown = sorted(set(methods) - set(_METHOD_FITTERS))
     if unknown:
         raise ConfigError(f"unknown --methods {unknown}; choose from {sorted(_METHOD_FITTERS)}")
+    repeated = _repeated(methods)
+    if repeated:
+        raise ConfigError(f"--methods names {repeated} more than once")
     if args.replications == 0:
         _json_dump({"replications": 0, "methods": {}}, args.output)
         return EXIT_OK

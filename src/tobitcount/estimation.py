@@ -28,12 +28,22 @@ fit ends there.  Otherwise the one fallback runs: the coarse pass resumes
 from its final simplex to the full tolerances and the better point is
 kept.  The CLS fit runs Gauss-Newton on the Jacobian of its censored
 residuals, and CLADE a Nelder-Mead multi-start.
+
+Every Nelder-Mead pass is the in-house :func:`_nelder_mead`: scipy's
+algorithm step for step on Python floats, with scipy's iterates, because
+scipy's per-call array bookkeeping cost about as much as the objective it
+serves and a CLADE fit makes about four thousand calls.  The CLADE and CLS
+objective (:func:`_censored_objective`) likewise builds its parameter-free
+arrays once per fit through :func:`~tobitcount.stingarch._mean_kernel`,
+the mean recursion every fitter shares.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
+from functools import reduce
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,6 +57,7 @@ from .stingarch import (
     CountSeries,
     ModelSpec,
     _ar_filter,
+    _mean_kernel,
     _mean_recursion,
     _stationarity_sum,
     simulate,
@@ -189,19 +200,17 @@ def _spec_from_theta(theta, p, q, r, scenario) -> ModelSpec:
     return ModelSpec(alpha0=alpha0, alphas=alphas, betas=betas, delta=delta, gammas=gammas)
 
 
+def _dynamics(theta_dyn: list, p: int, q: int):
+    """``(alpha0, alphas, betas, gammas)`` of a dynamics block given as a list."""
+    return theta_dyn[0], theta_dyn[1 : 1 + p], theta_dyn[1 + p : 1 + p + q], theta_dyn[1 + p + q :]
+
+
 def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
     """``M_1..M_n`` of the dynamics block, pre-sample means pinned to alpha0."""
     theta_dyn = np.asarray(theta_dyn, dtype=float)
     if theta_dyn.shape[0] != 1 + p + q + r:
         raise ValueError(f"dynamics block has {theta_dyn.shape[0]} entries")
-    return _mean_recursion(
-        theta_dyn[0],
-        theta_dyn[1 : 1 + p],
-        theta_dyn[1 + p : 1 + p + q],
-        theta_dyn[1 + p + q :],
-        series,
-        extend=False,
-    )
+    return _mean_recursion(*_dynamics(theta_dyn.tolist(), p, q), series, extend=False)
 
 
 def _window_loglik(theta_dyn, series, p, q, r, delta, bound=None, kappa=0.0) -> float:
@@ -601,13 +610,131 @@ def _certifies(grad: np.ndarray, hess: np.ndarray, ll: float) -> bool:
     return bool(half @ half <= _CERTIFICATE * (1.0 + abs(ll)))
 
 
+# Nelder-Mead's reflection, expansion, contraction and shrink coefficients
+# and its initial steps from a nonzero and from a zero coordinate
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
+
+
+class _BudgetSpent(Exception):
+    """An objective call past the Nelder-Mead budget."""
+
+
 def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
-    """Nelder-Mead from ``x0``, or from the initial ``simplex`` when given."""
+    """Nelder-Mead from ``x0``, or from the initial ``simplex`` when given,
+    with at most ``400 k`` iterations and objective calls in ``k``
+    dimensions.
+
+    This is scipy's ``minimize(method="Nelder-Mead")`` (Nelder & Mead 1965,
+    with scipy's non-adaptive coefficients) step for step, with the same
+    options and the same iterates, result fields ``x``, ``fun``, ``nit``,
+    ``nfev``, ``success`` and ``final_simplex``.  It keeps the vertices as
+    Python float lists, so an iteration on a few coordinates costs a few
+    microseconds instead of scipy's array bookkeeping, which exceeded the
+    censored objective's own cost.  Everything that decides an iterate is
+    scipy's:
+
+    * the initial simplex steps each coordinate by 5%, or a zero one to
+      0.00025;
+    * the centroid sums the vertices in row order and every trial point is
+      the same expression in the same order;
+    * the vertices are ordered by ``np.argsort`` of their values, so ties
+      fall as they do in scipy;
+    * the search stops when every vertex is within ``xatol`` of the best in
+      every coordinate and within ``fatol`` of it in value;
+    * a call past the budget ends the iteration in which it falls, keeping
+      the vertices that were already replaced (a shrink sets a vertex
+      before evaluating it), and ``success`` is then false.
+
+    ``fun`` receives a fresh float array and must return a scalar.
+    """
     budget = 400 * len(x0)
-    options = {"fatol": fatol, "xatol": xatol, "maxiter": budget, "maxfev": budget}
-    if simplex is not None:
-        options["initial_simplex"] = simplex
-    return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+    if simplex is None:
+        x0 = [float(v) for v in np.ravel(x0)]
+        sim = [x0]
+        for k, value in enumerate(x0):
+            vertex = list(x0)
+            vertex[k] = (1 + _NONZERO_STEP) * value if value != 0 else _ZERO_STEP
+            sim.append(vertex)
+    else:
+        sim = np.array(simplex, dtype=float).tolist()
+    n = len(sim[0])
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def call(x: list) -> float:
+        nonlocal nfev
+        if nfev >= budget:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(np.array(x)))
+
+    def ordered(sim: list, fsim: list):
+        order = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the first simplex twice, which may reorder ties twice
+    sim, fsim = ordered(*ordered(sim, fsim))
+    iterations = 1
+    while nfev < budget and iterations < budget:
+        try:
+            best, worst = sim[0], sim[-1]
+            converged = all(
+                abs(a - b) <= xatol for vertex in sim[1:] for a, b in zip(vertex, best)
+            ) and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])
+            if converged:
+                break
+            xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+            xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
+            fxr = call(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                # outside contraction
+                xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
+                fxc = call(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                # inside contraction
+                xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
+                fxcc = call(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [a + _SIGMA * (b - a) for a, b in zip(best, sim[j])]
+                    fsim[j] = call(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    vertices, values = np.array(sim), np.array(fsim)
+    return optimize.OptimizeResult(
+        x=vertices[0],
+        fun=np.min(values),
+        nit=iterations,
+        nfev=nfev,
+        success=nfev < budget and iterations < budget,
+        final_simplex=(vertices, values),
+    )
 
 
 def _newton(fun, derivatives, x0):
@@ -853,18 +980,31 @@ def fit_mle(
 
 
 def _censored_objective(series: CountSeries, p, q, r, power: int):
-    x = series.counts
+    """The CLADE (``power = 1``) or CLS (``power = 2``) objective ``sum |X_t
+    - max(0, M_t)|^power`` after the conditioning prefix, charged the
+    stationarity penalty past stationarity.
+
+    Everything that does not depend on the parameters is built here, once
+    per fit: the float window of counts and, through :func:`_mean_kernel`,
+    the lag columns and the band storage of the mean recursion.  A call
+    then runs only the recursion's coefficients and solve and the deviation
+    sum, which the multi-start simplex asks for thousands of times.
+    """
     start = max(p, q)
+    x = series.counts[start:].astype(float)
+    means = _mean_kernel(series, p, q, r)
 
     def objective(theta_dyn: np.ndarray) -> float:
-        outside = _stationarity_penalty(theta_dyn.tolist(), p, q)
+        theta = theta_dyn.tolist()
+        outside = _stationarity_penalty(theta, p, q)
         if outside:
             return outside
-        m = _mean_path(theta_dyn, series, p, q, r)[start:]
-        fitted = np.maximum(0.0, m)
-        dev = np.abs(x[start:] - fitted)
+        dev = means(*_dynamics(theta, p, q))[start:]
+        np.maximum(0.0, dev, out=dev)
+        np.subtract(x, dev, out=dev)
+        np.abs(dev, out=dev)
         if power == 2:
-            dev = dev * dev
+            dev *= dev
         return float(dev.sum())
 
     return objective
@@ -875,9 +1015,10 @@ def _censored_residuals(series: CountSeries, p, q, r):
     and their Jacobian ``-1[M_t > 0] dM_t`` (:func:`_mean_gradient`)."""
     start = max(p, q)
     x = series.counts[start:]
+    means = _mean_kernel(series, p, q, r)
 
     def residuals(theta_dyn: np.ndarray) -> np.ndarray:
-        return x - np.maximum(0.0, _mean_path(theta_dyn, series, p, q, r)[start:])
+        return x - np.maximum(0.0, means(*_dynamics(theta_dyn.tolist(), p, q))[start:])
 
     def jacobian(theta_dyn: np.ndarray) -> np.ndarray:
         m, dm = _mean_gradient(theta_dyn, series, p, q, r)
@@ -1049,6 +1190,11 @@ _METHOD_FITTERS = {
 }
 
 
+def _repeated(methods: Sequence[str]) -> list[str]:
+    """The names that occur more than once in ``methods``, sorted."""
+    return sorted({name for name in methods if methods.count(name) > 1})
+
+
 def _mc_one_replication(args):
     (dgp, n, methods, scenario, seed_seq, orders) = args
     rng = np.random.Generator(np.random.PCG64(seed_seq))
@@ -1087,7 +1233,9 @@ def mc_study(
     Each path is simulated after a burn-in of 500 steps.  Each replication
     owns an independently spawned random stream derived from ``seed``, so
     results are identical no matter how many worker processes execute them.
-    Per-replication estimation failures are tallied, not raised.  The
+    Per-replication estimation failures are tallied, not raised.  At most
+    ``min(jobs, replications)`` worker processes run.  An unknown or
+    repeated name in ``methods`` raises ``ValueError``.  The
     fitters estimate the unbounded covariate-free model, so a ``dgp`` with a
     ``bound`` or covariate coefficients raises ``ValueError``.
     """
@@ -1101,6 +1249,9 @@ def mc_study(
     unknown = set(methods) - set(_METHOD_FITTERS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
+    repeated = _repeated(methods)
+    if repeated:
+        raise ValueError(f"methods named more than once: {repeated}")
     orders = (dgp.p, dgp.q)
     streams = np.random.SeedSequence(seed).spawn(replications)
     tasks = [
@@ -1110,7 +1261,8 @@ def mc_study(
     if jobs > 1 and replications > 1:
         import concurrent.futures as futures
 
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool launches all its workers at the first submit
+        with futures.ProcessPoolExecutor(max_workers=min(jobs, replications)) as pool:
             results = list(pool.map(_mc_one_replication, tasks, chunksize=8))
     else:
         results = [_mc_one_replication(t) for t in tasks]

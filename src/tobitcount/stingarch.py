@@ -195,24 +195,59 @@ def linear_mean(spec: ModelSpec) -> float:
     return spec.alpha0 / denom
 
 
-def _ar_filter(rhs: np.ndarray, betas: Sequence[float], start: int) -> np.ndarray:
+def _ar_filter(rhs: np.ndarray, betas: Sequence[float], start: int, band=None) -> np.ndarray:
     """Solve ``(1 - sum_j beta_j B^j) y = rhs`` down every column of ``rhs``.
 
     Rows ``t < start`` are pinned, ``y_t = rhs_t``.  The unit lower-triangular
     band goes to one LAPACK triangular banded solve, which substitutes forward
-    without pivoting, as the recursion does.  Returns ``rhs`` when q = 0.
+    without pivoting, as the recursion does.  ``band`` is optional storage of
+    shape ``(q + 1, len(rhs))`` in Fortran order, zero where no coefficient
+    is written, that a caller keeps across solves.  Returns ``rhs`` when
+    q = 0.
     """
     q = len(betas)
     if q == 0:
         return rhs
-    ab = np.zeros((q + 1, rhs.shape[0]))
+    if band is None:
+        band = np.zeros((q + 1, rhs.shape[0]), order="F")
     for j, b in enumerate(betas, start=1):
         # column c holds the coefficient of y_c in row c + j
-        ab[j, max(start - j, 0) :] = -b
-    y, info = dtbtrs(ab, rhs, uplo="L", diag="U")
+        band[j, max(start - j, 0) :] = -b
+    y, info = dtbtrs(band, rhs, uplo="L", diag="U")
     if info != 0:
         raise np.linalg.LinAlgError(f"banded solve failed with LAPACK info {info}")
     return y
+
+
+def _mean_kernel(series: CountSeries, p: int, q: int, r: int, extend: bool = False):
+    """The parameter-free half of the mean recursion of order ``(p, q, r)``.
+
+    Builds the float lag columns ``X_{t-i}``, the covariate columns and the
+    band storage of :func:`_ar_filter` once, and returns ``means(alpha0,
+    alphas, betas, gammas)``: the conditional means M_1..M_n (plus M_{n+1}
+    when ``extend``).  The first ``max(p, q)`` entries are pinned to
+    ``alpha0``; the rest filter ``u_t = alpha0 + sum_i alpha_i X_{t-i} +
+    sum_k gamma_k z_{t,k}`` through :func:`_ar_filter`.  A fit that
+    evaluates the means many times builds this once.
+    """
+    if extend and r:
+        raise ValueError("covariates unavailable beyond the sample")
+    start = max(p, q)
+    total = len(series) + 1 if extend else len(series)
+    columns = []
+    if total > start:
+        columns = [series.counts[start - i : total - i].astype(float) for i in range(1, p + 1)]
+        columns += [np.ascontiguousarray(series.covariates[start:total, k]) for k in range(r)]
+    band = np.zeros((q + 1, total), order="F") if q else None
+
+    def means(alpha0, alphas, betas, gammas) -> np.ndarray:
+        u = np.full(total, alpha0, dtype=float)
+        tail = u[start:]
+        for coefficient, column in zip((*alphas, *gammas), columns):
+            tail += coefficient * column
+        return _ar_filter(u, betas, start, band)
+
+    return means
 
 
 def _mean_recursion(
@@ -223,23 +258,10 @@ def _mean_recursion(
     series: CountSeries,
     extend: bool,
 ) -> np.ndarray:
-    """Conditional means M_1..M_n (plus M_{n+1} when ``extend``).
-
-    The first ``max(p, q)`` entries are pinned to ``alpha0``; the rest
-    filter ``u_t = alpha0 + sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}``
-    through :func:`_ar_filter`.
-    """
-    if extend and len(gammas):
-        raise ValueError("covariates unavailable beyond the sample")
-    start = max(len(alphas), len(betas))
-    total = len(series) + 1 if extend else len(series)
-    u = np.full(total, alpha0, dtype=float)
-    if total > start:
-        for i, a in enumerate(alphas, start=1):
-            u[start:] += a * series.counts[start - i : total - i]
-        for k, g in enumerate(gammas):
-            u[start:] += g * series.covariates[start:total, k]
-    return _ar_filter(u, betas, start)
+    """Conditional means M_1..M_n (plus M_{n+1} when ``extend``): one call
+    of a :func:`_mean_kernel` built for these orders."""
+    means = _mean_kernel(series, len(alphas), len(betas), len(gammas), extend)
+    return means(alpha0, alphas, betas, gammas)
 
 
 def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:

@@ -180,6 +180,8 @@ class TestConfigurationChecks:
             (["--n", "50", "--methods", "mle,bogus"], "unknown --methods ['bogus']"),
             (["--n", "50", "--methods", ""], "--methods names no method"),
             (["--n", "50", "--methods", " , "], "--methods names no method"),
+            (["--n", "50", "--methods", "mle,mle"], "--methods names ['mle'] more than once"),
+            (["--n", "50", "--methods", "cls, mle,cls"], "--methods names ['cls'] more than once"),
         ],
     )
     def test_mc_study_refuses_a_bad_configuration(self, tmp_path, capsys, replications, flags, message):

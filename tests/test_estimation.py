@@ -536,6 +536,37 @@ class TestMeanRecursionKernel:
         with pytest.raises(ValueError, match="beyond the sample"):
             _mean_recursion(1.0, (0.3,), (0.5,), (0.7,), series, True)
 
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize(
+        "orders, thetas",
+        [
+            pytest.param((1, 0, 0), [[2.0, 0.6], [-1.0, 0.9]], id="(1,0)"),
+            pytest.param((1, 1, 0), [[1.5, 0.3, 0.5], [-0.5, 0.2, -0.6]], id="(1,1)"),
+            pytest.param(
+                (2, 2, 0), [[1.0, 0.2, -0.1, 0.3, 0.25], [0.5, -0.3, 0.1, -0.2, 0.4]], id="(2,2)"
+            ),
+            pytest.param((1, 1, 1), [[1.5, 0.3, 0.5, 0.7], [-2.0, 0.4, 0.3, -1.5]], id="(1,1)+z"),
+        ],
+    )
+    def test_censored_objective_matches_loop(self, counts, orders, thetas, power):
+        # the objective is built once per fit and reuses its storage on
+        # every call, so each point is evaluated again after the others
+        p, q, r = orders
+        z = np.random.default_rng(43).standard_normal((counts.shape[0], r)) if r else None
+        series = CountSeries(counts, covariates=z)
+        objective = estimation._censored_objective(series, p, q, r, power)
+        start = max(p, q)
+        values = []
+        for theta in thetas:
+            m = _reference_mean(
+                theta[0], theta[1 : 1 + p], theta[1 + p : 1 + p + q], theta[1 + p + q :],
+                counts, z, False, theta[0],
+            )[start:]
+            reference = float((np.abs(counts[start:] - np.maximum(0.0, m)) ** power).sum())
+            values.append(objective(np.array(theta)))
+            assert abs(values[-1] - reference) <= 1e-12 * (1.0 + reference)
+        assert [objective(np.array(theta)) for theta in thetas] == values
+
 
 class TestInformationCriteria:
     def test_hand_computed_example(self):
@@ -1015,6 +1046,113 @@ class TestFitDriver:
         assert re.search(expected, capsys.readouterr().err)
 
 
+def _scipy_nelder_mead(fun, x0, fatol=estimation._FATOL, xatol=1e-8, simplex=None):
+    """scipy's Nelder-Mead under the options :func:`estimation._nelder_mead` takes."""
+    budget = 400 * len(x0)
+    options = {"fatol": fatol, "xatol": xatol, "maxiter": budget, "maxfev": budget}
+    if simplex is not None:
+        options["initial_simplex"] = simplex
+    return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+
+
+class TestSimplex:
+    """The in-house Nelder-Mead against scipy's: the same points evaluated in
+    the same order and the same result, compared with ``==``."""
+
+    @staticmethod
+    def _assert_same(fun, x0, **options):
+        runs = []
+        for nelder_mead in (estimation._nelder_mead, _scipy_nelder_mead):
+            points = []
+
+            def recorded(x):
+                points.append(x.copy())
+                return fun(x)
+
+            runs.append((nelder_mead(recorded, x0, **options), points))
+        (ours, ours_points), (scipys, scipy_points) = runs
+        assert len(ours_points) == len(scipy_points) == ours.nfev
+        assert all(np.array_equal(a, b) for a, b in zip(ours_points, scipy_points))
+        assert np.array_equal(ours.x, scipys.x)
+        assert ours.fun == scipys.fun
+        assert (ours.nit, ours.nfev, ours.success) == (scipys.nit, scipys.nfev, scipys.success)
+        assert np.array_equal(ours.final_simplex[0], scipys.final_simplex[0])
+        assert np.array_equal(ours.final_simplex[1], scipys.final_simplex[1])
+        return ours, ours_points
+
+    @staticmethod
+    def _quadratic(x):
+        return float(((x - [1.0, -2.0, 0.5]) ** 2 * [1.0, 3.0, 10.0]).sum())
+
+    def test_quadratic(self):
+        res, _ = self._assert_same(self._quadratic, np.array([0.3, 0.7, -1.2]))
+        assert res.success
+        np.testing.assert_allclose(res.x, [1.0, -2.0, 0.5], atol=1e-6)
+
+    @pytest.fixture(scope="class")
+    def paper_mc_series(self):
+        return TestDerivativeStagesAgainstSimplex._series("11-mc420")
+
+    @pytest.mark.parametrize("start", range(9))
+    def test_clade_objective_from_every_start(self, paper_mc_series, start):
+        # piecewise flat: neighbouring vertices often tie
+        objective = estimation._censored_objective(paper_mc_series, 1, 1, 0, 1)
+        x0 = estimation._starts(paper_mc_series, 1, 1, 0)[start]
+        res, _ = self._assert_same(objective, x0, fatol=1e-9)
+        assert res.nfev > 100
+
+    def test_vertices_tied_on_a_constant_penalty(self):
+        # the first simplex holds two vertices on the penalty and two tied
+        # below it, values whose order np.argsort does not keep, so the
+        # order of the ties picks the search's path
+        def fun(x):
+            if x[1] + x[2] <= 2.0:
+                return estimation._PENALTY
+            return (x[0] - 3.0) ** 2 + ((x[1] - 2.0) ** 2 + (x[2] - 2.0) ** 2)
+
+        res, points = self._assert_same(fun, np.array([1.0, 1.0, 1.0]))
+        first = [fun(x) for x in points[:4]]
+        assert first[0] == first[1] == estimation._PENALTY and first[2] == first[3]
+        assert res.success
+
+    def test_contraction_tied_with_the_reflection_is_taken(self):
+        # on this step function a contracted point once ties the reflected
+        # one, and scipy keeps the contraction rather than shrink
+        def fun(x):
+            return float(np.sum(np.floor(3.0 * x) ** 2))
+
+        self._assert_same(fun, np.array([2.0, -2.6, 0.4]))
+
+    def test_zero_coordinate_steps_to_a_fixed_offset(self):
+        x0 = np.array([0.0, 1.0, 0.0])
+        _, points = self._assert_same(self._quadratic, x0)
+        assert np.array_equal(points[1], [0.00025, 1.0, 0.0])
+        assert np.array_equal(points[2], [0.0, 1.05, 0.0])
+        assert np.array_equal(points[3], [0.0, 1.0, 0.00025])
+
+    @pytest.mark.parametrize(
+        "fun, x0",
+        [
+            # unbounded below: expansions until the calls run out
+            (lambda x: -float(x @ x), [0.3, 0.7, -1.2]),
+            # values that jump at every step: the calls run out inside a
+            # shrink, whose vertices already moved are kept
+            (lambda x: float(np.sin(x @ [1e3, 2e3, 3e3]) * 1e4 % 1.0), [1.9, 0.5, -1.6]),
+        ],
+        ids=["unbounded", "inside-a-shrink"],
+    )
+    def test_exhausted_budget(self, fun, x0):
+        res, _ = self._assert_same(fun, np.array(x0))
+        assert not res.success and res.nfev == 1200
+
+    def test_resume_from_final_simplex(self, paper_mc_series):
+        objective = estimation._censored_objective(paper_mc_series, 1, 1, 0, 1)
+        x0 = estimation._starts(paper_mc_series, 1, 1, 0)[0]
+        coarse = _scipy_nelder_mead(objective, x0, fatol=1e-3, xatol=1e-3)
+        res, _ = self._assert_same(objective, coarse.x, simplex=coarse.final_simplex[0])
+        assert res.fun <= coarse.fun
+
+
 class TestCensoredDeviationFits:
     def test_clade_constant_series_median_rule(self):
         series = CountSeries(np.full(50, 7))
@@ -1214,6 +1352,39 @@ class TestMcStudy:
         spec = ModelSpec(alpha0=5.0, delta=0.25)
         with pytest.raises(ValueError):
             mc_study(spec, n=100, replications=2, methods=("bogus",))
+
+    @pytest.mark.parametrize("methods", [("mle", "mle"), ("cls", "mle", "cls")])
+    def test_repeated_method_rejected(self, methods):
+        spec = ModelSpec(alpha0=5.0, alphas=(0.25,), delta=0.25)
+        with pytest.raises(ValueError, match="more than once"):
+            mc_study(spec, n=100, replications=2, methods=methods)
+
+    def test_pool_has_no_more_workers_than_replications(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Serial:
+            # records the pool size and runs the replications in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+        spec = ModelSpec(alpha0=5.0, alphas=(0.25,), delta=0.25)
+        pooled = mc_study(spec, n=100, replications=2, methods=("cls",), seed=9, jobs=64)
+        mc_study(spec, n=100, replications=3, methods=("cls",), seed=9, jobs=2)
+        serial = mc_study(spec, n=100, replications=2, methods=("cls",), seed=9, jobs=1)
+        assert sizes == [2, 2]
+        assert np.array_equal(pooled.means["cls"], serial.means["cls"])
 
     MC_ARGV = "mc-study --alpha0 2 --alpha1 0.4 --delta 0.25 --n 100 --replications 2 --methods cls"
 
