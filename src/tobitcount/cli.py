@@ -165,7 +165,7 @@ def _parse_float_list(text: Optional[str]) -> tuple[float, ...]:
         raise ConfigError(f"bad coefficient list {text!r}") from exc
 
 
-def _spec_from_args(args, require_delta: bool = True) -> ModelSpec:
+def _spec_from_args(args) -> ModelSpec:
     alphas = list(_parse_float_list(getattr(args, "alphas", None)))
     if getattr(args, "alpha1", None) is not None:
         if alphas:
@@ -179,17 +179,14 @@ def _spec_from_args(args, require_delta: bool = True) -> ModelSpec:
     gammas = _parse_float_list(getattr(args, "gammas", None))
     if args.alpha0 is None:
         raise ConfigError("--alpha0 is required")
-    delta = args.delta
-    if delta is None:
-        if require_delta:
-            raise ConfigError("--delta is required")
-        delta = 0.25
+    if args.delta is None:
+        raise ConfigError("--delta is required")
     try:
         return ModelSpec(
             alpha0=args.alpha0,
             alphas=alphas,
             betas=betas,
-            delta=delta,
+            delta=args.delta,
             gammas=gammas,
             bound=getattr(args, "bound", None),
             kappa=getattr(args, "kappa", 0.0),
@@ -310,6 +307,9 @@ def _cmd_fit(args) -> int:
             )
     p = 1 if args.p is None else args.p
     q = 0 if args.q is None else args.q
+    for flag, order in (("-p", p), ("-q", q)):
+        if order < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {order}")
     series = ingest_csv(args.input)
     if args.model == "tinars1":
         fit = fit_tinars1_mle(series)

@@ -16,18 +16,11 @@ triangular solve of the recursion's feedback ``1 - sum_j beta_j B^j``.
 Approximate standard errors follow the usual practice of inverting a
 numerical Hessian of the maximized log-likelihood.
 
-Every likelihood fit runs one Nelder-Mead pass at coarse tolerances.
-Where the analytic score and Hessian exist, which is for every
-:class:`ModelSpec` (:func:`fit_mle`, and the bounded one-inflated fit in
-:mod:`tobitcount.extensions`) but not the TINARS(1) fit, a trust-region
-Newton stage on them finishes it, and the numerical Hessian is evaluated
-there, with the central gradient its stencil yields for free.  A
-negative-definite Hessian and a Newton decrement ``g' (-H)^-1 g`` below
-``_CERTIFICATE (1 + |loglik|)`` certify the point as a maximum, and the
-fit ends there.  Otherwise the one fallback runs: the coarse pass resumes
-from its final simplex to the full tolerances and the better point is
-kept.  The CLS fit runs Gauss-Newton on the Jacobian of its censored
-residuals, and CLADE a Nelder-Mead multi-start.
+Every likelihood fit runs through :func:`_fit`, the one fit driver, whose
+docstring describes its stages; every :class:`ModelSpec` fit, the bounded
+one-inflated one included, is set up by :func:`_fit_spec`.  The CLS fit
+runs Gauss-Newton on the Jacobian of its censored residuals, and CLADE a
+Nelder-Mead multi-start.
 
 Every Nelder-Mead pass is the in-house :func:`_nelder_mead`: scipy's
 algorithm step for step on Python floats, with scipy's iterates, because
@@ -58,7 +51,6 @@ from .stingarch import (
     ModelSpec,
     _ar_filter,
     _mean_kernel,
-    _mean_recursion,
     _stationarity_sum,
     simulate,
 )
@@ -176,28 +168,38 @@ def _orders(orders, series: CountSeries) -> tuple[int, int, int]:
         r = 0 if series.covariates is None else series.covariates.shape[1]
     else:
         p, q, r = orders
+    if min(p, q, r) < 0:
+        raise ValueError(f"orders must be nonnegative, got {(p, q, r)}")
     have = 0 if series.covariates is None else series.covariates.shape[1]
     if r != have:
         raise ValueError(f"orders declare {r} covariates but series has {have}")
     return int(p), int(q), int(r)
 
 
-def _unpack(theta: np.ndarray, p: int, q: int, r: int, scenario: EstimationScenario):
+def _unpack(theta, p: int, q: int, r: int, scenario: EstimationScenario, bound=None):
+    """``(alpha0, alphas, betas, gammas, delta, kappa)`` of a parameter vector
+    laid out as the dynamics block, then ``delta`` under scenario 2, then
+    ``kappa`` given a ``bound``; ``kappa`` is 0 without one."""
     theta = np.asarray(theta, dtype=float)
-    want = 1 + p + q + r + (1 if scenario.estimates_delta else 0)
+    k_dyn = 1 + p + q + r
+    want = k_dyn + (1 if scenario.estimates_delta else 0) + (0 if bound is None else 1)
     if theta.shape[0] != want:
         raise ValueError(f"theta has {theta.shape[0]} entries, expected {want}")
     alpha0 = float(theta[0])
     alphas = tuple(theta[1 : 1 + p])
     betas = tuple(theta[1 + p : 1 + p + q])
-    gammas = tuple(theta[1 + p + q : 1 + p + q + r])
-    delta = float(theta[-1]) if scenario.estimates_delta else float(scenario.fixed_delta)
-    return alpha0, alphas, betas, gammas, delta
+    gammas = tuple(theta[1 + p + q : k_dyn])
+    delta = float(theta[k_dyn]) if scenario.estimates_delta else float(scenario.fixed_delta)
+    kappa = 0.0 if bound is None else float(theta[-1])
+    return alpha0, alphas, betas, gammas, delta, kappa
 
 
-def _spec_from_theta(theta, p, q, r, scenario) -> ModelSpec:
-    alpha0, alphas, betas, gammas, delta = _unpack(theta, p, q, r, scenario)
-    return ModelSpec(alpha0=alpha0, alphas=alphas, betas=betas, delta=delta, gammas=gammas)
+def _spec_from_theta(theta, p, q, r, scenario, bound=None) -> ModelSpec:
+    alpha0, alphas, betas, gammas, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
+    return ModelSpec(
+        alpha0=alpha0, alphas=alphas, betas=betas, delta=delta, gammas=gammas,
+        bound=bound, kappa=kappa,
+    )
 
 
 def _dynamics(theta_dyn: list, p: int, q: int):
@@ -210,39 +212,33 @@ def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
     theta_dyn = np.asarray(theta_dyn, dtype=float)
     if theta_dyn.shape[0] != 1 + p + q + r:
         raise ValueError(f"dynamics block has {theta_dyn.shape[0]} entries")
-    return _mean_recursion(*_dynamics(theta_dyn.tolist(), p, q), series, extend=False)
+    return _mean_kernel(series, p, q, r)(*_dynamics(theta_dyn.tolist(), p, q))
 
 
-def _window_loglik(theta_dyn, series, p, q, r, delta, bound=None, kappa=0.0) -> float:
-    """Log-likelihood of the counts after the first ``max(p, q)``: the sum of
-    the observation law :func:`skellam._log_obs_arr` given the means of the
-    dynamics block ``theta_dyn``.  ``-inf`` when a mean is not finite or a
-    term has zero probability."""
+def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> float:
+    """Conditional log-likelihood, conditioning on the first ``max(p, q)`` counts.
+
+    Each term is the observation law :func:`skellam._log_obs_arr` at the
+    count given ``M_t``: the latent log-pmf for a positive count and the log
+    of the entire nonpositive latent mass for a zero.  Given a ``bound`` N
+    it is the bounded one-inflated model's law and ``theta`` ends with
+    ``kappa``, as in :func:`analytic_score_hessian`.  Returns ``-inf`` when
+    a mean is not finite or any term underflows to zero probability.
+    """
+    p, q, r = _orders(orders, series)
+    _, _, _, _, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
+    if not (delta > 0.0):
+        raise ValueError("log-likelihood requires delta > 0")
     start = max(p, q)
-    m = _mean_path(theta_dyn, series, p, q, r)[start:]
+    if len(series) <= start:
+        raise ValueError("series shorter than the conditioning prefix")
+    m = _mean_path(theta[: 1 + p + q + r], series, p, q, r)[start:]
     if not np.all(np.isfinite(m)):
         return -math.inf
     logs = skellam._log_obs_arr(series.counts[start:], m, delta, bound, kappa)
     if not np.all(np.isfinite(logs)):
         return -math.inf
     return float(logs.sum())
-
-
-def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario) -> float:
-    """Conditional log-likelihood, conditioning on the first ``max(p, q)`` counts.
-
-    Each term is the observation law :func:`skellam._log_obs_arr` at the
-    count given ``M_t``: the latent log-pmf for a positive count and the log
-    of the entire nonpositive latent mass for a zero.  Returns ``-inf`` when
-    a mean is not finite or any term underflows to zero probability.
-    """
-    p, q, r = _orders(orders, series)
-    _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
-    if not (delta > 0.0):
-        raise ValueError("log-likelihood requires delta > 0")
-    if len(series) <= max(p, q):
-        raise ValueError("series shorter than the conditioning prefix")
-    return _window_loglik(theta[: 1 + p + q + r], series, p, q, r, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +358,7 @@ def _score_parts(theta, series: CountSeries, orders, scenario, bound=None):
     """
     p, q, r = _orders(orders, series)
     theta = np.asarray(theta, dtype=float)
-    kappa = 0.0
-    if bound is not None:
-        theta, kappa = theta[:-1], float(theta[-1])
-    _, _, _, _, delta = _unpack(theta, p, q, r, scenario)
+    _, _, _, _, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
     if not (delta > 0.0):
         raise ValueError("score requires delta > 0")
     start = max(p, q)
@@ -738,9 +731,10 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
 
 
 def _newton(fun, derivatives, x0):
-    """Trust-region Newton (``trust-exact``) on ``fun`` from ``x0``, with
-    ``derivatives(x)`` returning the gradient and Hessian together, for at
-    most ``_COARSE_NEWTON_MAXITER`` iterations.
+    """The Newton stage of :func:`_fit`: trust-region Newton
+    (``trust-exact``) on ``fun`` from ``x0``, with ``derivatives(x)``
+    returning the gradient and Hessian together, for at most
+    ``_COARSE_NEWTON_MAXITER`` iterations.
 
     trust-exact asks for the Hessian at every trial point and for the
     gradient at the accepted ones, so a one-entry memo evaluates
@@ -932,51 +926,66 @@ def _as_scenario(scenario: EstimationScenario | float | None) -> EstimationScena
     return EstimationScenario.fixed(float(scenario))
 
 
+def _fit_spec(series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> FitResult:
+    """The :func:`_fit` of a :class:`ModelSpec` likelihood, laid out as
+    :func:`_unpack` reads it.
+
+    The dynamics block is searched as is and starts at :func:`_moment_start`;
+    under scenario 2 ``delta`` follows, searched on the log scale from 0.25;
+    given a ``bound`` ``kappa`` comes last, searched on the logit scale from
+    0.1.  The likelihood is :func:`loglik` and the derivatives are
+    :func:`analytic_score_hessian`, both with the ``bound``, and trial points
+    past stationarity are penalized.  The method is ``mle-s1``, ``mle-s2``
+    or, given a bound, ``mle-stbingarch``.
+    """
+    p, q, r = _orders(orders, series)
+    kinds = ("free",) * (1 + p + q + r)
+    theta0 = _moment_start(series, p, q, r)
+    names = _param_names(p, q, r, scenario.estimates_delta)
+    method = "mle-s2" if scenario.estimates_delta else "mle-s1"
+    if scenario.estimates_delta:
+        kinds += ("positive",)
+        theta0 = np.append(theta0, 0.25)
+    if bound is not None:
+        kinds += ("unit",)
+        theta0 = np.append(theta0, 0.1)
+        names += ("kappa",)
+        method = "mle-stbingarch"
+    return _fit(
+        lambda theta: loglik(theta, series, (p, q, r), scenario, bound),
+        theta0,
+        kinds,
+        names,
+        method,
+        series.counts[max(p, q):],
+        spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario, bound),
+        derivatives=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario, bound),
+        orders=(p, q),
+    )
+
+
 def fit_mle(
     series: CountSeries,
     orders=(1, 0),
     scenario: EstimationScenario | float | None = 0.25,
 ) -> FitResult:
-    """Conditional MLE by a coarse simplex search finished by Newton steps,
-    certified or else resumed.
+    """Conditional MLE of the dynamics, and under scenario 2 the dispersion.
 
-    A Nelder-Mead pass at coarse tolerances is finished by a trust-region
-    Newton stage on :func:`analytic_score_hessian`.  The search ends when
-    the numerical Hessian and gradient at that point certify a maximum
-    (see :func:`_fit`); ``converged`` is then true.  Otherwise, and
-    whenever the Newton stage raises or gains more than the coarse
-    tolerance, the simplex resumes from its final simplex to its full
-    tolerances and the better point is kept; ``converged`` is then true
-    when the stencil certifies that point or the resumed pass reports
-    success.  ``iterations`` sums every stage's iterations.
-
+    The search runs the stages of :func:`_fit` on :func:`loglik` and
+    :func:`analytic_score_hessian`, from the method-of-moments start
+    (:func:`_moment_start`) and, under scenario 2, ``delta = 0.25``.
     ``scenario`` may be an :class:`EstimationScenario`, a float (shorthand
     for a fixed scenario-1 dispersion) or ``None`` (scenario 2).  Trial
     points violating the stationarity condition are penalized; under
     scenario 2 the dispersion is optimized on the log scale so the search
-    is unconstrained.  Standard errors are the square roots of the inverse
+    is unconstrained.  ``converged`` is true when the numerical Hessian
+    certifies the returned point as a maximum or the resumed simplex
+    reports success.  Standard errors are the square roots of the inverse
     numerical Hessian's diagonal; a singular (non positive-definite)
     Hessian leaves ``std_errors`` at ``None`` (so ``hessian_invertible`` is
     false) instead of failing.
     """
-    scenario = _as_scenario(scenario)
-    p, q, r = _orders(orders, series)
-    kinds = ("free",) * (1 + p + q + r)
-    theta0 = _moment_start(series, p, q, r)
-    if scenario.estimates_delta:
-        kinds += ("positive",)
-        theta0 = np.append(theta0, 0.25)
-    return _fit(
-        lambda theta: loglik(theta, series, (p, q, r), scenario),
-        theta0,
-        kinds,
-        _param_names(p, q, r, scenario.estimates_delta),
-        "mle-s2" if scenario.estimates_delta else "mle-s1",
-        series.counts[max(p, q):],
-        spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario),
-        derivatives=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario),
-        orders=(p, q),
-    )
+    return _fit_spec(series, orders, _as_scenario(scenario))
 
 
 def _censored_objective(series: CountSeries, p, q, r, power: int):

@@ -5,8 +5,9 @@
 * Skellam Tobit bounded INGARCH (STBINGARCH): the latent variable is clipped
   into {0..N} and the conditional law may carry extra one-inflation mass.
   That law is a :class:`ModelSpec` with ``bound`` and ``kappa`` like any
-  other, so :func:`~tobitcount.stingarch.conditional_pmf`, ``simulate`` and
-  the likelihood kernel serve it; this module keeps its moments and its fit.
+  other, so :func:`~tobitcount.stingarch.conditional_pmf`, ``simulate``,
+  :func:`~tobitcount.estimation.loglik` and the fit driver serve it; this
+  module keeps its moments and its fit's checks.
 
 Covariates need no code here: :class:`CountSeries` carries them into every estimator.
 """
@@ -14,24 +15,15 @@ Covariates need no code here: :class:`CountSeries` carries them into every estim
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, pdtr, xlog1py, xlogy
 
-from . import estimation, skellam
+from . import skellam
 from .diagnostics import sample_acf
-from .estimation import (
-    EstimationScenario,
-    FitResult,
-    _fit,
-    _moment_start,
-    _orders,
-    _param_names,
-    _spec_from_theta,
-    _window_loglik,
-)
+from .estimation import EstimationScenario, FitResult, _fit, _fit_spec
 from .stingarch import CountSeries, ModelSpec, _positive_bound
 
 __all__ = [
@@ -198,13 +190,13 @@ def _tinars_loglik_pairs(spec: TinarsSpec, pairs: np.ndarray, counts: np.ndarray
 def fit_tinars1_mle(series: CountSeries) -> FitResult:
     """Conditional MLE of the Tobit INARS(1) model.
 
-    The fit driver searches ``log innovation_mean`` and ``atanh alpha1``, so
-    both constraints are automatic.  Without analytic derivatives, its
-    coarse Nelder-Mead pass always resumes to the full tolerances (the
-    driver's one fallback); ``converged`` is true when the numerical
-    Hessian in the natural parametrization certifies that point as a
-    maximum or the resumed pass reports success.  Standard errors come from
-    the same numerical Hessian.  ``spec`` holds the fitted
+    Runs the stages of :func:`~tobitcount.estimation._fit` on ``log
+    innovation_mean`` and ``atanh alpha1``, so both constraints are
+    automatic, from the lag-1 autocorrelation and the mean it implies.
+    Without analytic derivatives the coarse pass always resumes.
+    ``converged`` is true when the numerical Hessian certifies the returned
+    point as a maximum or the resumed simplex reports success; standard
+    errors come from the same Hessian.  ``spec`` holds the fitted
     :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
     ``alpha1`` to ``-1`` or ``1`` in floating point: the likelihood then has
     no interior maximum.
@@ -257,46 +249,18 @@ def fit_stbingarch_mle(
 ) -> FitResult:
     """Scenario-1 MLE of the bounded one-inflated model.
 
-    Optimizes the dynamics plus the one-inflation weight, the latter on the
-    logit scale, so ``kappa`` approaches 0 continuously and ``loglik`` is
-    the likelihood at the reported ``kappa``.  The fit driver runs the same
-    stages as :func:`~tobitcount.estimation.fit_mle`: a coarse Nelder-Mead
-    pass finished by trust-region Newton steps on the analytic score and
-    Hessian (:func:`~tobitcount.estimation.analytic_score_hessian` with the
-    ``bound``), ending when the numerical Hessian in the natural
-    parametrization certifies the point as a maximum (``converged`` true).
-    Otherwise, including every point with ``kappa`` within 1e-5 of 0 or 1,
-    the coarse pass resumes to the full tolerances (the driver's one
-    fallback), and ``converged`` is true when the numerical Hessian
-    certifies the better point or the resumed pass reports success.
-    Standard errors come from the same numerical Hessian, withheld near
-    those edges of ``kappa``.  ``delta`` is the fixed dispersion and must
-    be positive and finite; ``bound`` must be an integer >= 1 and no count
-    may exceed it.
+    Runs the stages of :func:`~tobitcount.estimation._fit` on the dynamics
+    and the one-inflation weight, the latter on the logit scale from 0.1,
+    so ``kappa`` approaches 0 continuously and ``loglik`` is the likelihood
+    at the reported ``kappa``.  ``converged`` is true when the numerical
+    Hessian certifies the returned point as a maximum or the resumed
+    simplex reports success; standard errors come from the same Hessian and
+    are withheld for ``kappa`` within 1e-5 of 0 or 1.  ``delta`` is the
+    fixed dispersion and must be positive and finite; ``bound`` must be an
+    integer >= 1 and no count may exceed it.
     """
     scenario = EstimationScenario.fixed(delta)
-    p, q, r = _orders(orders, series)
     bound = _positive_bound(bound)
     if np.any(series.counts > bound):
         raise ValueError("series exceeds the declared bound")
-    start_dyn = _moment_start(series, p, q, r)
-    k_dyn = start_dyn.shape[0]
-
-    def spec(theta: np.ndarray) -> ModelSpec:
-        dynamics = _spec_from_theta(theta[:k_dyn], p, q, r, scenario)
-        return replace(dynamics, bound=bound, kappa=float(theta[-1]))
-
-    return _fit(
-        lambda theta: _window_loglik(theta[:k_dyn], series, p, q, r, delta, bound, theta[-1]),
-        np.append(start_dyn, 0.1),
-        ("free",) * k_dyn + ("unit",),
-        _param_names(p, q, r, with_delta=False) + ("kappa",),
-        "mle-stbingarch",
-        series.counts[max(p, q):],
-        spec=spec,
-        # looked up on the module, where the profiling harness wraps it
-        derivatives=lambda theta: estimation.analytic_score_hessian(
-            theta, series, (p, q, r), scenario, bound
-        ),
-        orders=(p, q),
-    )
+    return _fit_spec(series, orders, scenario, bound)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -250,20 +250,6 @@ def _mean_kernel(series: CountSeries, p: int, q: int, r: int, extend: bool = Fal
     return means
 
 
-def _mean_recursion(
-    alpha0: float,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    gammas: Sequence[float],
-    series: CountSeries,
-    extend: bool,
-) -> np.ndarray:
-    """Conditional means M_1..M_n (plus M_{n+1} when ``extend``): one call
-    of a :func:`_mean_kernel` built for these orders."""
-    means = _mean_kernel(series, len(alphas), len(betas), len(gammas), extend)
-    return means(alpha0, alphas, betas, gammas)
-
-
 def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
     """Conditional-mean path ``M_1..M_{n+1}`` given the observed counts.
 
@@ -279,14 +265,8 @@ def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
                 f"spec declares {spec.r} covariate coefficients but the series "
                 "does not carry matching covariate columns"
             )
-    return _mean_recursion(
-        spec.alpha0,
-        spec.alphas,
-        spec.betas,
-        spec.gammas,
-        series,
-        extend=spec.r == 0,
-    )
+    means = _mean_kernel(series, spec.p, spec.q, spec.r, extend=spec.r == 0)
+    return means(spec.alpha0, spec.alphas, spec.betas, spec.gammas)
 
 
 def conditional_pmf(x: int, m: float, spec: ModelSpec) -> float:

@@ -191,6 +191,22 @@ class TestConfigurationChecks:
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["-p", "-1"], "-p must be >= 0, got -1"),
+            (["-q", "-1"], "-q must be >= 0, got -1"),
+            (["--method", "cls", "-p", "-1"], "-p must be >= 0, got -1"),
+            (["--method", "clade", "-q", "-2"], "-q must be >= 0, got -2"),
+            (["--model", "stbingarch", "--bound", "5", "-p", "-1"], "-p must be >= 0, got -1"),
+        ],
+    )
+    def test_fit_refuses_a_negative_order_before_reading(self, tmp_path, capsys, flags, message):
+        # the input does not exist: the refusal comes before the read
+        argv = ["fit", *flags, "--input", str(tmp_path / "missing.csv")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
     def test_mc_study_with_zero_replications(self, tmp_path):
         out = tmp_path / "mc.json"
         argv = ["mc-study", *SPEC, "--n", "50", "--replications", "0", "--methods", " mle, cls "]

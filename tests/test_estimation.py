@@ -26,7 +26,7 @@ from tobitcount.specialfn import PrecisionError
 from tobitcount.stingarch import (
     CountSeries,
     ModelSpec,
-    _mean_recursion,
+    _mean_kernel,
     conditional_mean_path,
     conditional_pmf,
     simulate,
@@ -145,6 +145,19 @@ class TestLoglik:
             loglik(np.array([1.0, 0.2, -0.1]), series, (1, 0), SC2)
         with pytest.raises(ValueError):
             EstimationScenario.fixed(0.0)
+
+    @pytest.mark.parametrize("orders", [(-1, 0), (1, -1), (0, 0, -1)])
+    def test_negative_order_refused(self, orders):
+        series = CountSeries(np.array([1, 2, 3, 0, 2]))
+        with pytest.raises(ValueError, match="orders must be nonnegative"):
+            estimation._orders(orders, series)
+        with pytest.raises(ValueError, match="orders must be nonnegative"):
+            fit_mle(series, orders)
+
+    def test_bounded_theta_ends_with_kappa(self):
+        series = CountSeries(np.array([1, 2, 3, 0, 2]))
+        with pytest.raises(ValueError, match="theta has 3 entries, expected 4"):
+            loglik(np.array([1.0, 0.2, -0.1]), series, (1, 1), SC1, 5)
 
     def test_storage_order_independence(self):
         # assembling theta from differently ordered pieces yields the same value
@@ -363,6 +376,8 @@ class TestAnalyticDerivatives:
         m = _mean_path(theta[:3], series, 1, 1, 0)
         assert np.any(m > 0) and (bound == 1 or np.any(m < 0))
         assert not _stencil_crosses_kink(theta, series, 1, 1, 0)
+        terms = self._bounded_terms(theta, series, scenario, bound)
+        assert loglik(theta, series, (1, 1), scenario, bound) == terms.sum()
         grad, hess = analytic_score_hessian(theta, series, (1, 1), scenario, bound)
         assert grad.shape == theta.shape and np.max(np.abs(hess - hess.T)) < 1e-8
         fd_grad = np.empty_like(theta)
@@ -534,7 +549,7 @@ class TestMeanRecursionKernel:
     def test_extension_with_covariates_is_refused(self, counts):
         series = CountSeries(counts, covariates=np.ones((counts.shape[0], 1)))
         with pytest.raises(ValueError, match="beyond the sample"):
-            _mean_recursion(1.0, (0.3,), (0.5,), (0.7,), series, True)
+            _mean_kernel(series, 1, 1, 1, extend=True)
 
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize(

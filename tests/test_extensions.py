@@ -10,7 +10,7 @@ import pytest
 
 from tobitcount import cli, estimation, extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
-from tobitcount.estimation import EstimationScenario, _window_loglik, fit_mle
+from tobitcount.estimation import EstimationScenario, fit_mle, loglik
 from tobitcount.extensions import (
     TinarsSpec,
     fit_stbingarch_mle,
@@ -427,7 +427,7 @@ class TestBoundedFit:
             fit_stbingarch_mle(CountSeries(np.zeros(200, dtype=np.int64)), (1, 1), bound=5)
 
     def test_penalty_valued_optimum_raises(self, monkeypatch):
-        monkeypatch.setattr(extensions, "_window_loglik", lambda *args: -math.inf)
+        monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)
         with pytest.raises(ArithmeticError):
             fit_stbingarch_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])), (1, 0), bound=5)
 
@@ -456,8 +456,8 @@ class TestBoundedFit:
         fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
         assert fit.estimates[-1] < 1e-5 and fit.spec.kappa == fit.estimates[-1]
         assert fit.std_errors is None and not fit.hessian_invertible
-        theta = fit.estimates
-        assert fit.loglik == _window_loglik(theta[:3], series, 1, 1, 0, 0.01, 5, theta[3])
+        scenario = EstimationScenario.fixed(0.01)
+        assert fit.loglik == loglik(fit.estimates, series, (1, 1), scenario, 5)
         out = tmp_path / "fit.json"
         argv = ["fit", "--model", "stbingarch", "--bound", "5", "-p", "1", "-q", "1"]
         assert cli.main([*argv, "--input", str(no_inflation_csv), "--output", str(out)]) == 0
@@ -471,8 +471,8 @@ class TestBoundedFit:
         series = simulate(spec, 400, burn_in=500, rng=np.random.default_rng(55))
         fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
         assert fit.std_errors is not None
-        theta = fit.estimates
-        assert fit.loglik == _window_loglik(theta[:3], series, 1, 1, 0, 0.01, 5, theta[3])
+        scenario = EstimationScenario.fixed(0.01)
+        assert fit.loglik == loglik(fit.estimates, series, (1, 1), scenario, 5)
 
     # delta = 1e300 overflows lambda1 * lambda2 on its way to the refusal
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
