@@ -17,10 +17,12 @@ Approximate standard errors follow the usual practice of inverting a
 numerical Hessian of the maximized log-likelihood.
 
 Every likelihood fit runs through :func:`_fit`, the one fit driver, whose
-docstring describes its stages; every :class:`ModelSpec` fit, the bounded
-one-inflated one included, is set up by :func:`_fit_spec`.  The CLS fit
-runs Gauss-Newton on the Jacobian of its censored residuals, and CLADE a
-Nelder-Mead multi-start.
+docstring describes its stages: a Newton run from the start, returned
+where it certifies a point away from the ``M_t = 0`` kinks, else a coarse
+Nelder-Mead pass that a second Newton stage finishes; every
+:class:`ModelSpec` fit, the bounded one-inflated one included, is set up
+by :func:`_fit_spec`.  The CLS fit runs Gauss-Newton on the Jacobian of
+its censored residuals, and CLADE a Nelder-Mead multi-start.
 
 Every Nelder-Mead pass is the in-house :func:`_nelder_mead`: scipy's
 algorithm step for step on Python floats, with scipy's iterates, because
@@ -70,17 +72,18 @@ __all__ = [
 ]
 
 _PENALTY = 1e12
-# a first simplex point whose Newton decrement g'(-H)^-1 g is at most this
-# times 1 + |loglik| is a certified maximum and ends the search
+# a point whose Newton decrement g'(-H)^-1 g is at most this times
+# 1 + |loglik| is a certified maximum and ends the search
 _CERTIFICATE = 1e-10
 # the simplex's full objective tolerance, and its tolerances (fatol and
-# xatol) in the coarse first pass that a Newton stage finishes
+# xatol) in the coarse pass that the second Newton stage finishes
 _FATOL = 1e-10
 _COARSE = 1e-3
-# the Newton stage stops at this gradient norm or after this many
-# iterations: a gain beyond _COARSE resumes the simplex anyway
+# both Newton stages stop at this gradient norm or after this many
+# iterations: a zig-zag across kinks runs 100 without the cap, and what
+# the cap leaves either takes the coarse stages or resumes the simplex
 _NEWTON_GTOL = 1e-8
-_COARSE_NEWTON_MAXITER = 20
+_NEWTON_MAXITER = 20
 # ftol, xtol and gtol of the CLS Gauss-Newton runs; least_squares' default
 # 1e-8 stops short of the simplex's objective
 _GN_TOL = 1e-15
@@ -731,10 +734,11 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
 
 
 def _newton(fun, derivatives, x0):
-    """The Newton stage of :func:`_fit`: trust-region Newton
+    """Either Newton stage of :func:`_fit`, the first one from the start or
+    the one that finishes the coarse pass: trust-region Newton
     (``trust-exact``) on ``fun`` from ``x0``, with ``derivatives(x)``
     returning the gradient and Hessian together, for at most
-    ``_COARSE_NEWTON_MAXITER`` iterations.
+    ``_NEWTON_MAXITER`` iterations.
 
     trust-exact asks for the Hessian at every trial point and for the
     gradient at the accepted ones, so a one-entry memo evaluates
@@ -754,7 +758,7 @@ def _newton(fun, derivatives, x0):
         method="trust-exact",
         jac=lambda x: both(x)[0],
         hess=lambda x: both(x)[1],
-        options={"gtol": _NEWTON_GTOL, "maxiter": _COARSE_NEWTON_MAXITER},
+        options={"gtol": _NEWTON_GTOL, "maxiter": _NEWTON_MAXITER},
     )
 
 
@@ -777,6 +781,7 @@ def _fit(
     spec=None,
     derivatives=None,
     orders: Optional[tuple[int, int]] = None,
+    kink_free=None,
 ) -> FitResult:
     """Maximum-likelihood pipeline shared by every likelihood fitter.
 
@@ -792,22 +797,37 @@ def _fit(
     or (given ``orders = (p, q)``) past stationarity; a start point the
     kernels refuse raises their ``PrecisionError``.
 
-    Every fit runs a Nelder-Mead pass at the coarse tolerances
-    ``_COARSE``.  Given ``derivatives`` (every :class:`ModelSpec` fit; not
-    TINARS(1)), a trust-region Newton stage (:func:`_newton`) finishes it
-    on the chain-ruled gradient ``g s`` and Hessian ``H s s' + diag(g
-    s'')``, ``s`` and ``s''`` being the kinds' ``slope`` and ``curvature``
-    (:func:`_search_derivatives`), and the better point is kept.  Unless
-    there are no ``derivatives``, Newton raises or it gains more than
-    ``_COARSE`` (the simplex had not reached its tail), the standard-error
-    stencil (:func:`numerical_hessian` on :func:`_difference_steps`) runs
-    there; a positive definite ``-H`` and a Newton decrement ``g' (-H)^-1
-    g`` of at most ``_CERTIFICATE (1 + |loglik|)`` certify the point, which
-    is returned with ``converged`` true.  Otherwise the one fallback runs:
-    the coarse pass resumes from its final simplex to the full tolerances,
-    the better point is kept, the stencil runs again only at a point that
-    had none yet, and ``converged`` is true when it certifies that point
-    or the resumed pass reports success.  ``iterations`` sums every stage.
+    Given ``derivatives`` (every :class:`ModelSpec` fit; not TINARS(1)),
+    the first stage is a trust-region Newton run (:func:`_newton`) from
+    ``theta0`` on the chain-ruled gradient ``g s`` and Hessian ``H s s' +
+    diag(g s'')``, ``s`` and ``s''`` being the kinds' ``slope`` and
+    ``curvature`` (:func:`_search_derivatives`).  Its point is returned,
+    with ``converged`` true, only when ``kink_free`` holds there and the
+    standard-error stencil (:func:`numerical_hessian` on
+    :func:`_difference_steps`) certifies it: a positive definite ``-H`` and
+    a Newton decrement ``g' (-H)^-1 g`` of at most ``_CERTIFICATE (1 +
+    |loglik|)``.  ``kink_free``, given with ``derivatives``, takes the
+    natural parameters and says whether the likelihood is smooth there; for
+    a :class:`ModelSpec` it is every conditional mean of the window being
+    positive, since ``lambda1,2 = (|m| +- m + delta) / 2`` kinks at ``m =
+    0``.  On zero-heavy series, where the means cross zero, Newton from the
+    start can certify a lower local maximum among the kinks than the coarse
+    stages find, so such a point is left to them.
+
+    Any other outcome (a point at a kink, a stencil withheld or not
+    certifying, or a first stage that raises), and every fit without
+    ``derivatives``, runs the coarse stages from ``theta0`` as if the
+    first stage had not run.  A Nelder-Mead pass runs at the coarse
+    tolerances ``_COARSE``.  Given ``derivatives``, a second Newton stage
+    finishes it and the better point is kept.  Unless there are no
+    ``derivatives``, that stage raises or it gains more than ``_COARSE``
+    (the simplex had not reached its tail), the stencil runs there and a
+    certified point is returned with ``converged`` true.  Otherwise the one
+    fallback runs: the coarse pass resumes from its final simplex to the
+    full tolerances, the better point is kept, the stencil runs again only
+    at a point that had none yet, and ``converged`` is true when it
+    certifies that point or the resumed pass reports success.
+    ``iterations`` sums every stage, the first one included.
 
     ``loglik`` is ``natural_loglik`` at the estimates, and standard errors
     invert its stencil Hessian there (none for ``delta <= 1e-8`` or
@@ -859,33 +879,49 @@ def _fit(
 
     natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
-    res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
-    best_x, best_f, iterations = res.x, res.fun, int(res.nit)
-    finished = False
+    iterations, converged = 0, False
     if derivatives is not None:
         try:
-            pol = _newton(objective, search_derivatives, res.x)
+            first = _newton(objective, search_derivatives, x0)
         except (ArithmeticError, ValueError):
-            pass  # an unfinished point, which the resumed pass finishes
+            pass  # the coarse stages run, as after a rejected point
         else:
-            iterations += int(pol.nit)
-            if pol.fun < best_f:
-                best_x, best_f = pol.x, pol.fun
-            # a gain beyond the simplex's own tolerance means the simplex
-            # had not reached its tail
-            finished = res.fun - best_f <= _COARSE
-    stencil = None
-    if finished and best_f < _PENALTY / 2:
-        stencil = _stencil(natural_loglik, np.array(natural(best_x)), kinds)
-    converged = stencil is not None and _certifies(*stencil, -best_f)
-    if not converged:
-        # the one fallback: the coarse pass resumes from its final simplex
-        # to the full tolerances, and the better point is kept
-        full = _nelder_mead(objective, res.x, simplex=res.final_simplex[0])
-        iterations += int(full.nit)
-        if full.fun < best_f:
-            # a point without a stencil yet
-            best_x, best_f, finished = full.x, full.fun, False
+            iterations = int(first.nit)
+            theta = np.array(natural(first.x))
+            if first.fun < _PENALTY / 2 and kink_free(theta):
+                stencil = _stencil(natural_loglik, theta, kinds)
+                converged = stencil is not None and _certifies(*stencil, -first.fun)
+    if converged:
+        best_x, best_f = first.x, first.fun
+    else:
+        res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
+        best_x, best_f = res.x, res.fun
+        iterations += int(res.nit)
+        finished = False
+        if derivatives is not None:
+            try:
+                pol = _newton(objective, search_derivatives, res.x)
+            except (ArithmeticError, ValueError):
+                pass  # an unfinished point, which the resumed pass finishes
+            else:
+                iterations += int(pol.nit)
+                if pol.fun < best_f:
+                    best_x, best_f = pol.x, pol.fun
+                # a gain beyond the simplex's own tolerance means the simplex
+                # had not reached its tail
+                finished = res.fun - best_f <= _COARSE
+        stencil = None
+        if finished and best_f < _PENALTY / 2:
+            stencil = _stencil(natural_loglik, np.array(natural(best_x)), kinds)
+        converged = stencil is not None and _certifies(*stencil, -best_f)
+        if not converged:
+            # the one fallback: the coarse pass resumes from its final simplex
+            # to the full tolerances, and the better point is kept
+            full = _nelder_mead(objective, res.x, simplex=res.final_simplex[0])
+            iterations += int(full.nit)
+            if full.fun < best_f:
+                # a point without a stencil yet
+                best_x, best_f, finished = full.x, full.fun, False
     if not best_f < _PENALTY / 2:
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
     theta_hat = np.array(natural(best_x))
@@ -934,9 +970,11 @@ def _fit_spec(series: CountSeries, orders, scenario: EstimationScenario, bound=N
     under scenario 2 ``delta`` follows, searched on the log scale from 0.25;
     given a ``bound`` ``kappa`` comes last, searched on the logit scale from
     0.1.  The likelihood is :func:`loglik` and the derivatives are
-    :func:`analytic_score_hessian`, both with the ``bound``, and trial points
-    past stationarity are penalized.  The method is ``mle-s1``, ``mle-s2``
-    or, given a bound, ``mle-stbingarch``.
+    :func:`analytic_score_hessian`, both with the ``bound``, trial points
+    past stationarity are penalized, and a point is kink-free when every
+    mean :func:`_mean_path` gives after the conditioning prefix is
+    positive.  The method is ``mle-s1``, ``mle-s2`` or, given a bound,
+    ``mle-stbingarch``.
     """
     p, q, r = _orders(orders, series)
     kinds = ("free",) * (1 + p + q + r)
@@ -961,6 +999,9 @@ def _fit_spec(series: CountSeries, orders, scenario: EstimationScenario, bound=N
         spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario, bound),
         derivatives=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario, bound),
         orders=(p, q),
+        kink_free=lambda theta: bool(
+            np.all(_mean_path(theta[: 1 + p + q + r], series, p, q, r)[max(p, q):] > 0.0)
+        ),
     )
 
 

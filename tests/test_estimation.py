@@ -700,6 +700,19 @@ class TestFitDriver:
             return fit()
 
     @staticmethod
+    def _first_stage_rejected(monkeypatch):
+        # the certificate rejects the first point it sees, the first stage's
+        # where it has one, and judges every later point as it would
+        certifies = estimation._certifies
+        seen = []
+
+        def first_rejected(*args):
+            seen.append(args)
+            return len(seen) > 1 and certifies(*args)
+
+        monkeypatch.setattr(estimation, "_certifies", first_rejected)
+
+    @staticmethod
     def _quadratic_fit():
         # a derivative-free fit of a concave quadratic peaking at (1, 2)
         return estimation._fit(
@@ -717,23 +730,74 @@ class TestFitDriver:
 
     PAPER_DGP = ModelSpec(alpha0=2.0, alphas=(0.4,), betas=(0.2,), delta=0.25)
 
-    def test_certified_first_pass_ends_the_search(self, monkeypatch):
+    def test_certified_kink_free_start_makes_no_simplex_pass(self, monkeypatch):
         series = simulate(self.PAPER_DGP, 300, rng=np.random.default_rng(70))
         passes = self._count(monkeypatch)
         newtons = self._count(monkeypatch, "_newton")
         fit = fit_mle(series, (1, 1), SC2)
-        assert len(passes) == len(newtons) == 1 and fit.converged
-        assert passes[0].fun - newtons[0].fun <= estimation._COARSE
-        assert fit.iterations == passes[0].nit + newtons[0].nit
+        assert passes == [] and len(newtons) == 1 and fit.converged
+        assert fit.iterations == newtons[0].nit
+        assert np.min(_mean_path(fit.estimates[:3], series, 1, 1, 0)[1:]) > 0.0
+        steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
+        hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
+        assert fit.loglik == loglik(fit.estimates, series, (1, 1), SC2)
+
+    def test_certified_first_pass_ends_the_search(self, monkeypatch):
+        # with the first stage rejected, the coarse pass and its Newton
+        # finish run and a certificate there ends the search
+        series = simulate(self.PAPER_DGP, 300, rng=np.random.default_rng(70))
+        certified = fit_mle(series, (1, 1), SC2)
+        passes = self._count(monkeypatch)
+        newtons = self._count(monkeypatch, "_newton")
+        with monkeypatch.context() as patched:
+            self._first_stage_rejected(patched)
+            fit = fit_mle(series, (1, 1), SC2)
+        assert len(passes) == 1 and len(newtons) == 2 and fit.converged
+        assert passes[0].fun - newtons[1].fun <= estimation._COARSE
+        assert fit.iterations == newtons[0].nit + passes[0].nit + newtons[1].nit
         steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
         hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
         uncertified = self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
-        # the coarse pass, its Newton stage and the resumed pass
-        assert len(passes) == 3 and len(newtons) == 2
-        assert uncertified.iterations == sum(run.nit for run in passes[1:] + newtons[1:])
+        # the first stage, the coarse pass, its Newton stage and the resumed pass
+        assert len(passes) == 3 and len(newtons) == 4
+        assert uncertified.iterations == sum(run.nit for run in passes[1:] + newtons[2:])
         assert uncertified.converged == passes[2].success
         assert fit.loglik >= uncertified.loglik - 1e-9 * (1.0 + abs(uncertified.loglik))
+        assert abs(fit.loglik - certified.loglik) <= 1e-9 * (1.0 + abs(fit.loglik))
+
+    def test_a_mean_at_zero_is_a_kink(self, series, monkeypatch):
+        # the rule _fit_spec hands the driver; with alpha1 = 0 every mean is alpha0
+        monkeypatch.setattr(estimation, "_fit", lambda *args, **kwargs: kwargs["kink_free"])
+        kink_free = fit_mle(series, (1, 0), SC1)
+        assert kink_free(np.array([1e-12, 0.0])) and kink_free(np.array([2.0, 0.0]))
+        assert not kink_free(np.array([0.0, 0.0]))
+        assert not kink_free(np.array([-1e-12, 0.0]))
+
+    def test_raising_first_stage_takes_the_coarse_stages(self, series, monkeypatch):
+        # the coarse stages run from the start whether the first stage
+        # raises or is rejected; only the rejected one counts its iterations
+        with monkeypatch.context() as patched:
+            self._first_stage_rejected(patched)
+            newtons = self._count(patched, "_newton")
+            rejected = fit_mle(series, (1, 0), SC1)
+        newton = estimation._newton
+        calls = []
+
+        def first_raises(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ArithmeticError("first stage failed")
+            return newton(*args)
+
+        monkeypatch.setattr(estimation, "_newton", first_raises)
+        fit = fit_mle(series, (1, 0), SC1)
+        assert len(calls) == len(newtons) == 2
+        assert np.array_equal(fit.estimates, rejected.estimates)
+        assert fit.loglik == rejected.loglik and fit.converged == rejected.converged
+        assert np.array_equal(fit.std_errors, rejected.std_errors)
+        assert fit.iterations == rejected.iterations - newtons[0].nit
 
     def test_uncertified_fit_without_derivatives_counts_both_passes(self, monkeypatch):
         passes = self._count(monkeypatch)
@@ -779,21 +843,34 @@ class TestFitDriver:
         assert fit.loglik == natural.loglik
         assert np.array_equal(fit.estimates, natural.estimates)
 
+    ZIGZAG = ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0)
+
     def test_first_newton_stage_stops_at_its_iteration_cap(self, monkeypatch):
-        # on this 85%-zero series the Newton stage zig-zags across kinks (100
-        # iterations without the cap) and the resumed simplex finds the better
-        # point anyway; the loglik is the uncapped fit's
-        series = simulate(
-            ModelSpec(alpha0=-0.5, alphas=(0.4,), betas=(0.3,), delta=1.0),
-            1000,
-            rng=np.random.default_rng(7),
-        )
+        # on this 85%-zero series the first stage stops at a kink and the
+        # Newton stage after the coarse pass zig-zags across kinks (100
+        # iterations without the cap); the resumed simplex finds the better
+        # point anyway, and the loglik is the uncapped fit's
+        series = simulate(self.ZIGZAG, 1000, rng=np.random.default_rng(7))
         passes = self._count(monkeypatch)
         newtons = self._count(monkeypatch, "_newton")
         fit = fit_mle(series, (1, 1), 1.0)
-        assert newtons[0].nit == estimation._COARSE_NEWTON_MAXITER == 20
+        assert newtons[0].nit == 9 and "bad approximation" in newtons[0].message
+        assert newtons[1].nit == estimation._NEWTON_MAXITER == 20
         assert len(passes) >= 2 and fit.converged
         assert fit.loglik >= -567.5879118867149 - 1e-9 * (1.0 + 567.5879118867149)
+
+    def test_first_stage_point_at_a_kink_is_left_to_the_coarse_stages(self, monkeypatch):
+        # the first stage ends where a mean is not positive, and the fit is
+        # the coarse stages' to the bit; the first stage adds its iterations
+        series = simulate(self.ZIGZAG, 1000, rng=np.random.default_rng(7))
+        newtons = self._count(monkeypatch, "_newton")
+        stencils = self._count(monkeypatch, "_stencil")
+        fit = fit_mle(series, (1, 1), 1.0)
+        assert np.min(_mean_path(newtons[0].x, series, 1, 1, 0)[1:]) <= 0.0
+        assert len(stencils) == 1  # the coarse stages' only
+        assert fit.loglik == -567.5879118867149 and fit.converged
+        assert fit.estimates.tolist() == [-0.37882952539202386, 0.2963629994379591, 0.399058340665985]
+        assert fit.iterations == 333 + newtons[0].nit
 
     @pytest.mark.parametrize(
         "grad, hess_diag, ll, expected",
@@ -811,7 +888,8 @@ class TestFitDriver:
 
     def test_withheld_steps_resume_the_simplex(self, monkeypatch):
         # the series mc_study(..., seed=405) simulates for this DGP at n = 250:
-        # the first pass leaves delta within 1e-8 of 0, where the steps are withheld
+        # the first stage and the coarse pass leave delta within 1e-8 of 0,
+        # where the steps are withheld
         stream = np.random.SeedSequence(405).spawn(1)[0]
         rng = np.random.Generator(np.random.PCG64(stream))
         series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
@@ -819,10 +897,11 @@ class TestFitDriver:
         newtons = self._count(monkeypatch, "_newton")
         stencils = self._count(monkeypatch, "_stencil")
         fit = fit_mle(series, (1, 1), SC2)
-        assert len(passes) == 2 and len(newtons) == 1
-        assert math.exp(passes[0].x[-1]) < 1e-8
-        # the stencil (withheld) runs again only at a point the resumed pass moved to
-        assert stencils == [None] * (1 + (passes[1].fun < newtons[0].fun))
+        assert len(passes) == 2 and len(newtons) == 2
+        assert math.exp(newtons[0].x[-1]) < 1e-8 and math.exp(passes[0].x[-1]) < 1e-8
+        # the stencil (withheld) runs at the first-stage point, after the
+        # coarse stages, and again only at a point the resumed pass moved to
+        assert stencils == [None] * (2 + (passes[1].fun < newtons[1].fun))
         assert fit.std_errors is None
         # the loglik of the fresh restart and polish this fallback replaced
         restarted = -538.9032205317307
@@ -843,27 +922,47 @@ class TestFitDriver:
         newtons = self._count(monkeypatch, "_newton")
         stencils = self._count(monkeypatch, "_stencil")
         fit = self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 0), SC1))
-        assert newtons[0].fun <= coarse[0].fun and len(stencils) == 1
-        assert np.array_equal(fit.estimates, newtons[0].x)
-        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(stencils[0][1]))
+        # the first stage's stencil, then the one after the coarse pass
+        assert newtons[1].fun <= coarse[0].fun and len(stencils) == 2
+        assert np.array_equal(fit.estimates, newtons[1].x)
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(stencils[1][1]))
         assert fit.converged == coarse[0].success
-        assert fit.iterations == 2 * coarse[0].nit + newtons[0].nit
+        assert fit.iterations == newtons[0].nit + 2 * coarse[0].nit + newtons[1].nit
 
     def test_indefinite_stencil_resumes_the_simplex(self, series, monkeypatch):
+        # an indefinite stencil rejects the first stage's point and then the
+        # coarse stages' one
         stencils = []
         stencil = estimation.numerical_hessian
 
         def indefinite_first(*args):
             grad, hess = stencil(*args)
             stencils.append(hess)
-            return (grad, -hess) if len(stencils) == 1 else (grad, hess)
+            return (grad, -hess) if len(stencils) <= 2 else (grad, hess)
 
         monkeypatch.setattr(estimation, "numerical_hessian", indefinite_first)
         passes = self._count(monkeypatch)
         fit = fit_mle(series, (1, 0), SC1)
-        assert len(passes) == 2 and len(stencils) == 2
+        assert len(passes) == 2 and len(stencils) == 3
         monkeypatch.setattr(estimation, "numerical_hessian", stencil)
         self._assert_same_fit(fit, self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 0), SC1)))
+
+    def test_interior_maximum_beyond_a_vanishing_dispersion(self, monkeypatch):
+        # the series of mc_study(..., seed=1233804934) (mc402-7): the coarse
+        # stages end at delta = 3e-21 and loglik -546.8430 without standard
+        # errors, though the maximum lies inside, which the first stage reaches
+        stream = np.random.SeedSequence(1233804934).spawn(1)[0]
+        rng = np.random.Generator(np.random.PCG64(stream))
+        series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
+        passes = self._count(monkeypatch)
+        fit = fit_mle(series, (1, 1), SC2)
+        interior = -546.7521212210431
+        assert passes == [] and fit.converged
+        assert fit.loglik >= interior - 1e-9 * (1.0 + abs(interior))
+        assert fit.estimates[-1] > 0.1 and fit.hessian_invertible
+        study = mc_study(self.PAPER_DGP, 250, 1, methods=("mle",), scenario=None, seed=1233804934)
+        assert study.hessian_noninvertible_rate == {"mle": 0.0}
+        assert np.array_equal(study.means["mle"], fit.estimates)
 
     def test_penalty_valued_optimum_raises(self, series, monkeypatch):
         monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)

@@ -581,6 +581,25 @@ class TestBoundedFit:
         assert fit.converged
         assert fit.loglik >= simplex - 1e-9 * (1.0 + abs(simplex))
 
+    def test_kappa_near_zero_is_certified_without_a_simplex(self, monkeypatch):
+        # the continuity case above: Newton from the start reaches the
+        # maximum that the coarse pass stopped 0.4 short of, where a
+        # simplex resume once replayed the whole full-tolerance search
+        spec = ModelSpec(alpha0=1.0, alphas=(0.3,), betas=(0.3,), delta=0.01, bound=5, kappa=0.01)
+        series = simulate(spec, 1000, burn_in=500, rng=np.random.default_rng(2))
+        passes = []
+        nelder_mead = estimation._nelder_mead
+
+        def counted(*args, **kwargs):
+            passes.append(nelder_mead(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(estimation, "_nelder_mead", counted)
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert passes == [] and fit.converged and fit.hessian_invertible
+        simplex = -1677.2071494512625
+        assert fit.loglik >= simplex - 1e-9 * (1.0 + abs(simplex))
+
     def test_bounded_pearson_residuals(self):
         spec = ModelSpec(
             alpha0=0.787,
