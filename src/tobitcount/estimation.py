@@ -24,13 +24,17 @@ Nelder-Mead pass that a second Newton stage finishes; every
 by :func:`_fit_spec`.  The CLS fit runs Gauss-Newton on the Jacobian of
 its censored residuals, and CLADE a Nelder-Mead multi-start.
 
-Every Nelder-Mead pass is the in-house :func:`_nelder_mead`: scipy's
-algorithm step for step on Python floats, with scipy's iterates, because
-scipy's per-call array bookkeeping cost about as much as the objective it
-serves and a CLADE fit makes about four thousand calls.  The CLADE and CLS
-objective (:func:`_censored_objective`) likewise builds its parameter-free
-arrays once per fit through :func:`~tobitcount.stingarch._mean_kernel`,
-the mean recursion every fitter shares.
+Every Nelder-Mead pass is the in-house simplex :func:`_simplex_search`:
+scipy's algorithm step for step on Python floats, with scipy's iterates,
+because scipy's per-call array bookkeeping cost about as much as the
+objective it serves.  :func:`_nelder_mead` drives one search, and
+:func:`_nelder_mead_lockstep` CLADE's nine: on an n = 250 series of the
+paper's simulation study a CLADE fit evaluates about 3,900 trial points in
+about 650 rounds, each one batched objective call of about six points.
+The CLADE and CLS objective (:func:`_censored_objective`) likewise builds
+its parameter-free arrays once per fit through
+:func:`~tobitcount.stingarch._mean_kernel`, the mean recursion every
+fitter shares, which solves a block of parameter rows in one banded solve.
 """
 
 from __future__ import annotations
@@ -205,17 +209,12 @@ def _spec_from_theta(theta, p, q, r, scenario, bound=None) -> ModelSpec:
     )
 
 
-def _dynamics(theta_dyn: list, p: int, q: int):
-    """``(alpha0, alphas, betas, gammas)`` of a dynamics block given as a list."""
-    return theta_dyn[0], theta_dyn[1 : 1 + p], theta_dyn[1 + p : 1 + p + q], theta_dyn[1 + p + q :]
-
-
 def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
     """``M_1..M_n`` of the dynamics block, pre-sample means pinned to alpha0."""
     theta_dyn = np.asarray(theta_dyn, dtype=float)
     if theta_dyn.shape[0] != 1 + p + q + r:
         raise ValueError(f"dynamics block has {theta_dyn.shape[0]} entries")
-    return _mean_kernel(series, p, q, r)(*_dynamics(theta_dyn.tolist(), p, q))
+    return _mean_kernel(series, p, q, r)(theta_dyn)
 
 
 def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> float:
@@ -642,8 +641,52 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
       the vertices that were already replaced (a shrink sets a vertex
       before evaluating it), and ``success`` is then false.
 
-    ``fun`` receives a fresh float array and must return a scalar.
+    ``fun`` receives a fresh float array and must return a scalar.  The
+    iteration itself is :func:`_simplex_search`, which
+    :func:`_nelder_mead_lockstep` also drives.
     """
+    search = _simplex_search(x0, fatol, xatol, simplex)
+    value = None
+    while True:
+        try:
+            x = search.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = float(fun(np.array(x)))
+
+
+def _nelder_mead_lockstep(fun, searches):
+    """Run the :func:`_simplex_search` iterations ``searches`` in lockstep and
+    return their results, in order.
+
+    Each round, every unfinished search proposes its next trial point, and
+    one call of ``fun`` on the ``(K, k)`` array of those points returns
+    their K values.  When ``fun`` gives each row the value it gives that
+    row alone, each result equals :func:`_nelder_mead`'s on the same
+    options, field for field.
+    """
+    results = [None] * len(searches)
+    live = list(enumerate(searches))
+    values = [None] * len(live)
+    while live:
+        running, points = [], []
+        for (i, search), value in zip(live, values):
+            try:
+                points.append(search.send(value))
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                running.append((i, search))
+        live = running
+        if points:
+            values = fun(np.array(points)).tolist()
+    return results
+
+
+def _simplex_search(x0, fatol=_FATOL, xatol=1e-8, simplex=None):
+    """The iteration of :func:`_nelder_mead` as a generator: it yields each
+    trial point as a list of floats, is sent the objective's value there,
+    and returns the result."""
     budget = 400 * len(x0)
     if simplex is None:
         x0 = [float(v) for v in np.ravel(x0)]
@@ -658,12 +701,13 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
     fsim = [math.inf] * (n + 1)
     nfev = 0
 
-    def call(x: list) -> float:
+    def trial(x: list) -> list:
+        # the point to evaluate next, counted against the budget
         nonlocal nfev
         if nfev >= budget:
             raise _BudgetSpent
         nfev += 1
-        return float(fun(np.array(x)))
+        return x
 
     def ordered(sim: list, fsim: list):
         order = np.array(fsim).argsort().tolist()
@@ -671,7 +715,7 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
 
     try:
         for k in range(n + 1):
-            fsim[k] = call(sim[k])
+            fsim[k] = yield trial(sim[k])
     except _BudgetSpent:
         pass
     # scipy sorts the first simplex twice, which may reorder ties twice
@@ -687,11 +731,11 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
                 break
             xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
             xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
-            fxr = call(xr)
+            fxr = yield trial(xr)
             shrink = False
             if fxr < fsim[0]:
                 xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
-                fxe = call(xe)
+                fxe = yield trial(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -701,7 +745,7 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
             elif fxr < fsim[-1]:
                 # outside contraction
                 xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
-                fxc = call(xc)
+                fxc = yield trial(xc)
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
@@ -709,7 +753,7 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
             else:
                 # inside contraction
                 xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
-                fxcc = call(xcc)
+                fxcc = yield trial(xcc)
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
@@ -717,7 +761,7 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
             if shrink:
                 for j in range(1, n + 1):
                     sim[j] = [a + _SIGMA * (b - a) for a, b in zip(best, sim[j])]
-                    fsim[j] = call(sim[j])
+                    fsim[j] = yield trial(sim[j])
             iterations += 1
         except _BudgetSpent:
             pass
@@ -1039,23 +1083,37 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
     the lag columns and the band storage of the mean recursion.  A call
     then runs only the recursion's coefficients and solve and the deviation
     sum, which the multi-start simplex asks for thousands of times.
+
+    Given a dynamics vector the objective returns its value; given a ``(K,
+    k)`` block of rows it returns their K values from one mean solve, each
+    equal to the row's own value.  Each row sums along its own axis.  A
+    penalized row is solved with zero coefficients: its means could
+    overflow, and a mean that is not finite spills into the next row's
+    block, since ``0 * inf`` is nan.  A row whose value is not finite,
+    spilled into or not, is evaluated again on its own.
     """
     start = max(p, q)
     x = series.counts[start:].astype(float)
     means = _mean_kernel(series, p, q, r)
 
-    def objective(theta_dyn: np.ndarray) -> float:
-        theta = theta_dyn.tolist()
-        outside = _stationarity_penalty(theta, p, q)
-        if outside:
-            return outside
-        dev = means(*_dynamics(theta, p, q))[start:]
-        np.maximum(0.0, dev, out=dev)
+    def objective(theta: np.ndarray):
+        rows = theta.reshape(-1, theta.shape[-1])
+        # per row in Python, where max(0.0, nan) is 0.0
+        penalties = [_stationarity_penalty(row, p, q) for row in rows.tolist()]
+        if any(penalties):
+            rows = np.where(np.array(penalties)[:, None] > 0.0, 0.0, rows)
+        dev = np.maximum(0.0, means(rows)[:, start:])
         np.subtract(x, dev, out=dev)
         np.abs(dev, out=dev)
         if power == 2:
             dev *= dev
-        return float(dev.sum())
+        values = dev.sum(axis=1)
+        for i, penalty in enumerate(penalties):
+            if penalty:
+                values[i] = penalty
+            elif len(penalties) > 1 and not math.isfinite(values[i]):
+                values[i] = objective(rows[i])
+        return values if theta.ndim == 2 else float(values[0])
 
     return objective
 
@@ -1068,7 +1126,7 @@ def _censored_residuals(series: CountSeries, p, q, r):
     means = _mean_kernel(series, p, q, r)
 
     def residuals(theta_dyn: np.ndarray) -> np.ndarray:
-        return x - np.maximum(0.0, means(*_dynamics(theta_dyn.tolist(), p, q))[start:])
+        return x - np.maximum(0.0, means(theta_dyn)[start:])
 
     def jacobian(theta_dyn: np.ndarray) -> np.ndarray:
         m, dm = _mean_gradient(theta_dyn, series, p, q, r)
@@ -1092,11 +1150,15 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
     """The CLADE (``power = 1``) or CLS (``power = 2``) fit from the nine
     :func:`_starts`, the best result by ``(objective, |theta|)``.
 
-    CLADE runs Nelder-Mead from each start.  CLS runs Gauss-Newton
-    (``least_squares``' ``trf``) on :func:`_censored_residuals`, skips a
-    start past stationarity and drops a result past it; when no result is
-    left it runs CLADE's Nelder-Mead multi-start on the squared
-    deviations.  ``converged`` is the chosen run's success flag and
+    CLADE runs Nelder-Mead from each start, the nine searches in lockstep
+    (:func:`_nelder_mead_lockstep`): each round evaluates every unfinished
+    search's next trial point in one batched call of
+    :func:`_censored_objective`, and each search's result is the one it
+    reaches alone.  CLS runs Gauss-Newton (``least_squares``' ``trf``) on
+    :func:`_censored_residuals`, skips a start past stationarity and drops
+    a result past it; when no result is left it runs CLADE's lockstep
+    multi-start on the squared deviations.  ``converged`` is the chosen
+    run's success flag and
     ``iterations`` sums every run's iterations (Jacobian evaluations for
     Gauss-Newton).  The intercept-only model has a closed form.
     """
@@ -1141,8 +1203,8 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
             if value < _PENALTY / 2:
                 runs.append((value, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
     if not runs:
-        for x0 in starts:
-            res = _nelder_mead(objective, x0, fatol=1e-9)
+        searches = [_simplex_search(x0, fatol=1e-9) for x0 in starts]
+        for res in _nelder_mead_lockstep(objective, searches):
             iterations += int(res.nit)
             runs.append((res.fun, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
     value, _, est, success = min(runs, key=lambda run: run[:2])
@@ -1162,8 +1224,10 @@ def fit_clade(series: CountSeries, orders=(1, 0)) -> FitResult:
 
     Minimizes ``sum |X_t - max(0, M_t)|`` by multi-start simplex search
     (the objective is non-convex and piecewise-flat, so jittered restarts
-    are mandatory).  No dispersion estimate, no standard errors and no
-    ``spec`` are produced; the attained objective value is reported instead.
+    are mandatory); the nine searches share one batched mean solve per
+    round, and each ends where it would alone.  No dispersion estimate, no
+    standard errors and no ``spec`` are produced; the attained objective
+    value is reported instead.
     Raises ``ValueError`` when no count after the conditioning prefix is
     positive.
     """
@@ -1284,8 +1348,9 @@ def mc_study(
     owns an independently spawned random stream derived from ``seed``, so
     results are identical no matter how many worker processes execute them.
     Per-replication estimation failures are tallied, not raised.  At most
-    ``min(jobs, replications)`` worker processes run.  An unknown or
-    repeated name in ``methods`` raises ``ValueError``.  The
+    ``min(jobs, replications)`` worker processes run, taking the
+    replications in chunks of about a quarter of a worker's share.  An
+    unknown or repeated name in ``methods`` raises ``ValueError``.  The
     fitters estimate the unbounded covariate-free model, so a ``dgp`` with a
     ``bound`` or covariate coefficients raises ``ValueError``.
     """
@@ -1311,9 +1376,13 @@ def mc_study(
     if jobs > 1 and replications > 1:
         import concurrent.futures as futures
 
-        # a fork-started pool launches all its workers at the first submit
-        with futures.ProcessPoolExecutor(max_workers=min(jobs, replications)) as pool:
-            results = list(pool.map(_mc_one_replication, tasks, chunksize=8))
+        workers = min(jobs, replications)
+        # about four chunks per worker, so that no worker is dealt most of
+        # the replications; a fork-started pool launches all its workers at
+        # the first submit
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, replications // (4 * workers))
+            results = list(pool.map(_mc_one_replication, tasks, chunksize=chunksize))
     else:
         results = [_mc_one_replication(t) for t in tasks]
     means, sim_se, approx_se, noninv, fails, names = {}, {}, {}, {}, {}, {}

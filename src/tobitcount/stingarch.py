@@ -195,24 +195,35 @@ def linear_mean(spec: ModelSpec) -> float:
     return spec.alpha0 / denom
 
 
-def _ar_filter(rhs: np.ndarray, betas: Sequence[float], start: int, band=None) -> np.ndarray:
+def _ar_filter(rhs: np.ndarray, betas, start: int, band=None) -> np.ndarray:
     """Solve ``(1 - sum_j beta_j B^j) y = rhs`` down every column of ``rhs``.
 
-    Rows ``t < start`` are pinned, ``y_t = rhs_t``.  The unit lower-triangular
-    band goes to one LAPACK triangular banded solve, which substitutes forward
-    without pivoting, as the recursion does.  ``band`` is optional storage of
-    shape ``(q + 1, len(rhs))`` in Fortran order, zero where no coefficient
-    is written, that a caller keeps across solves.  Returns ``rhs`` when
-    q = 0.
+    ``betas`` holds the q coefficients, or a ``(K, q)`` block of rows of
+    them; ``rhs`` then stacks K series of equal length along its first axis,
+    and row i filters the i-th.  In each series rows ``t < start`` are
+    pinned, ``y_t = rhs_t``.  The unit lower-triangular band of the stacked
+    series goes to one LAPACK triangular banded solve, which substitutes
+    forward without pivoting, as the recursion does.  Its coefficients are
+    zero at each series' pinned prefix and in each series' last q columns,
+    which would reach into the next series, so each series is the same
+    forward substitution as a solve of its own.  ``band`` is optional
+    storage of shape ``(q + 1, len(rhs))`` in Fortran order, zero where no
+    coefficient is written, that a caller keeps across solves.  Returns
+    ``rhs`` when q = 0.
     """
-    q = len(betas)
+    betas = np.asarray(betas, dtype=float)
+    q = betas.shape[-1]
     if q == 0:
         return rhs
+    coefficients = -betas.reshape(-1, q, 1)
+    rows = coefficients.shape[0]
+    n = rhs.shape[0] // rows
     if band is None:
         band = np.zeros((q + 1, rhs.shape[0]), order="F")
-    for j, b in enumerate(betas, start=1):
-        # column c holds the coefficient of y_c in row c + j
-        band[j, max(start - j, 0) :] = -b
+    blocks = band.reshape(q + 1, rows, n)
+    for j in range(1, q + 1):
+        # column c of a series holds the coefficient of y_c in its row c + j
+        blocks[j, :, max(start - j, 0) : max(n - j, 0)] = coefficients[:, j - 1]
     y, info = dtbtrs(band, rhs, uplo="L", diag="U")
     if info != 0:
         raise np.linalg.LinAlgError(f"banded solve failed with LAPACK info {info}")
@@ -222,13 +233,16 @@ def _ar_filter(rhs: np.ndarray, betas: Sequence[float], start: int, band=None) -
 def _mean_kernel(series: CountSeries, p: int, q: int, r: int, extend: bool = False):
     """The parameter-free half of the mean recursion of order ``(p, q, r)``.
 
-    Builds the float lag columns ``X_{t-i}``, the covariate columns and the
-    band storage of :func:`_ar_filter` once, and returns ``means(alpha0,
-    alphas, betas, gammas)``: the conditional means M_1..M_n (plus M_{n+1}
-    when ``extend``).  The first ``max(p, q)`` entries are pinned to
-    ``alpha0``; the rest filter ``u_t = alpha0 + sum_i alpha_i X_{t-i} +
-    sum_k gamma_k z_{t,k}`` through :func:`_ar_filter`.  A fit that
-    evaluates the means many times builds this once.
+    Builds the float lag columns ``X_{t-i}`` and the covariate columns once,
+    and returns ``means(theta)``: for a dynamics vector ``theta = (alpha0,
+    alphas, betas, gammas)`` the conditional means M_1..M_n (plus M_{n+1}
+    when ``extend``), and for a ``(K, 1 + p + q + r)`` block of such rows a
+    ``(K, n)`` block of their means.  The first ``max(p, q)`` entries of
+    each row are pinned to its ``alpha0``; the rest filter ``u_t = alpha0 +
+    sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}`` through one
+    :func:`_ar_filter` solve of all K rows, whose band storage is kept for
+    the largest block seen.  A fit that evaluates the means many times
+    builds this once.
     """
     if extend and r:
         raise ValueError("covariates unavailable beyond the sample")
@@ -238,14 +252,24 @@ def _mean_kernel(series: CountSeries, p: int, q: int, r: int, extend: bool = Fal
     if total > start:
         columns = [series.counts[start - i : total - i].astype(float) for i in range(1, p + 1)]
         columns += [np.ascontiguousarray(series.covariates[start:total, k]) for k in range(r)]
-    band = np.zeros((q + 1, total), order="F") if q else None
+    # the row entries of alpha_1..alpha_p and gamma_1..gamma_r, in column order
+    slots = [*range(1, p + 1), *range(1 + p + q, 1 + p + q + r)]
+    band = np.zeros((q + 1, total), order="F")
 
-    def means(alpha0, alphas, betas, gammas) -> np.ndarray:
-        u = np.full(total, alpha0, dtype=float)
-        tail = u[start:]
-        for coefficient, column in zip((*alphas, *gammas), columns):
-            tail += coefficient * column
-        return _ar_filter(u, betas, start, band)
+    def means(theta) -> np.ndarray:
+        nonlocal band
+        theta = np.asarray(theta, dtype=float)
+        rows = theta.reshape(-1, 1 + p + q + r)
+        size = rows.shape[0] * total
+        u = np.empty((rows.shape[0], total))
+        u[:] = rows[:, :1]
+        tail = u[:, start:]
+        for slot, column in zip(slots, columns):
+            tail += rows[:, slot : slot + 1] * column
+        if band.shape[1] < size:
+            band = np.zeros((q + 1, size), order="F")
+        y = _ar_filter(u.reshape(size), rows[:, 1 + p : 1 + p + q], start, band[:, :size])
+        return y if theta.ndim == 1 else y.reshape(-1, total)
 
     return means
 
@@ -266,7 +290,7 @@ def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
                 "does not carry matching covariate columns"
             )
     means = _mean_kernel(series, spec.p, spec.q, spec.r, extend=spec.r == 0)
-    return means(spec.alpha0, spec.alphas, spec.betas, spec.gammas)
+    return means([spec.alpha0, *spec.alphas, *spec.betas, *spec.gammas])
 
 
 def conditional_pmf(x: int, m: float, spec: ModelSpec) -> float:

@@ -582,6 +582,40 @@ class TestMeanRecursionKernel:
             assert abs(values[-1] - reference) <= 1e-12 * (1.0 + reference)
         assert [objective(np.array(theta)) for theta in thetas] == values
 
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("orders", [(1, 0, 0), (1, 1, 0), (2, 2, 0), (1, 1, 1)])
+    def test_row_block_is_each_row_alone(self, counts, orders, power):
+        # random rows, some past stationarity, and between two of them a
+        # row whose means overflow to inf through its betas (or whose sum
+        # does, without any); one batched call must give each row its
+        # one-row means and objective, bit for bit
+        p, q, r = orders
+        k = 1 + p + q + r
+        z = np.random.default_rng(43).standard_normal((counts.shape[0], r)) if r else None
+        series = CountSeries(counts, covariates=z)
+        rng = np.random.default_rng(44)
+        rows = rng.normal(0.0, 0.6, (8, k))
+        rows[:, 0] = rng.uniform(-2.0, 6.0, 8)
+        rows[2, 1] = 1.5
+        means = _mean_kernel(series, p, q, r)
+        block = means(rows)
+        assert np.all(np.isfinite(block))
+        assert np.array_equal(block, np.vstack([means(row) for row in rows]))
+        overflow = np.zeros(k)
+        overflow[0] = 1.7e308
+        if q:
+            overflow[1 + p : 1 + p + q] = 0.5 / q
+            assert np.isinf(means(overflow)[-1])
+        rows = np.vstack([rows[:4], overflow, rows[4:]])
+        objective = estimation._censored_objective(series, p, q, r, power)
+        with np.errstate(over="ignore"):
+            values = objective(rows)
+            assert values.tolist() == [objective(row) for row in rows]
+        assert values[4] == math.inf and np.all(np.isfinite(values[[3, 5]]))
+        penalized = [estimation._stationarity_penalty(row, p, q) > 0.0 for row in rows.tolist()]
+        assert penalized[2] and not all(penalized)
+        assert np.all(values[penalized] >= estimation._PENALTY)
+
 
 class TestInformationCriteria:
     def test_hand_computed_example(self):
@@ -1169,9 +1203,30 @@ def _scipy_nelder_mead(fun, x0, fatol=estimation._FATOL, xatol=1e-8, simplex=Non
     return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
 
 
+def _lockstep(fun, searches):
+    """:func:`estimation._nelder_mead_lockstep` on a batch wrapper of ``fun``
+    that records every point it is given, in order."""
+    points = []
+
+    def batch(rows):
+        points.extend(row.copy() for row in rows)
+        return np.array([fun(row) for row in rows])
+
+    return estimation._nelder_mead_lockstep(batch, searches), points
+
+
+def _assert_equal_results(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert a.fun == b.fun
+    assert (a.nit, a.nfev, a.success) == (b.nit, b.nfev, b.success)
+    assert np.array_equal(a.final_simplex[0], b.final_simplex[0])
+    assert np.array_equal(a.final_simplex[1], b.final_simplex[1])
+
+
 class TestSimplex:
-    """The in-house Nelder-Mead against scipy's: the same points evaluated in
-    the same order and the same result, compared with ``==``."""
+    """The in-house Nelder-Mead against scipy's, and its lockstep driver
+    against it: the same points evaluated in the same order and the same
+    result, compared with ``==``."""
 
     @staticmethod
     def _assert_same(fun, x0, **options):
@@ -1187,11 +1242,14 @@ class TestSimplex:
         (ours, ours_points), (scipys, scipy_points) = runs
         assert len(ours_points) == len(scipy_points) == ours.nfev
         assert all(np.array_equal(a, b) for a, b in zip(ours_points, scipy_points))
-        assert np.array_equal(ours.x, scipys.x)
-        assert ours.fun == scipys.fun
-        assert (ours.nit, ours.nfev, ours.success) == (scipys.nit, scipys.nfev, scipys.success)
-        assert np.array_equal(ours.final_simplex[0], scipys.final_simplex[0])
-        assert np.array_equal(ours.final_simplex[1], scipys.final_simplex[1])
+        _assert_equal_results(ours, scipys)
+        # the same search alone in the lockstep driver, on one-row batches
+        (lockstep,), lockstep_points = _lockstep(
+            fun, [estimation._simplex_search(x0, **options)]
+        )
+        assert len(lockstep_points) == len(ours_points)
+        assert all(np.array_equal(a, b) for a, b in zip(lockstep_points, ours_points))
+        _assert_equal_results(lockstep, ours)
         return ours, ours_points
 
     @staticmethod
@@ -1266,6 +1324,48 @@ class TestSimplex:
         res, _ = self._assert_same(objective, coarse.x, simplex=coarse.final_simplex[0])
         assert res.fun <= coarse.fun
 
+    def test_lockstep_starts_match_their_solo_searches(self, paper_mc_series):
+        # the nine CLADE starts share rounds until each converges; the
+        # batch objective gives every row its one-row value
+        objective = estimation._censored_objective(paper_mc_series, 1, 1, 0, 1)
+        starts = estimation._starts(paper_mc_series, 1, 1, 0)
+        batches = []
+
+        def batch(rows):
+            batches.append(rows.shape[0])
+            return objective(rows)
+
+        searches = [estimation._simplex_search(x0, fatol=1e-9) for x0 in starts]
+        results = estimation._nelder_mead_lockstep(batch, searches)
+        for x0, res in zip(starts, results):
+            _assert_equal_results(res, estimation._nelder_mead(objective, x0, fatol=1e-9))
+        assert batches[0] == 9 and sum(batches) == sum(res.nfev for res in results)
+        assert len(batches) == max(res.nfev for res in results)
+
+    def test_lockstep_mixes_searches_of_very_different_lengths(self):
+        # a start at the optimum converges within a few rounds, a far one
+        # takes hundreds, a resumed search starts from its own simplex and
+        # an unbounded one spends its whole budget; each result comes back
+        # in its search's place
+        def fun(x):
+            return self._quadratic(x) if x[0] < 50.0 else -float(x @ x)
+
+        resume = np.array([[1.0, -2.0, 0.5], [1.2, -2.0, 0.5], [1.0, -1.7, 0.5], [1.0, -2.0, 0.9]])
+        options = [
+            {"x0": np.array([-40.0, 40.0, -30.0])},
+            {"x0": np.array([1.0, -2.0, 0.5]), "fatol": 1e-2, "xatol": 0.1},
+            {"x0": np.array([60.0, 1.0, 1.0])},
+            {"x0": resume[0], "simplex": resume},
+            {"x0": np.array([-20.0, 9.0, 4.0]), "fatol": 1e-3, "xatol": 1e-3},
+        ]
+        results, _ = _lockstep(fun, [estimation._simplex_search(**o) for o in options])
+        solo = [estimation._nelder_mead(fun, **o) for o in options]
+        for res, alone in zip(results, solo):
+            _assert_equal_results(res, alone)
+        lengths = [res.nfev for res in results]
+        assert lengths[1] < 10 and lengths[0] > 200
+        assert lengths[2] == 1200 and not results[2].success
+
 
 class TestCensoredDeviationFits:
     def test_clade_constant_series_median_rule(self):
@@ -1337,6 +1437,30 @@ class TestCensoredDeviationFits:
         assert np.array_equal(fit.estimates, best.x)
         assert fit.objective == best.fun and fit.converged == best.success
         assert fit.iterations == 3 * len(runs) + sum(res.nit for res in runs)
+
+    @pytest.mark.parametrize(
+        "case, estimates, objective, iterations",
+        [
+            (
+                "11-mc420",
+                [2.4999999986076356, 0.4999999997798267, 4.1036675909006756e-10],
+                442.0000000007639,
+                1915,
+            ),
+            (
+                "11-covariate",
+                [8.340503463437871, -0.4950727770184322, -0.2186382944625269, 0.8880631796069682],
+                1035.9990206980167,
+                4077,
+            ),
+        ],
+    )
+    def test_clade_fit_is_pinned(self, case, estimates, objective, iterations):
+        # the sequential multi-start's fit; the lockstep searches repeat it
+        series = TestDerivativeStagesAgainstSimplex._series(case)
+        fit = fit_clade(series, TestDerivativeStagesAgainstSimplex.ORDERS[case])
+        assert fit.estimates.tolist() == estimates
+        assert (fit.objective, fit.iterations, fit.converged) == (objective, iterations, True)
 
     @pytest.mark.parametrize("fitter", [fit_clade, fit_cls])
     @pytest.mark.parametrize("orders", [(0, 0), (1, 0)])
@@ -1499,6 +1623,41 @@ class TestMcStudy:
         serial = mc_study(spec, n=100, replications=2, methods=("cls",), seed=9, jobs=1)
         assert sizes == [2, 2]
         assert np.array_equal(pooled.means["cls"], serial.means["cls"])
+
+    def test_pool_deals_each_worker_an_even_share(self, monkeypatch):
+        import concurrent.futures
+
+        worker_of = []
+
+        class RoundRobin:
+            # deals the chunks that map is asked for to the workers in turn,
+            # as equally fast workers take them off the queue, records the
+            # worker of each replication and runs them in this process
+            def __init__(self, max_workers):
+                self.workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                for i in range(len(tasks)):
+                    worker_of.append(i // chunksize % self.workers)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RoundRobin)
+        spec = ModelSpec(alpha0=5.0, alphas=(0.25,), delta=0.25)
+        serial = mc_study(spec, n=100, replications=10, methods=("cls",), seed=9, jobs=1)
+        for jobs in (2, 3):
+            worker_of.clear()
+            pooled = mc_study(spec, n=100, replications=10, methods=("cls",), seed=9, jobs=jobs)
+            assert len(worker_of) == 10
+            assert max(worker_of.count(w) for w in range(jobs)) <= math.ceil(10 / jobs)
+            assert np.array_equal(pooled.means["cls"], serial.means["cls"])
+            assert np.array_equal(pooled.simulated_se["cls"], serial.simulated_se["cls"])
 
     MC_ARGV = "mc-study --alpha0 2 --alpha1 0.4 --delta 0.25 --n 100 --replications 2 --methods cls"
 
