@@ -89,7 +89,9 @@ def pearson_residuals(spec, series, max_lag: int = 5) -> ResidualReport:
     (unbounded or bounded variant) or a
     :class:`~tobitcount.extensions.TinarsSpec`; conditional moments come
     from the censored-moment formulas, finite summation over the bounded
-    support, or truncated transition summation respectively.
+    support, or truncated transition summation respectively.  A bounded
+    spec refuses a series with a count above its bound by ``ValueError``,
+    as its fit does.
     """
     if hasattr(spec, "innovation_mean"):
         from .extensions import tinars_conditional_moments
@@ -100,6 +102,8 @@ def pearson_residuals(spec, series, max_lag: int = 5) -> ResidualReport:
     else:
         from .stingarch import conditional_mean_path
 
+        if spec.bound is not None and np.any(series.counts > spec.bound):
+            raise ValueError("series exceeds the declared bound")
         m_path = conditional_mean_path(spec, series)
         start = max(spec.p, spec.q)
         n = len(series)

@@ -11,10 +11,10 @@ Three estimators are provided:
 
 The likelihood layer also exposes the analytic score and Hessian and the
 outer-product / curvature information matrices.  The conditional mean, its
-gradient and the nonzero beta rows of its Hessian each come from one banded
-triangular solve of the recursion's feedback ``1 - sum_j beta_j B^j``.
-Approximate standard errors follow the usual practice of inverting a
-numerical Hessian of the maximized log-likelihood.
+gradient and the nonzero beta rows of its Hessian come from
+:func:`~tobitcount.stingarch._mean_kernel`, the mean recursion every
+fitter shares.  Approximate standard errors follow the usual practice of
+inverting a numerical Hessian of the maximized log-likelihood.
 
 Every likelihood fit runs through :func:`_fit`, the one fit driver, whose
 docstring describes its stages: a Newton run from the start, returned
@@ -27,14 +27,16 @@ its censored residuals, and CLADE a Nelder-Mead multi-start.
 Every Nelder-Mead pass is the in-house simplex :func:`_simplex_search`:
 scipy's algorithm step for step on Python floats, with scipy's iterates,
 because scipy's per-call array bookkeeping cost about as much as the
-objective it serves.  :func:`_nelder_mead` drives one search, and
-:func:`_nelder_mead_lockstep` CLADE's nine: on an n = 250 series of the
-paper's simulation study a CLADE fit evaluates about 3,900 trial points in
-about 650 rounds, each one batched objective call of about six points.
-The CLADE and CLS objective (:func:`_censored_objective`) likewise builds
-its parameter-free arrays once per fit through
-:func:`~tobitcount.stingarch._mean_kernel`, the mean recursion every
-fitter shares, which solves a block of parameter rows in one banded solve.
+objective it serves.  :func:`_nelder_mead`, the one driver, runs a list of
+searches in lockstep: the likelihood fits run one search, and CLADE nine.
+On an n = 250 series of the paper's simulation study a CLADE fit
+evaluates about 3,900 trial points in about 650 rounds, each one batched
+objective call of about six points.  The CLADE and CLS objective
+(:func:`_censored_objective`), the CLS residuals and Jacobian
+(:func:`_censored_residuals`) and the kink rule of :func:`_fit_spec` each
+build their mean kernel once per fit; :func:`loglik` and the score build
+one per call.  The kernel solves a block of parameter rows in one banded
+solve.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .specialfn import PrecisionError
 from .stingarch import (
     CountSeries,
     ModelSpec,
-    _ar_filter,
     _mean_kernel,
     _stationarity_sum,
     simulate,
@@ -209,14 +210,6 @@ def _spec_from_theta(theta, p, q, r, scenario, bound=None) -> ModelSpec:
     )
 
 
-def _mean_path(theta_dyn, series: CountSeries, p, q, r) -> np.ndarray:
-    """``M_1..M_n`` of the dynamics block, pre-sample means pinned to alpha0."""
-    theta_dyn = np.asarray(theta_dyn, dtype=float)
-    if theta_dyn.shape[0] != 1 + p + q + r:
-        raise ValueError(f"dynamics block has {theta_dyn.shape[0]} entries")
-    return _mean_kernel(series, p, q, r)(theta_dyn)
-
-
 def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> float:
     """Conditional log-likelihood, conditioning on the first ``max(p, q)`` counts.
 
@@ -234,7 +227,7 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bou
     start = max(p, q)
     if len(series) <= start:
         raise ValueError("series shorter than the conditioning prefix")
-    m = _mean_path(theta[: 1 + p + q + r], series, p, q, r)[start:]
+    m = _mean_kernel(series, p, q, r).means(theta[: 1 + p + q + r])[start:]
     if not np.all(np.isfinite(m)):
         return -math.inf
     logs = skellam._log_obs_arr(series.counts[start:], m, delta, bound, kappa)
@@ -298,50 +291,6 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float, bound=None):
     return g_m, g_d, h_mm, h_dd, h_md, log_q
 
 
-def _mean_gradient(theta_dyn, series, p, q, r):
-    """``M`` and ``dM/dtheta*`` of the dynamics block theta*, shapes ``(n,)``
-    and ``(n, k)``.
-
-    ``dM`` obeys the recursion's own feedback, so it is one :func:`_ar_filter`
-    call driven by ``1, X_{t-i}, M_{t-j}, z_t``.
-    """
-    theta_dyn = np.asarray(theta_dyn, dtype=float)
-    n = len(series)
-    start = max(p, q)
-    m = _mean_path(theta_dyn, series, p, q, r)
-    rhs = np.zeros((n, 1 + p + q + r))
-    rhs[:, 0] = 1.0
-    for i in range(1, p + 1):
-        rhs[start:, i] = series.counts[start - i : n - i]
-    for j in range(1, q + 1):
-        rhs[start:, p + j] = m[start - j : n - j]
-    if r:
-        rhs[start:, 1 + p + q :] = series.covariates[start:]
-    return m, _ar_filter(rhs, theta_dyn[1 + p : 1 + p + q], start)
-
-
-def _mean_derivatives(theta_dyn, series, p, q, r):
-    """``M``, ``dM/dtheta*`` (:func:`_mean_gradient`) and the beta rows of
-    ``d2M/dtheta* dtheta*``.
-
-    ``d2M`` is nonzero only in the beta rows and columns; row ``beta_j`` is
-    driven through the same feedback by ``dM_{t-j}`` plus, in column
-    ``beta_l``, ``dM_{t-l}/dbeta_j``.  Returns arrays of shape ``(n,)``,
-    ``(n, k)`` and ``(n, q, k)``.
-    """
-    m, dm = _mean_gradient(theta_dyn, series, p, q, r)
-    n, k = dm.shape
-    start = max(p, q)
-    lagged = np.zeros((n, q, k))
-    for j in range(1, q + 1):
-        lagged[start:, j - 1] = dm[start - j : n - j]
-    beta_cols = slice(1 + p, 1 + p + q)
-    lagged[:, :, beta_cols] += lagged[:, :, beta_cols].transpose(0, 2, 1).copy()
-    betas = np.asarray(theta_dyn, dtype=float)[beta_cols]
-    d2m_beta = _ar_filter(lagged.reshape(n, q * k), betas, start).reshape(n, q, k)
-    return m, dm, d2m_beta
-
-
 def _score_parts(theta, series: CountSeries, orders, scenario, bound=None):
     """Per-observation gradients and the summed Hessian of the conditional
     log-likelihood: :func:`loglik`, or given a ``bound`` N the bounded
@@ -365,7 +314,9 @@ def _score_parts(theta, series: CountSeries, orders, scenario, bound=None):
         raise ValueError("score requires delta > 0")
     start = max(p, q)
     k_dyn = 1 + p + q + r
-    m, dm, d2m_beta = _mean_derivatives(theta[:k_dyn], series, p, q, r)
+    kernel = _mean_kernel(series, p, q, r)
+    m, dm = kernel.gradient(theta[:k_dyn])
+    d2m_beta = kernel.beta_rows(theta[:k_dyn], dm)
     k_nat = k_dyn + (1 if scenario.estimates_delta else 0)
     k_all = k_nat + (0 if bound is None else 1)
     x = series.counts[start:]
@@ -615,10 +566,40 @@ class _BudgetSpent(Exception):
     """An objective call past the Nelder-Mead budget."""
 
 
-def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
+def _nelder_mead(fun, searches):
+    """Run the :func:`_simplex_search` iterations ``searches`` in lockstep and
+    return their results, in order.
+
+    Each round, every unfinished search proposes its next trial point, and
+    one call of ``fun`` on the ``(K, k)`` array of those points returns an
+    array of their K values.  When ``fun`` gives each row the value it
+    gives that row alone, each result is the one its search reaches alone.
+    A fit with a scalar objective runs one search on a batch wrapper of it.
+    """
+    results = [None] * len(searches)
+    live = list(enumerate(searches))
+    values = [None] * len(live)
+    while live:
+        running, points = [], []
+        for (i, search), value in zip(live, values):
+            try:
+                points.append(search.send(value))
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                running.append((i, search))
+        live = running
+        if points:
+            values = fun(np.array(points)).tolist()
+    return results
+
+
+def _simplex_search(x0, fatol=_FATOL, xatol=1e-8, simplex=None):
     """Nelder-Mead from ``x0``, or from the initial ``simplex`` when given,
     with at most ``400 k`` iterations and objective calls in ``k``
-    dimensions.
+    dimensions, as a generator: it yields each trial point as a list of
+    floats, is sent the objective's value there, and returns the result.
+    :func:`_nelder_mead` drives it.
 
     This is scipy's ``minimize(method="Nelder-Mead")`` (Nelder & Mead 1965,
     with scipy's non-adaptive coefficients) step for step, with the same
@@ -640,53 +621,7 @@ def _nelder_mead(fun, x0, fatol=_FATOL, xatol=1e-8, simplex=None):
     * a call past the budget ends the iteration in which it falls, keeping
       the vertices that were already replaced (a shrink sets a vertex
       before evaluating it), and ``success`` is then false.
-
-    ``fun`` receives a fresh float array and must return a scalar.  The
-    iteration itself is :func:`_simplex_search`, which
-    :func:`_nelder_mead_lockstep` also drives.
     """
-    search = _simplex_search(x0, fatol, xatol, simplex)
-    value = None
-    while True:
-        try:
-            x = search.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = float(fun(np.array(x)))
-
-
-def _nelder_mead_lockstep(fun, searches):
-    """Run the :func:`_simplex_search` iterations ``searches`` in lockstep and
-    return their results, in order.
-
-    Each round, every unfinished search proposes its next trial point, and
-    one call of ``fun`` on the ``(K, k)`` array of those points returns
-    their K values.  When ``fun`` gives each row the value it gives that
-    row alone, each result equals :func:`_nelder_mead`'s on the same
-    options, field for field.
-    """
-    results = [None] * len(searches)
-    live = list(enumerate(searches))
-    values = [None] * len(live)
-    while live:
-        running, points = [], []
-        for (i, search), value in zip(live, values):
-            try:
-                points.append(search.send(value))
-            except StopIteration as stop:
-                results[i] = stop.value
-            else:
-                running.append((i, search))
-        live = running
-        if points:
-            values = fun(np.array(points)).tolist()
-    return results
-
-
-def _simplex_search(x0, fatol=_FATOL, xatol=1e-8, simplex=None):
-    """The iteration of :func:`_nelder_mead` as a generator: it yields each
-    trial point as a list of floats, is sent the objective's value there,
-    and returns the result."""
     budget = 400 * len(x0)
     if simplex is None:
         x0 = [float(v) for v in np.ravel(x0)]
@@ -921,6 +856,10 @@ def _fit(
         grad, hess = _search_derivatives(kinds, theta, grad, hess)
         return -grad, -hess
 
+    def batch(points: np.ndarray) -> np.ndarray:
+        # the driver's batched call, of one row: the fit runs one search
+        return np.array([objective(u) for u in points])
+
     natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
     iterations, converged = 0, False
@@ -938,7 +877,7 @@ def _fit(
     if converged:
         best_x, best_f = first.x, first.fun
     else:
-        res = _nelder_mead(objective, x0, fatol=_COARSE, xatol=_COARSE)
+        (res,) = _nelder_mead(batch, [_simplex_search(x0, _COARSE, _COARSE)])
         best_x, best_f = res.x, res.fun
         iterations += int(res.nit)
         finished = False
@@ -961,7 +900,7 @@ def _fit(
         if not converged:
             # the one fallback: the coarse pass resumes from its final simplex
             # to the full tolerances, and the better point is kept
-            full = _nelder_mead(objective, res.x, simplex=res.final_simplex[0])
+            (full,) = _nelder_mead(batch, [_simplex_search(res.x, simplex=res.final_simplex[0])])
             iterations += int(full.nit)
             if full.fun < best_f:
                 # a point without a stencil yet
@@ -1016,11 +955,12 @@ def _fit_spec(series: CountSeries, orders, scenario: EstimationScenario, bound=N
     0.1.  The likelihood is :func:`loglik` and the derivatives are
     :func:`analytic_score_hessian`, both with the ``bound``, trial points
     past stationarity are penalized, and a point is kink-free when every
-    mean :func:`_mean_path` gives after the conditioning prefix is
-    positive.  The method is ``mle-s1``, ``mle-s2`` or, given a bound,
+    mean after the conditioning prefix is positive, by one
+    :func:`_mean_kernel` built here.  The method is ``mle-s1``, ``mle-s2`` or, given a bound,
     ``mle-stbingarch``.
     """
     p, q, r = _orders(orders, series)
+    means = _mean_kernel(series, p, q, r).means
     kinds = ("free",) * (1 + p + q + r)
     theta0 = _moment_start(series, p, q, r)
     names = _param_names(p, q, r, scenario.estimates_delta)
@@ -1043,9 +983,7 @@ def _fit_spec(series: CountSeries, orders, scenario: EstimationScenario, bound=N
         spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario, bound),
         derivatives=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario, bound),
         orders=(p, q),
-        kink_free=lambda theta: bool(
-            np.all(_mean_path(theta[: 1 + p + q + r], series, p, q, r)[max(p, q):] > 0.0)
-        ),
+        kink_free=lambda theta: bool(np.all(means(theta[: 1 + p + q + r])[max(p, q):] > 0.0)),
     )
 
 
@@ -1094,7 +1032,7 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
     """
     start = max(p, q)
     x = series.counts[start:].astype(float)
-    means = _mean_kernel(series, p, q, r)
+    means = _mean_kernel(series, p, q, r).means
 
     def objective(theta: np.ndarray):
         rows = theta.reshape(-1, theta.shape[-1])
@@ -1120,16 +1058,17 @@ def _censored_objective(series: CountSeries, p, q, r, power: int):
 
 def _censored_residuals(series: CountSeries, p, q, r):
     """The CLS residuals ``X_t - max(0, M_t)`` after the conditioning prefix
-    and their Jacobian ``-1[M_t > 0] dM_t`` (:func:`_mean_gradient`)."""
+    and their Jacobian ``-1[M_t > 0] dM_t``, both from one
+    :func:`_mean_kernel` built here, once per fit."""
     start = max(p, q)
     x = series.counts[start:]
-    means = _mean_kernel(series, p, q, r)
+    kernel = _mean_kernel(series, p, q, r)
 
     def residuals(theta_dyn: np.ndarray) -> np.ndarray:
-        return x - np.maximum(0.0, means(theta_dyn)[start:])
+        return x - np.maximum(0.0, kernel.means(theta_dyn)[start:])
 
     def jacobian(theta_dyn: np.ndarray) -> np.ndarray:
-        m, dm = _mean_gradient(theta_dyn, series, p, q, r)
+        m, dm = kernel.gradient(theta_dyn)
         return np.where(m[start:, None] > 0.0, -dm[start:], 0.0)
 
     return residuals, jacobian
@@ -1151,16 +1090,16 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
     :func:`_starts`, the best result by ``(objective, |theta|)``.
 
     CLADE runs Nelder-Mead from each start, the nine searches in lockstep
-    (:func:`_nelder_mead_lockstep`): each round evaluates every unfinished
+    (:func:`_nelder_mead`): each round evaluates every unfinished
     search's next trial point in one batched call of
     :func:`_censored_objective`, and each search's result is the one it
     reaches alone.  CLS runs Gauss-Newton (``least_squares``' ``trf``) on
     :func:`_censored_residuals`, skips a start past stationarity and drops
     a result past it; when no result is left it runs CLADE's lockstep
     multi-start on the squared deviations.  ``converged`` is the chosen
-    run's success flag and
-    ``iterations`` sums every run's iterations (Jacobian evaluations for
-    Gauss-Newton).  The intercept-only model has a closed form.
+    run's success flag and ``iterations`` sums every run's iterations
+    (Jacobian evaluations for Gauss-Newton).  The intercept-only model has
+    a closed form.
     """
     p, q, r = _orders(orders, series)
     n = len(series)
@@ -1204,7 +1143,7 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
                 runs.append((value, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
     if not runs:
         searches = [_simplex_search(x0, fatol=1e-9) for x0 in starts]
-        for res in _nelder_mead_lockstep(objective, searches):
+        for res in _nelder_mead(objective, searches):
             iterations += int(res.nit)
             runs.append((res.fun, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
     value, _, est, success = min(runs, key=lambda run: run[:2])

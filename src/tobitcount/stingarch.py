@@ -11,13 +11,17 @@ The module owns the model specification and series containers, the
 conditional-mean recursion, simulation, the one-step conditional
 distribution, and three routes to marginal moments: exact (Markov chain,
 first-order autoregression only), simulated, and the linear
-Yule-Walker-style approximation.
+Yule-Walker-style approximation.  The recursion, its gradient and the
+beta rows of its Hessian are one kernel (:func:`_mean_kernel`), built for
+a series and an order and shared by every estimator; each is a banded
+triangular solve of the feedback ``1 - sum_j beta_j B^j``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -195,7 +199,7 @@ def linear_mean(spec: ModelSpec) -> float:
     return spec.alpha0 / denom
 
 
-def _ar_filter(rhs: np.ndarray, betas, start: int, band=None) -> np.ndarray:
+def _ar_filter(rhs: np.ndarray, betas, start: int, band: np.ndarray) -> np.ndarray:
     """Solve ``(1 - sum_j beta_j B^j) y = rhs`` down every column of ``rhs``.
 
     ``betas`` holds the q coefficients, or a ``(K, q)`` block of rows of
@@ -206,10 +210,11 @@ def _ar_filter(rhs: np.ndarray, betas, start: int, band=None) -> np.ndarray:
     forward without pivoting, as the recursion does.  Its coefficients are
     zero at each series' pinned prefix and in each series' last q columns,
     which would reach into the next series, so each series is the same
-    forward substitution as a solve of its own.  ``band`` is optional
-    storage of shape ``(q + 1, len(rhs))`` in Fortran order, zero where no
-    coefficient is written, that a caller keeps across solves.  Returns
-    ``rhs`` when q = 0.
+    forward substitution as a solve of its own.  ``band`` is the storage of
+    shape ``(q + 1, len(rhs))`` in Fortran order, zero where no coefficient
+    is written, that :func:`_mean_kernel` keeps across the solves of a fit:
+    every solve of a series of this length writes the same entries.
+    Returns ``rhs`` when q = 0.
     """
     betas = np.asarray(betas, dtype=float)
     q = betas.shape[-1]
@@ -218,8 +223,6 @@ def _ar_filter(rhs: np.ndarray, betas, start: int, band=None) -> np.ndarray:
     coefficients = -betas.reshape(-1, q, 1)
     rows = coefficients.shape[0]
     n = rhs.shape[0] // rows
-    if band is None:
-        band = np.zeros((q + 1, rhs.shape[0]), order="F")
     blocks = band.reshape(q + 1, rows, n)
     for j in range(1, q + 1):
         # column c of a series holds the coefficient of y_c in its row c + j
@@ -230,48 +233,86 @@ def _ar_filter(rhs: np.ndarray, betas, start: int, band=None) -> np.ndarray:
     return y
 
 
-def _mean_kernel(series: CountSeries, p: int, q: int, r: int, extend: bool = False):
-    """The parameter-free half of the mean recursion of order ``(p, q, r)``.
+_MeanKernel = namedtuple("_MeanKernel", "means gradient beta_rows")
 
-    Builds the float lag columns ``X_{t-i}`` and the covariate columns once,
-    and returns ``means(theta)``: for a dynamics vector ``theta = (alpha0,
-    alphas, betas, gammas)`` the conditional means M_1..M_n (plus M_{n+1}
-    when ``extend``), and for a ``(K, 1 + p + q + r)`` block of such rows a
-    ``(K, n)`` block of their means.  The first ``max(p, q)`` entries of
-    each row are pinned to its ``alpha0``; the rest filter ``u_t = alpha0 +
-    sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}`` through one
-    :func:`_ar_filter` solve of all K rows, whose band storage is kept for
-    the largest block seen.  A fit that evaluates the means many times
-    builds this once.
+
+def _mean_kernel(series: CountSeries, p: int, q: int, r: int, extend: bool = False) -> _MeanKernel:
+    """The mean recursion of order ``(p, q, r)`` and its derivatives, with
+    their parameter-free half built once.
+
+    The float lag columns ``X_{t-i}``, the covariate columns and the band
+    storage of the feedback ``1 - sum_j beta_j B^j`` are built here, and the
+    three closures share them.  A fit that evaluates the means many times
+    builds this once.  The first ``max(p, q)`` entries of each path are
+    pinned to its ``alpha0``, and each closure runs one :func:`_ar_filter`
+    solve:
+
+    * ``means(theta)``: for a dynamics vector ``theta = (alpha0, alphas,
+      betas, gammas)`` the conditional means M_1..M_n (plus M_{n+1} when
+      ``extend``), and for a ``(K, 1 + p + q + r)`` block of such rows a
+      ``(K, n)`` block of their means.  The rest filter ``u_t = alpha0 +
+      sum_i alpha_i X_{t-i} + sum_k gamma_k z_{t,k}``, all K rows in one
+      solve, whose band storage is kept for the largest block seen.
+    * ``gradient(theta)``: ``(M, dM/dtheta)`` of a dynamics vector, shapes
+      ``(n,)`` and ``(n, k)``.  ``dM`` obeys the recursion's own feedback,
+      driven by the columns ``1, X_{t-i}, M_{t-j}, z_t``.
+    * ``beta_rows(theta, dm)``: the beta rows of ``d2M/dtheta dtheta``,
+      shape ``(n, q, k)``, given ``dm`` from ``gradient``.  ``d2M`` is
+      nonzero only in the beta rows and columns; row ``beta_j`` is driven
+      through the same feedback by ``dM_{t-j}`` plus, in column ``beta_l``,
+      ``dM_{t-l}/dbeta_j``.
     """
     if extend and r:
         raise ValueError("covariates unavailable beyond the sample")
     start = max(p, q)
     total = len(series) + 1 if extend else len(series)
+    k = 1 + p + q + r
     columns = []
     if total > start:
         columns = [series.counts[start - i : total - i].astype(float) for i in range(1, p + 1)]
-        columns += [np.ascontiguousarray(series.covariates[start:total, k]) for k in range(r)]
+        columns += [np.ascontiguousarray(series.covariates[start:total, c]) for c in range(r)]
     # the row entries of alpha_1..alpha_p and gamma_1..gamma_r, in column order
-    slots = [*range(1, p + 1), *range(1 + p + q, 1 + p + q + r)]
+    slots = [*range(1, p + 1), *range(1 + p + q, k)]
+    betas = slice(1 + p, 1 + p + q)
     band = np.zeros((q + 1, total), order="F")
 
-    def means(theta) -> np.ndarray:
+    def solve(rhs: np.ndarray, coefficients) -> np.ndarray:
         nonlocal band
+        if band.shape[1] < rhs.shape[0]:
+            band = np.zeros((q + 1, rhs.shape[0]), order="F")
+        return _ar_filter(rhs, coefficients, start, band[:, : rhs.shape[0]])
+
+    def means(theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        rows = theta.reshape(-1, 1 + p + q + r)
-        size = rows.shape[0] * total
+        rows = theta.reshape(-1, k)
         u = np.empty((rows.shape[0], total))
         u[:] = rows[:, :1]
         tail = u[:, start:]
         for slot, column in zip(slots, columns):
             tail += rows[:, slot : slot + 1] * column
-        if band.shape[1] < size:
-            band = np.zeros((q + 1, size), order="F")
-        y = _ar_filter(u.reshape(size), rows[:, 1 + p : 1 + p + q], start, band[:, :size])
+        y = solve(u.reshape(rows.shape[0] * total), rows[:, betas])
         return y if theta.ndim == 1 else y.reshape(-1, total)
 
-    return means
+    def gradient(theta):
+        theta = np.asarray(theta, dtype=float)
+        m = means(theta)
+        rhs = np.zeros((total, k))
+        rhs[:, 0] = 1.0
+        for slot, column in zip(slots, columns):
+            rhs[start:, slot] = column
+        for j in range(1, q + 1):
+            rhs[start:, p + j] = m[start - j : total - j]
+        return m, solve(rhs, theta[betas])
+
+    def beta_rows(theta, dm: np.ndarray) -> np.ndarray:
+        lagged = np.zeros((total, q, k))
+        for j in range(1, q + 1):
+            lagged[start:, j - 1] = dm[start - j : total - j]
+        lagged[:, :, betas] += lagged[:, :, betas].transpose(0, 2, 1).copy()
+        coefficients = np.asarray(theta, dtype=float)[betas]
+        return solve(lagged.reshape(total, q * k), coefficients).reshape(total, q, k)
+
+    return _MeanKernel(means, gradient, beta_rows)
 
 
 def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
@@ -289,7 +330,7 @@ def conditional_mean_path(spec: ModelSpec, series: CountSeries) -> np.ndarray:
                 f"spec declares {spec.r} covariate coefficients but the series "
                 "does not carry matching covariate columns"
             )
-    means = _mean_kernel(series, spec.p, spec.q, spec.r, extend=spec.r == 0)
+    means = _mean_kernel(series, spec.p, spec.q, spec.r, extend=spec.r == 0).means
     return means([spec.alpha0, *spec.alphas, *spec.betas, *spec.gammas])
 
 
@@ -326,8 +367,9 @@ def simulate(
     Pre-sample conditional means are ``alpha0``.  Pre-sample counts are the
     rounded linear mean ``alpha0 / (1 - sum alpha - sum beta)`` clipped at
     0, or the rounded ``max(0, alpha0)`` when that mean is undefined.
-    Covariate rows, when given, apply to the emitted segment only (the
-    burn-in runs covariate-free).  A nonstationary specification triggers a
+    Covariate rows, required exactly when the spec has covariate
+    coefficients, apply to the emitted segment only (the burn-in runs
+    covariate-free).  A nonstationary specification triggers a
     warning, not an error.
 
     Reproducibility contract: a seeded ``rng`` gives the same path on every
@@ -355,6 +397,8 @@ def simulate(
             covariates = covariates[:, None]
         if covariates.shape != (n, r):
             raise ValueError(f"covariates must have shape ({n}, {r})")
+    elif covariates is not None:
+        raise ValueError("spec has no covariate coefficients; pass no covariates")
     try:
         x0 = int(round(max(0.0, linear_mean(spec))))
     except ValueError:

@@ -11,7 +11,6 @@ from tobitcount import cli, estimation, skellam
 from tobitcount.diagnostics import information_criteria
 from tobitcount.estimation import (
     EstimationScenario,
-    _mean_path,
     analytic_score_hessian,
     fit_clade,
     fit_cls,
@@ -34,6 +33,11 @@ from tobitcount.stingarch import (
 
 SC1 = EstimationScenario.fixed(0.25)
 SC2 = EstimationScenario.free()
+
+
+def _mean_path(theta_dyn, series, p, q, r):
+    """``M_1..M_n`` of the dynamics block from a fresh mean kernel."""
+    return _mean_kernel(series, p, q, r).means(theta_dyn)
 
 
 def fd_gradient(theta, series, orders, scenario, step=1e-5):
@@ -506,7 +510,9 @@ class TestMeanRecursionKernel:
         z = np.random.default_rng(42).standard_normal((counts.shape[0], r)) if r else None
         series = CountSeries(counts, covariates=z)
         theta = np.array(theta)
-        m, dm, d2m_beta = estimation._mean_derivatives(theta, series, p, q, r)
+        kernel = _mean_kernel(series, p, q, r)
+        m, dm = kernel.gradient(theta)
+        d2m_beta = kernel.beta_rows(theta, dm)
         m_ref, dm_ref, d2m_ref = _reference_mean_derivatives(theta, series, p, q, r)
         _assert_close(m, m_ref)
         _assert_close(dm, dm_ref)
@@ -597,7 +603,7 @@ class TestMeanRecursionKernel:
         rows = rng.normal(0.0, 0.6, (8, k))
         rows[:, 0] = rng.uniform(-2.0, 6.0, 8)
         rows[2, 1] = 1.5
-        means = _mean_kernel(series, p, q, r)
+        means = _mean_kernel(series, p, q, r).means
         block = means(rows)
         assert np.all(np.isfinite(block))
         assert np.array_equal(block, np.vstack([means(row) for row in rows]))
@@ -615,6 +621,25 @@ class TestMeanRecursionKernel:
         penalized = [estimation._stationarity_penalty(row, p, q) > 0.0 for row in rows.tolist()]
         assert penalized[2] and not all(penalized)
         assert np.all(values[penalized] >= estimation._PENALTY)
+
+    @pytest.mark.parametrize("orders", [(1, 0, 0), (1, 1, 0), (2, 2, 0), (1, 1, 1)])
+    def test_kernel_after_a_block_call_is_a_fresh_kernel(self, counts, orders):
+        # the closures share one band, which a (9, k) block call grows; the
+        # one-row calls after it must read the band a fresh kernel writes
+        p, q, r = orders
+        k = 1 + p + q + r
+        z = np.random.default_rng(45).standard_normal((counts.shape[0], r)) if r else None
+        series = CountSeries(counts, covariates=z)
+        rows = np.random.default_rng(46).normal(0.0, 0.3, (9, k))
+        rows[:, 0] = 1.5
+        theta = rows[4]
+        used = _mean_kernel(series, p, q, r)
+        used.means(rows)
+        fresh = _mean_kernel(series, p, q, r)
+        assert np.array_equal(used.means(theta), fresh.means(theta))
+        (m, dm), (m_fresh, dm_fresh) = used.gradient(theta), fresh.gradient(theta)
+        assert np.array_equal(m, m_fresh) and np.array_equal(dm, dm_fresh)
+        assert np.array_equal(used.beta_rows(theta, dm), fresh.beta_rows(theta, dm_fresh))
 
 
 class TestInformationCriteria:
@@ -705,13 +730,18 @@ class TestFitDriver:
 
     @staticmethod
     def _count(monkeypatch, stage="_nelder_mead"):
-        # the results of every call of the optimizer stage
+        # the results of every call of the optimizer stage, and of every
+        # search the simplex driver runs
         runs = []
         run = getattr(estimation, stage)
 
         def counted(*args, **kwargs):
-            runs.append(run(*args, **kwargs))
-            return runs[-1]
+            result = run(*args, **kwargs)
+            if stage == "_nelder_mead":
+                runs.extend(result)
+            else:
+                runs.append(result)
+            return result
 
         monkeypatch.setattr(estimation, stage, counted)
         return runs
@@ -846,9 +876,10 @@ class TestFitDriver:
         nelder_mead = estimation._nelder_mead
 
         def failing(*args, **kwargs):
-            res = nelder_mead(*args, **kwargs)
-            res.success = False
-            return res
+            results = nelder_mead(*args, **kwargs)
+            for res in results:
+                res.success = False
+            return results
 
         monkeypatch.setattr(estimation, "_nelder_mead", failing)
         assert self._quadratic_fit().converged
@@ -949,8 +980,8 @@ class TestFitDriver:
         nelder_mead = estimation._nelder_mead
 
         def no_progress(*args, **kwargs):
-            coarse[:] = coarse or [nelder_mead(*args, **kwargs)]
-            return coarse[0]
+            coarse[:] = coarse or nelder_mead(*args, **kwargs)
+            return list(coarse)
 
         monkeypatch.setattr(estimation, "_nelder_mead", no_progress)
         newtons = self._count(monkeypatch, "_newton")
@@ -1195,7 +1226,7 @@ class TestFitDriver:
 
 
 def _scipy_nelder_mead(fun, x0, fatol=estimation._FATOL, xatol=1e-8, simplex=None):
-    """scipy's Nelder-Mead under the options :func:`estimation._nelder_mead` takes."""
+    """scipy's Nelder-Mead under the options :func:`estimation._simplex_search` takes."""
     budget = 400 * len(x0)
     options = {"fatol": fatol, "xatol": xatol, "maxiter": budget, "maxfev": budget}
     if simplex is not None:
@@ -1204,15 +1235,22 @@ def _scipy_nelder_mead(fun, x0, fatol=estimation._FATOL, xatol=1e-8, simplex=Non
 
 
 def _lockstep(fun, searches):
-    """:func:`estimation._nelder_mead_lockstep` on a batch wrapper of ``fun``
-    that records every point it is given, in order."""
+    """:func:`estimation._nelder_mead` on a batch wrapper of ``fun`` that
+    records every point it is given, in order."""
     points = []
 
     def batch(rows):
         points.extend(row.copy() for row in rows)
         return np.array([fun(row) for row in rows])
 
-    return estimation._nelder_mead_lockstep(batch, searches), points
+    return estimation._nelder_mead(batch, searches), points
+
+
+def _solo(fun, x0, **options):
+    """One :func:`estimation._simplex_search` alone in the driver, on one-row
+    calls of ``fun``."""
+    (res,), _ = _lockstep(fun, [estimation._simplex_search(x0, **options)])
+    return res
 
 
 def _assert_equal_results(a, b):
@@ -1224,32 +1262,24 @@ def _assert_equal_results(a, b):
 
 
 class TestSimplex:
-    """The in-house Nelder-Mead against scipy's, and its lockstep driver
-    against it: the same points evaluated in the same order and the same
-    result, compared with ``==``."""
+    """The in-house Nelder-Mead, one search alone in its driver, against
+    scipy's, and searches in lockstep against each alone: the same points
+    evaluated in the same order and the same result, compared with ``==``."""
 
     @staticmethod
     def _assert_same(fun, x0, **options):
-        runs = []
-        for nelder_mead in (estimation._nelder_mead, _scipy_nelder_mead):
-            points = []
+        scipy_points = []
 
-            def recorded(x):
-                points.append(x.copy())
-                return fun(x)
+        def recorded(x):
+            scipy_points.append(x.copy())
+            return fun(x)
 
-            runs.append((nelder_mead(recorded, x0, **options), points))
-        (ours, ours_points), (scipys, scipy_points) = runs
+        scipys = _scipy_nelder_mead(recorded, x0, **options)
+        # the search alone in the driver, on one-row batches
+        (ours,), ours_points = _lockstep(fun, [estimation._simplex_search(x0, **options)])
         assert len(ours_points) == len(scipy_points) == ours.nfev
         assert all(np.array_equal(a, b) for a, b in zip(ours_points, scipy_points))
         _assert_equal_results(ours, scipys)
-        # the same search alone in the lockstep driver, on one-row batches
-        (lockstep,), lockstep_points = _lockstep(
-            fun, [estimation._simplex_search(x0, **options)]
-        )
-        assert len(lockstep_points) == len(ours_points)
-        assert all(np.array_equal(a, b) for a, b in zip(lockstep_points, ours_points))
-        _assert_equal_results(lockstep, ours)
         return ours, ours_points
 
     @staticmethod
@@ -1336,9 +1366,9 @@ class TestSimplex:
             return objective(rows)
 
         searches = [estimation._simplex_search(x0, fatol=1e-9) for x0 in starts]
-        results = estimation._nelder_mead_lockstep(batch, searches)
+        results = estimation._nelder_mead(batch, searches)
         for x0, res in zip(starts, results):
-            _assert_equal_results(res, estimation._nelder_mead(objective, x0, fatol=1e-9))
+            _assert_equal_results(res, _solo(objective, x0, fatol=1e-9))
         assert batches[0] == 9 and sum(batches) == sum(res.nfev for res in results)
         assert len(batches) == max(res.nfev for res in results)
 
@@ -1359,7 +1389,7 @@ class TestSimplex:
             {"x0": np.array([-20.0, 9.0, 4.0]), "fatol": 1e-3, "xatol": 1e-3},
         ]
         results, _ = _lockstep(fun, [estimation._simplex_search(**o) for o in options])
-        solo = [estimation._nelder_mead(fun, **o) for o in options]
+        solo = [_solo(fun, **o) for o in options]
         for res, alone in zip(results, solo):
             _assert_equal_results(res, alone)
         lengths = [res.nfev for res in results]
@@ -1419,6 +1449,23 @@ class TestCensoredDeviationFits:
             numeric[:, i] = (residuals(theta + e) - residuals(theta - e)) / (2.0 * e[i])
         np.testing.assert_allclose(jacobian(theta), numeric, rtol=1e-6, atol=1e-6)
 
+    def test_each_fit_builds_its_mean_kernels_once(self, series_11, monkeypatch):
+        # the CLS objective holds one kernel and its residuals and Jacobian
+        # share another; CLADE's objective holds one, and no call builds more
+        builds = []
+        kernel = estimation._mean_kernel
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_mean_kernel", counted)
+        fit_cls(series_11, (1, 1))
+        assert 1 <= len(builds) <= 2
+        builds.clear()
+        fit_clade(series_11, (1, 1))
+        assert len(builds) == 1
+
     def test_cls_without_an_admissible_result_is_the_simplex_multi_start(
         self, series_11, monkeypatch
     ):
@@ -1429,10 +1476,7 @@ class TestCensoredDeviationFits:
         monkeypatch.setattr(estimation.optimize, "least_squares", outside)
         fit = fit_cls(series_11, (1, 1))
         objective = estimation._censored_objective(series_11, 1, 1, 0, 2)
-        runs = [
-            estimation._nelder_mead(objective, x0, fatol=1e-9)
-            for x0 in estimation._starts(series_11, 1, 1, 0)
-        ]
+        runs = [_solo(objective, x0, fatol=1e-9) for x0 in estimation._starts(series_11, 1, 1, 0)]
         best = min(runs, key=lambda res: (res.fun, float(np.linalg.norm(res.x))))
         assert np.array_equal(fit.estimates, best.x)
         assert fit.objective == best.fun and fit.converged == best.success

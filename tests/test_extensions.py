@@ -374,6 +374,24 @@ class TestBoundedConditionalPmf:
         values = [payload["mean"], payload["variance"], *payload["acf"]]
         assert all(math.isfinite(v) for v in values)
 
+    def test_counts_above_the_bound_are_refused(self, tmp_path, capsys):
+        # an unbounded series: its fit and its residuals under bound 2 both
+        # refuse it, the CLI with the numerical exit code
+        series = simulate(
+            ModelSpec(alpha0=2.0, alphas=(0.4,), delta=0.25), 200, rng=np.random.default_rng(8)
+        )
+        assert series.counts.max() > 2
+        spec = ModelSpec(alpha0=2.0, alphas=(0.4,), delta=0.25, bound=2)
+        with pytest.raises(ValueError, match="series exceeds the declared bound"):
+            pearson_residuals(spec, series)
+        path = tmp_path / "unbounded.csv"
+        path.write_text("count\n" + "".join(f"{v}\n" for v in series.counts))
+        flags = ["--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25", "--bound", "2"]
+        fit = ["fit", "--model", "stbingarch", "--bound", "2", "-p", "1", "-q", "0"]
+        for argv in (["diagnose", *flags, "--input", str(path)], [*fit, "--input", str(path)]):
+            assert cli.main(argv) == cli.EXIT_NUMERICAL
+            assert "series exceeds the declared bound" in capsys.readouterr().err
+
     def test_kappa_flag(self, tmp_path):
         series = tmp_path / "bounded.csv"
         spec = ["--alpha0", "1", "--alpha1", "0.3", "--delta", "0.01"]
@@ -591,8 +609,9 @@ class TestBoundedFit:
         nelder_mead = estimation._nelder_mead
 
         def counted(*args, **kwargs):
-            passes.append(nelder_mead(*args, **kwargs))
-            return passes[-1]
+            results = nelder_mead(*args, **kwargs)
+            passes.extend(results)
+            return results
 
         monkeypatch.setattr(estimation, "_nelder_mead", counted)
         fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)

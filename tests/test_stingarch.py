@@ -218,6 +218,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(spec, 0)
 
+    def test_covariates_must_match_the_spec(self):
+        # covariates without coefficients would be dropped from the series
+        z = np.ones((50, 1))
+        with pytest.raises(ValueError, match="no covariate coefficients; pass no covariates"):
+            simulate(ModelSpec(alpha0=1.0, delta=0.25), 50, covariates=z)
+        with pytest.raises(ValueError, match="has covariate coefficients; pass covariates"):
+            simulate(ModelSpec(alpha0=1.0, delta=0.25, gammas=(0.5,)), 50)
+        series = simulate(ModelSpec(alpha0=1.0, delta=0.25, gammas=(0.5,)), 50, covariates=z)
+        assert np.array_equal(series.covariates, z)
+
 
 def _sha256(counts):
     assert counts.dtype == np.int64
