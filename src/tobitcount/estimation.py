@@ -13,8 +13,10 @@ The likelihood layer also exposes the analytic score and Hessian and the
 outer-product / curvature information matrices.  The conditional mean, its
 gradient and the nonzero beta rows of its Hessian come from
 :func:`~tobitcount.stingarch._mean_kernel`, the mean recursion every
-fitter shares.  Approximate standard errors follow the usual practice of
-inverting a numerical Hessian of the maximized log-likelihood.
+fitter shares.  Approximate standard errors invert the Hessian of the
+maximized log-likelihood: the analytic one where every conditional mean is
+positive, else (at an ``M_t = 0`` kink, or for TINARS(1), which has no
+analytic derivatives) a central-difference one.
 
 Every likelihood fit runs through :func:`_fit`, the one fit driver, whose
 docstring describes its stages: a Newton run from the start, returned
@@ -22,7 +24,9 @@ where it certifies a point away from the ``M_t = 0`` kinks, else a coarse
 Nelder-Mead pass that a second Newton stage finishes; every
 :class:`ModelSpec` fit, the bounded one-inflated one included, is set up
 by :func:`_fit_spec`.  The CLS fit runs Gauss-Newton on the Jacobian of
-its censored residuals, and CLADE a Nelder-Mead multi-start.
+its censored residuals from the moment start, and from eight more starts
+only where that run stops short of a first-order point; CLADE runs a
+Nelder-Mead multi-start.
 
 Every Nelder-Mead pass is the in-house simplex :func:`_simplex_search`:
 scipy's algorithm step for step on Python floats, with scipy's iterates,
@@ -92,6 +96,9 @@ _NEWTON_MAXITER = 20
 # ftol, xtol and gtol of the CLS Gauss-Newton runs; least_squares' default
 # 1e-8 stops short of the simplex's objective
 _GN_TOL = 1e-15
+# a CLS run from the moment start ends the fit when its gradient J'r is at
+# most this times 1 + its objective in every coordinate, a first-order point
+_GN_FIRST_ORDER = 1e-6
 # |log delta| beyond this lets delta**2 in the score under- or overflow
 _LOG_DELTA_LIMIT = 300.0
 
@@ -388,7 +395,8 @@ def information_matrices(theta, series: CountSeries, orders, scenario, bound=Non
     likelihood terms; ``bound`` and a trailing ``kappa`` in ``theta`` select
     the bounded one-inflated model as in :func:`analytic_score_hessian`.
     Exposed for inspection; reported standard errors use the plain inverse
-    numerical Hessian instead.
+    ``-H^-1`` instead, of the analytic Hessian where the fit's means are all
+    positive (see :func:`_point_derivatives`).
     """
     grads, hess = _score_parts(theta, series, orders, scenario, bound)
     count = grads.shape[0]
@@ -541,6 +549,24 @@ def _stencil(natural_loglik, theta: np.ndarray, kinds: tuple[str, ...]):
         return numerical_hessian(natural_loglik, theta, steps)
     except (np.linalg.LinAlgError, ValueError, ArithmeticError):
         return None
+
+
+def _point_derivatives(natural_loglik, theta: np.ndarray, kinds, derivatives, kink_free):
+    """The natural gradient and Hessian of ``natural_loglik`` at ``theta``
+    that :func:`_certifies` judges and :func:`_se_from_loglik_hessian`
+    inverts, or ``None`` where :func:`_difference_steps` withholds the
+    standard errors.  Where ``derivatives`` is given and ``kink_free`` holds
+    at ``theta`` they are ``derivatives(theta)``, the analytic ones; at a
+    kink, without ``derivatives`` or where they raise, they are the
+    :func:`_stencil`'s."""
+    if derivatives is not None and kink_free(theta):
+        if _difference_steps(theta, kinds) is None:
+            return None
+        try:
+            return derivatives(theta)
+        except (ArithmeticError, ValueError):
+            pass  # the stencil's, as at a kink
+    return _stencil(natural_loglik, theta, kinds)
 
 
 def _certifies(grad: np.ndarray, hess: np.ndarray, ll: float) -> bool:
@@ -782,39 +808,44 @@ def _fit(
     diag(g s'')``, ``s`` and ``s''`` being the kinds' ``slope`` and
     ``curvature`` (:func:`_search_derivatives`).  Its point is returned,
     with ``converged`` true, only when ``kink_free`` holds there and the
-    standard-error stencil (:func:`numerical_hessian` on
-    :func:`_difference_steps`) certifies it: a positive definite ``-H`` and
-    a Newton decrement ``g' (-H)^-1 g`` of at most ``_CERTIFICATE (1 +
-    |loglik|)``.  ``kink_free``, given with ``derivatives``, takes the
-    natural parameters and says whether the likelihood is smooth there; for
-    a :class:`ModelSpec` it is every conditional mean of the window being
+    natural gradient ``g`` and Hessian ``H`` of :func:`_point_derivatives`
+    certify it: a positive definite ``-H`` and a Newton decrement ``g'
+    (-H)^-1 g`` of at most ``_CERTIFICATE (1 + |loglik|)``.  Those are
+    ``derivatives`` at a kink-free point, and elsewhere, or without
+    ``derivatives``, the stencil (:func:`numerical_hessian` on
+    :func:`_difference_steps`); both are withheld where the steps are.
+    ``kink_free``, given with ``derivatives``, takes the natural parameters
+    and says whether the likelihood is smooth there; for a
+    :class:`ModelSpec` it is every conditional mean of the window being
     positive, since ``lambda1,2 = (|m| +- m + delta) / 2`` kinks at ``m =
     0``.  On zero-heavy series, where the means cross zero, Newton from the
     start can certify a lower local maximum among the kinks than the coarse
     stages find, so such a point is left to them.
 
-    Any other outcome (a point at a kink, a stencil withheld or not
+    Any other outcome (a point at a kink, derivatives withheld or not
     certifying, or a first stage that raises), and every fit without
     ``derivatives``, runs the coarse stages from ``theta0`` as if the
     first stage had not run.  A Nelder-Mead pass runs at the coarse
     tolerances ``_COARSE``.  Given ``derivatives``, a second Newton stage
     finishes it and the better point is kept.  Unless there are no
     ``derivatives``, that stage raises or it gains more than ``_COARSE``
-    (the simplex had not reached its tail), the stencil runs there and a
-    certified point is returned with ``converged`` true.  Otherwise the one
-    fallback runs: the coarse pass resumes from its final simplex to the
-    full tolerances, the better point is kept, the stencil runs again only
-    at a point that had none yet, and ``converged`` is true when it
-    certifies that point or the resumed pass reports success.
+    (the simplex had not reached its tail), :func:`_point_derivatives` are
+    taken there and a certified point is returned with ``converged`` true.
+    Otherwise the one fallback runs: the coarse pass resumes from its final
+    simplex to the full tolerances, the better point is kept, the
+    derivatives are taken again only at a point that had none yet, and
+    ``converged`` is true when they certify that point or the resumed pass
+    reports success.
     ``iterations`` sums every stage, the first one included.
 
     ``loglik`` is ``natural_loglik`` at the estimates, and standard errors
-    invert its stencil Hessian there (none for ``delta <= 1e-8`` or
-    ``kappa <= 1e-5``, where :func:`_difference_steps` withholds the
-    steps).  ``window`` holds the counts after the conditioning prefix.
-    Raises ``ValueError`` when none of them is positive
-    (:func:`_require_positive_count`) or a ``signed`` parameter runs to
-    +-1, and ``ArithmeticError`` when the best point is a penalty value.
+    invert the Hessian of :func:`_point_derivatives` there (none for
+    ``delta <= 1e-8`` or ``kappa`` within 1e-5 of 0 or 1, where
+    :func:`_difference_steps` withholds the steps).  ``window`` holds the
+    counts after the conditioning prefix.  Raises ``ValueError`` when none
+    of them is positive (:func:`_require_positive_count`) or a ``signed``
+    parameter runs to +-1, and ``ArithmeticError`` when the best point is a
+    penalty value.
     """
     _require_positive_count(window)
     table = [_KINDS[kind] for kind in kinds]
@@ -872,8 +903,8 @@ def _fit(
             iterations = int(first.nit)
             theta = np.array(natural(first.x))
             if first.fun < _PENALTY / 2 and kink_free(theta):
-                stencil = _stencil(natural_loglik, theta, kinds)
-                converged = stencil is not None and _certifies(*stencil, -first.fun)
+                local = _point_derivatives(natural_loglik, theta, kinds, derivatives, kink_free)
+                converged = local is not None and _certifies(*local, -first.fun)
     if converged:
         best_x, best_f = first.x, first.fun
     else:
@@ -893,17 +924,19 @@ def _fit(
                 # a gain beyond the simplex's own tolerance means the simplex
                 # had not reached its tail
                 finished = res.fun - best_f <= _COARSE
-        stencil = None
+        local = None
         if finished and best_f < _PENALTY / 2:
-            stencil = _stencil(natural_loglik, np.array(natural(best_x)), kinds)
-        converged = stencil is not None and _certifies(*stencil, -best_f)
+            local = _point_derivatives(
+                natural_loglik, np.array(natural(best_x)), kinds, derivatives, kink_free
+            )
+        converged = local is not None and _certifies(*local, -best_f)
         if not converged:
             # the one fallback: the coarse pass resumes from its final simplex
             # to the full tolerances, and the better point is kept
             (full,) = _nelder_mead(batch, [_simplex_search(res.x, simplex=res.final_simplex[0])])
             iterations += int(full.nit)
             if full.fun < best_f:
-                # a point without a stencil yet
+                # a point without derivatives yet
                 best_x, best_f, finished = full.x, full.fun, False
     if not best_f < _PENALTY / 2:
         raise ArithmeticError("no admissible point found: the optimum is a penalty value")
@@ -911,12 +944,12 @@ def _fit(
     ll = -best_f
     if not converged:
         if not finished:
-            stencil = _stencil(natural_loglik, theta_hat, kinds)
-        converged = (stencil is not None and _certifies(*stencil, ll)) or bool(full.success)
+            local = _point_derivatives(natural_loglik, theta_hat, kinds, derivatives, kink_free)
+        converged = (local is not None and _certifies(*local, ll)) or bool(full.success)
     std_errors = None
-    if stencil is not None:
+    if local is not None:
         try:
-            std_errors = _se_from_loglik_hessian(stencil[1])
+            std_errors = _se_from_loglik_hessian(local[1])
         except (np.linalg.LinAlgError, ValueError, ArithmeticError):
             std_errors = None  # withheld, which hessian_invertible reports
     n_eff = window.shape[0]
@@ -1001,12 +1034,14 @@ def fit_mle(
     for a fixed scenario-1 dispersion) or ``None`` (scenario 2).  Trial
     points violating the stationarity condition are penalized; under
     scenario 2 the dispersion is optimized on the log scale so the search
-    is unconstrained.  ``converged`` is true when the numerical Hessian
-    certifies the returned point as a maximum or the resumed simplex
-    reports success.  Standard errors are the square roots of the inverse
-    numerical Hessian's diagonal; a singular (non positive-definite)
-    Hessian leaves ``std_errors`` at ``None`` (so ``hessian_invertible`` is
-    false) instead of failing.
+    is unconstrained.  ``converged`` is true when the log-likelihood
+    Hessian certifies the returned point as a maximum or the resumed
+    simplex reports success.  That Hessian is the analytic one where every
+    conditional mean of the window is positive, and a central-difference
+    one at a point where a mean is not.  Standard errors are the square
+    roots of the diagonal of its negated inverse; a singular (non
+    positive-definite) Hessian leaves ``std_errors`` at ``None`` (so
+    ``hessian_invertible`` is false) instead of failing.
     """
     return _fit_spec(series, orders, _as_scenario(scenario))
 
@@ -1075,7 +1110,8 @@ def _censored_residuals(series: CountSeries, p, q, r):
 
 
 def _starts(series: CountSeries, p, q, r) -> list[np.ndarray]:
-    """:func:`_moment_start` and eight jittered copies of it."""
+    """:func:`_moment_start` and eight jittered copies of it: CLADE's nine
+    starts, and CLS's where the moment start's run is not accepted."""
     start = _moment_start(series, p, q, r)
     scale = 0.1 * (1.0 + np.abs(start))
     jitter_rng = np.random.default_rng(12345)
@@ -1086,20 +1122,27 @@ def _starts(series: CountSeries, p, q, r) -> list[np.ndarray]:
 
 
 def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str) -> FitResult:
-    """The CLADE (``power = 1``) or CLS (``power = 2``) fit from the nine
-    :func:`_starts`, the best result by ``(objective, |theta|)``.
+    """The CLADE (``power = 1``) or CLS (``power = 2``) fit from the
+    :func:`_starts`.
 
-    CLADE runs Nelder-Mead from each start, the nine searches in lockstep
-    (:func:`_nelder_mead`): each round evaluates every unfinished
+    CLADE runs Nelder-Mead from each of the nine starts, the searches in
+    lockstep (:func:`_nelder_mead`): each round evaluates every unfinished
     search's next trial point in one batched call of
     :func:`_censored_objective`, and each search's result is the one it
-    reaches alone.  CLS runs Gauss-Newton (``least_squares``' ``trf``) on
-    :func:`_censored_residuals`, skips a start past stationarity and drops
-    a result past it; when no result is left it runs CLADE's lockstep
-    multi-start on the squared deviations.  ``converged`` is the chosen
-    run's success flag and ``iterations`` sums every run's iterations
-    (Jacobian evaluations for Gauss-Newton).  The intercept-only model has
-    a closed form.
+    reaches alone.  The best result by ``(objective, |theta|)`` is kept.
+
+    CLS runs Gauss-Newton (``least_squares``' ``trf``) on
+    :func:`_censored_residuals` from the moment start, and returns that
+    run's point when it reports success, is inside stationarity and stops
+    at a first-order point: ``|J'r|`` at most ``_GN_FIRST_ORDER (1 +
+    objective)`` in every coordinate.  Otherwise it runs the other eight
+    starts too, skipping a start past stationarity and dropping a result
+    past it, and keeps the best by ``(objective, |theta|)``; when no result
+    is left it runs CLADE's lockstep multi-start on the squared deviations.
+    ``converged`` is the chosen run's success flag and ``iterations`` sums
+    every run's iterations (Jacobian evaluations for Gauss-Newton, one
+    run's on the accepted path).  The intercept-only model has a closed
+    form.
     """
     p, q, r = _orders(orders, series)
     n = len(series)
@@ -1130,7 +1173,7 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
     iterations = 0
     if power == 2:
         residuals, jacobian = _censored_residuals(series, p, q, r)
-        for x0 in starts:
+        for i, x0 in enumerate(starts):
             if _stationarity_penalty(x0.tolist(), p, q):
                 continue
             res = optimize.least_squares(
@@ -1141,6 +1184,8 @@ def _fit_censored_deviation(series: CountSeries, orders, power: int, method: str
             value = objective(res.x)
             if value < _PENALTY / 2:
                 runs.append((value, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
+                if i == 0 and res.success and res.optimality <= _GN_FIRST_ORDER * (1.0 + value):
+                    break  # the moment start's run reached a first-order point
     if not runs:
         searches = [_simplex_search(x0, fatol=1e-9) for x0 in starts]
         for res in _nelder_mead(objective, searches):
@@ -1178,8 +1223,10 @@ def fit_cls(series: CountSeries, orders=(1, 0)) -> FitResult:
 
     The objective is continuous in the parameters, but ``max(0, M_t)``
     makes its slope jump where a mean crosses zero and the objective is not
-    convex, hence the same multi-start strategy and refusal as
-    :func:`fit_clade`.
+    convex.  Gauss-Newton runs from the moment start, and its point is kept
+    when it stops at a first-order point inside stationarity; otherwise the
+    fit falls back to the same nine starts as :func:`fit_clade` (see
+    :func:`_fit_censored_deviation`), and it has the same refusal.
     """
     return _fit_censored_deviation(series, orders, power=2, method="cls")
 

@@ -252,10 +252,12 @@ def fit_stbingarch_mle(
     Runs the stages of :func:`~tobitcount.estimation._fit` on the dynamics
     and the one-inflation weight, the latter on the logit scale from 0.1,
     so ``kappa`` approaches 0 continuously and ``loglik`` is the likelihood
-    at the reported ``kappa``.  ``converged`` is true when the numerical
-    Hessian certifies the returned point as a maximum or the resumed
-    simplex reports success; standard errors come from the same Hessian and
-    are withheld for ``kappa`` within 1e-5 of 0 or 1.  ``delta`` is the
+    at the reported ``kappa``.  ``converged`` is true when the
+    log-likelihood Hessian certifies the returned point as a maximum or the
+    resumed simplex reports success; that Hessian is the analytic one where
+    every conditional mean is positive and a central-difference one
+    elsewhere.  Standard errors come from the same Hessian and are withheld
+    for ``kappa`` within 1e-5 of 0 or 1.  ``delta`` is the
     fixed dispersion and must be positive and finite; ``bound`` must be an
     integer >= 1 and no count may exceed it.
     """

@@ -802,10 +802,43 @@ class TestFitDriver:
         assert passes == [] and len(newtons) == 1 and fit.converged
         assert fit.iterations == newtons[0].nit
         assert np.min(_mean_path(fit.estimates[:3], series, 1, 1, 0)[1:]) > 0.0
-        steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
-        hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
+        hess = analytic_score_hessian(fit.estimates, series, (1, 1), SC2)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
         assert fit.loglik == loglik(fit.estimates, series, (1, 1), SC2)
+
+    @pytest.mark.parametrize("case", ["scenario1", "scenario2"])
+    def test_kink_free_fit_runs_no_stencil(self, case, series, monkeypatch):
+        # scenario 1 on a (1,0) series, scenario 2 on the paper's (1,1) DGP:
+        # the analytic Hessian certifies the point and gives the standard
+        # errors, which match a stencil's to 1e-5 relative
+        if case == "scenario1":
+            orders, scenario, kinds = (1, 0), SC1, ("free",) * 2
+        else:
+            series = simulate(self.PAPER_DGP, 300, rng=np.random.default_rng(70))
+            orders, scenario, kinds = (1, 1), SC2, ("free",) * 3 + ("positive",)
+        stencils = self._count(monkeypatch, "numerical_hessian")
+        fit = fit_mle(series, orders, scenario)
+        assert stencils == [] and fit.converged and fit.hessian_invertible
+        hess = analytic_score_hessian(fit.estimates, series, orders, scenario)[1]
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
+        stencil = estimation._stencil(lambda t: loglik(t, series, orders, scenario), fit.estimates, kinds)
+        np.testing.assert_allclose(
+            fit.std_errors, estimation._se_from_loglik_hessian(stencil[1]), rtol=1e-5, atol=0.0
+        )
+
+    def test_raising_derivatives_fall_back_to_the_stencil(self, series, monkeypatch):
+        # derivatives that raise at the returned point leave it to the stencil
+        def broken(theta):
+            raise ArithmeticError("score failed")
+
+        stencils = self._count(monkeypatch, "numerical_hessian")
+        fit = fit_mle(series, (1, 0), SC1)
+        assert stencils == []
+        local = estimation._point_derivatives(
+            lambda t: loglik(t, series, (1, 0), SC1), fit.estimates, ("free",) * 2,
+            derivatives=broken, kink_free=lambda t: True,
+        )
+        assert len(stencils) == 1 and local is stencils[0]
 
     def test_certified_first_pass_ends_the_search(self, monkeypatch):
         # with the first stage rejected, the coarse pass and its Newton
@@ -820,8 +853,7 @@ class TestFitDriver:
         assert len(passes) == 1 and len(newtons) == 2 and fit.converged
         assert passes[0].fun - newtons[1].fun <= estimation._COARSE
         assert fit.iterations == newtons[0].nit + passes[0].nit + newtons[1].nit
-        steps = estimation._difference_steps(fit.estimates, ("free",) * 3 + ("positive",))
-        hess = numerical_hessian(lambda t: loglik(t, series, (1, 1), SC2), fit.estimates, steps)[1]
+        hess = analytic_score_hessian(fit.estimates, series, (1, 1), SC2)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
         uncertified = self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 1), SC2))
         # the first stage, the coarse pass, its Newton stage and the resumed pass
@@ -933,6 +965,10 @@ class TestFitDriver:
         fit = fit_mle(series, (1, 1), 1.0)
         assert np.min(_mean_path(newtons[0].x, series, 1, 1, 0)[1:]) <= 0.0
         assert len(stencils) == 1  # the coarse stages' only
+        # the returned point has a mean at or below zero, where the analytic
+        # Hessian is one-sided, so the stencil gives the standard errors
+        assert np.min(_mean_path(fit.estimates, series, 1, 1, 0)[1:]) <= 0.0
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(stencils[0][1]))
         assert fit.loglik == -567.5879118867149 and fit.converged
         assert fit.estimates.tolist() == [-0.37882952539202386, 0.2963629994379591, 0.399058340665985]
         assert fit.iterations == 333 + newtons[0].nit
@@ -960,20 +996,21 @@ class TestFitDriver:
         series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
         passes = self._count(monkeypatch)
         newtons = self._count(monkeypatch, "_newton")
-        stencils = self._count(monkeypatch, "_stencil")
+        local = self._count(monkeypatch, "_point_derivatives")
         fit = fit_mle(series, (1, 1), SC2)
         assert len(passes) == 2 and len(newtons) == 2
         assert math.exp(newtons[0].x[-1]) < 1e-8 and math.exp(passes[0].x[-1]) < 1e-8
-        # the stencil (withheld) runs at the first-stage point, after the
-        # coarse stages, and again only at a point the resumed pass moved to
-        assert stencils == [None] * (2 + (passes[1].fun < newtons[1].fun))
+        # the derivatives (withheld) are taken at the first-stage point,
+        # after the coarse stages, and again only at a point the resumed
+        # pass moved to
+        assert local == [None] * (2 + (passes[1].fun < newtons[1].fun))
         assert fit.std_errors is None
         # the loglik of the fresh restart and polish this fallback replaced
         restarted = -538.9032205317307
         assert fit.loglik >= restarted - 1e-9 * (1.0 + abs(restarted))
         self._assert_same_fit(fit, self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 1), SC2)))
 
-    def test_stencil_of_an_unmoved_point_is_kept(self, series, monkeypatch):
+    def test_derivatives_of_an_unmoved_point_are_kept(self, series, monkeypatch):
         # a resumed pass that does not beat the Newton point: here it hands
         # back the coarse pass's own result
         coarse = []
@@ -985,31 +1022,31 @@ class TestFitDriver:
 
         monkeypatch.setattr(estimation, "_nelder_mead", no_progress)
         newtons = self._count(monkeypatch, "_newton")
-        stencils = self._count(monkeypatch, "_stencil")
+        local = self._count(monkeypatch, "_point_derivatives")
         fit = self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 0), SC1))
-        # the first stage's stencil, then the one after the coarse pass
-        assert newtons[1].fun <= coarse[0].fun and len(stencils) == 2
+        # the first stage's derivatives, then the ones after the coarse pass
+        assert newtons[1].fun <= coarse[0].fun and len(local) == 2
         assert np.array_equal(fit.estimates, newtons[1].x)
-        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(stencils[1][1]))
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(local[1][1]))
         assert fit.converged == coarse[0].success
         assert fit.iterations == newtons[0].nit + 2 * coarse[0].nit + newtons[1].nit
 
-    def test_indefinite_stencil_resumes_the_simplex(self, series, monkeypatch):
-        # an indefinite stencil rejects the first stage's point and then the
+    def test_indefinite_hessian_resumes_the_simplex(self, series, monkeypatch):
+        # an indefinite Hessian rejects the first stage's point and then the
         # coarse stages' one
-        stencils = []
-        stencil = estimation.numerical_hessian
+        hessians = []
+        point_derivatives = estimation._point_derivatives
 
         def indefinite_first(*args):
-            grad, hess = stencil(*args)
-            stencils.append(hess)
-            return (grad, -hess) if len(stencils) <= 2 else (grad, hess)
+            grad, hess = point_derivatives(*args)
+            hessians.append(hess)
+            return (grad, -hess) if len(hessians) <= 2 else (grad, hess)
 
-        monkeypatch.setattr(estimation, "numerical_hessian", indefinite_first)
+        monkeypatch.setattr(estimation, "_point_derivatives", indefinite_first)
         passes = self._count(monkeypatch)
         fit = fit_mle(series, (1, 0), SC1)
-        assert len(passes) == 2 and len(stencils) == 3
-        monkeypatch.setattr(estimation, "numerical_hessian", stencil)
+        assert len(passes) == 2 and len(hessians) == 3
+        monkeypatch.setattr(estimation, "_point_derivatives", point_derivatives)
         self._assert_same_fit(fit, self._uncertified(monkeypatch, lambda: fit_mle(series, (1, 0), SC1)))
 
     def test_interior_maximum_beyond_a_vanishing_dispersion(self, monkeypatch):
@@ -1481,6 +1518,77 @@ class TestCensoredDeviationFits:
         assert np.array_equal(fit.estimates, best.x)
         assert fit.objective == best.fun and fit.converged == best.success
         assert fit.iterations == 3 * len(runs) + sum(res.nit for res in runs)
+
+    @staticmethod
+    def _counted_least_squares(monkeypatch, first_fails=None):
+        # the result of every Gauss-Newton run; ``first_fails`` names the
+        # part of the rule the first run is made to fail: "success" marks it
+        # unsuccessful, "optimality" puts it away from a first-order point
+        runs = []
+        least_squares = optimize.least_squares
+
+        def counted(*args, **kwargs):
+            res = least_squares(*args, **kwargs)
+            if first_fails == "success" and not runs:
+                res.success = False
+            elif first_fails == "optimality" and not runs:
+                res.optimality = math.inf
+            runs.append(res)
+            return res
+
+        monkeypatch.setattr(estimation.optimize, "least_squares", counted)
+        return runs
+
+    @staticmethod
+    def _nine_start_cls(series, orders, runs=None):
+        # the Gauss-Newton multi-start over all nine starts, the best by
+        # (objective, |theta|): (objective, estimates, success, iterations);
+        # given the ``runs`` of a fit, their results in place of fresh ones
+        p, q, r = estimation._orders(orders, series)
+        objective = estimation._censored_objective(series, p, q, r, 2)
+        residuals, jacobian = estimation._censored_residuals(series, p, q, r)
+        kept, iterations = [], 0
+        starts = [x0 for x0 in estimation._starts(series, p, q, r)
+                  if not estimation._stationarity_penalty(x0.tolist(), p, q)]
+        for i, x0 in enumerate(starts):
+            res = runs[i] if runs is not None else optimize.least_squares(
+                residuals, x0, jac=jacobian, method="trf",
+                ftol=estimation._GN_TOL, xtol=estimation._GN_TOL, gtol=estimation._GN_TOL,
+            )
+            iterations += int(res.njev)
+            value = objective(res.x)
+            if value < estimation._PENALTY / 2:
+                kept.append((value, float(np.linalg.norm(res.x)), res.x, bool(res.success)))
+        value, _, est, success = min(kept, key=lambda run: run[:2])
+        return value, est, success, iterations
+
+    def test_accepted_moment_start_is_the_only_gauss_newton_run(self, series_11, monkeypatch):
+        runs = self._counted_least_squares(monkeypatch)
+        fit = fit_cls(series_11, (1, 1))
+        assert len(runs) == 1 and runs[0].success
+        assert np.array_equal(fit.estimates, runs[0].x) and fit.converged
+        assert fit.iterations == runs[0].njev
+        assert runs[0].optimality <= estimation._GN_FIRST_ORDER * (1.0 + fit.objective)
+
+    @pytest.mark.parametrize("first_fails", ["success", "optimality"])
+    def test_first_run_failing_the_rule_runs_all_nine_starts(self, first_fails, series_11, monkeypatch):
+        runs = self._counted_least_squares(monkeypatch, first_fails)
+        fit = fit_cls(series_11, (1, 1))
+        assert len(runs) == 9
+        value, est, success, iterations = self._nine_start_cls(series_11, (1, 1), runs)
+        assert np.array_equal(fit.estimates, est)
+        assert (fit.objective, fit.converged, fit.iterations) == (value, success, iterations)
+
+    @pytest.mark.parametrize("case", ["11-mc420", "11-covariate", "85-zeros"])
+    def test_cls_objective_is_no_higher_than_nine_starts(self, case):
+        if case == "85-zeros":
+            series = simulate(TestFitDriver.ZIGZAG, 1000, rng=np.random.default_rng(7))
+        else:
+            series = TestDerivativeStagesAgainstSimplex._series(case)
+        value = self._nine_start_cls(series, (1, 1))[0]
+        fit = fit_cls(series, (1, 1))
+        assert fit.converged
+        assert fit.objective <= value + 1e-12 * (1.0 + abs(value))
 
     @pytest.mark.parametrize(
         "case, estimates, objective, iterations",

@@ -192,6 +192,19 @@ class TestTransitionKernel:
         np.testing.assert_allclose(variances, ref_variances, rtol=1e-12, atol=1e-12)
 
 
+def _counted_stencils(monkeypatch) -> list:
+    """The results of every ``numerical_hessian`` call the fits make."""
+    results = []
+    stencil = estimation.numerical_hessian
+
+    def counted(*args):
+        results.append(stencil(*args))
+        return results[-1]
+
+    monkeypatch.setattr(estimation, "numerical_hessian", counted)
+    return results
+
+
 class TestTinarsFit:
     def test_reduces_to_ordinary_inar_for_positive_coefficient(self):
         spec = TinarsSpec(alpha1=0.5, innovation_mean=3.0)
@@ -270,13 +283,16 @@ class TestTinarsFit:
             ),
         ],
     )
-    def test_fit_is_pinned(self, spec, n, seed, estimates, ll, std_errors):
+    def test_fit_is_pinned(self, spec, n, seed, estimates, ll, std_errors, monkeypatch):
         series = simulate_tinars1(spec, n, rng=np.random.default_rng(seed))
+        hessians = _counted_stencils(monkeypatch)
         fit = fit_tinars1_mle(series)
         assert fit.converged
         assert fit.estimates.tolist() == estimates
         assert fit.loglik == ll
         assert fit.std_errors.tolist() == std_errors
+        # without analytic derivatives the stencil gives the standard errors
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hessians[-1][1]))
 
     def test_pearson_residuals_dispatch(self):
         spec = TinarsSpec(alpha1=-0.4, innovation_mean=5.0)
@@ -491,6 +507,27 @@ class TestBoundedFit:
         assert fit.std_errors is not None
         scenario = EstimationScenario.fixed(0.01)
         assert fit.loglik == loglik(fit.estimates, series, (1, 1), scenario, 5)
+
+    def test_kink_free_fit_runs_no_stencil(self, monkeypatch):
+        # every mean is positive at the estimates, so the analytic Hessian
+        # certifies the point and gives the standard errors, which match a
+        # stencil's to 1e-5 relative
+        spec = ModelSpec(
+            alpha0=0.787, alphas=(0.699,), betas=(-0.127,), delta=0.01, bound=5, kappa=0.118
+        )
+        series = simulate(spec, 400, burn_in=500, rng=np.random.default_rng(55))
+        hessians = _counted_stencils(monkeypatch)
+        fit = fit_stbingarch_mle(series, (1, 1), bound=5, delta=0.01)
+        assert hessians == [] and fit.converged and fit.hessian_invertible
+        scenario = EstimationScenario.fixed(0.01)
+        hess = estimation.analytic_score_hessian(fit.estimates, series, (1, 1), scenario, 5)[1]
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
+        numeric = estimation._stencil(
+            lambda t: loglik(t, series, (1, 1), scenario, 5), fit.estimates, ("free",) * 3 + ("unit",)
+        )
+        np.testing.assert_allclose(
+            fit.std_errors, estimation._se_from_loglik_hessian(numeric[1]), rtol=1e-5, atol=0.0
+        )
 
     # delta = 1e300 overflows lambda1 * lambda2 on its way to the refusal
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
