@@ -14,9 +14,10 @@ outer-product / curvature information matrices.  The conditional mean, its
 gradient and the nonzero beta rows of its Hessian come from
 :func:`~tobitcount.stingarch._mean_kernel`, the mean recursion every
 fitter shares.  Approximate standard errors invert the Hessian of the
-maximized log-likelihood: the analytic one where every conditional mean is
-positive, else (at an ``M_t = 0`` kink, or for TINARS(1), which has no
-analytic derivatives) a central-difference one.
+maximized log-likelihood: the analytic one away from the likelihood's
+kinks, and a central-difference one at a kink (a conditional mean at
+``M_t = 0``, or ``alpha1 = 0`` for TINARS(1), whose analytic derivatives
+:mod:`~tobitcount.extensions` supplies).
 
 Every likelihood fit runs through :func:`_fit`, the one fit driver, whose
 docstring describes its stages: a Newton run from the start, returned
@@ -555,10 +556,11 @@ def _point_derivatives(natural_loglik, theta: np.ndarray, kinds, derivatives, ki
     """The natural gradient and Hessian of ``natural_loglik`` at ``theta``
     that :func:`_certifies` judges and :func:`_se_from_loglik_hessian`
     inverts, or ``None`` where :func:`_difference_steps` withholds the
-    standard errors.  Where ``derivatives`` is given and ``kink_free`` holds
-    at ``theta`` they are ``derivatives(theta)``, the analytic ones; at a
-    kink, without ``derivatives`` or where they raise, they are the
-    :func:`_stencil`'s."""
+    standard errors.  Where ``kink_free`` holds at ``theta`` they are
+    ``derivatives(theta)``, the analytic ones; at a kink (a conditional mean
+    at or below zero, or TINARS(1)'s ``alpha1 = 0``) or where they raise
+    they are the :func:`_stencil`'s, as they are without ``derivatives``,
+    which only the unit tests of :func:`_fit` omit."""
     if derivatives is not None and kink_free(theta):
         if _difference_steps(theta, kinds) is None:
             return None
@@ -746,25 +748,34 @@ def _newton(fun, derivatives, x0):
     ``_NEWTON_MAXITER`` iterations.
 
     trust-exact asks for the Hessian at every trial point and for the
-    gradient at the accepted ones, so a one-entry memo evaluates
-    ``derivatives`` once per point.
+    gradient at the accepted ones; :func:`_fit`'s memo of the natural
+    derivatives (:func:`_point_memo`) evaluates them once per point.
     """
-    memo = [None, None]
-
-    def both(x: np.ndarray):
-        key = x.tobytes()
-        if memo[0] != key:
-            memo[:] = key, derivatives(x)
-        return memo[1]
-
     return optimize.minimize(
         fun,
         x0,
         method="trust-exact",
-        jac=lambda x: both(x)[0],
-        hess=lambda x: both(x)[1],
+        jac=lambda x: derivatives(x)[0],
+        hess=lambda x: derivatives(x)[1],
         options={"gtol": _NEWTON_GTOL, "maxiter": _NEWTON_MAXITER},
     )
+
+
+def _point_memo(derivatives):
+    """``derivatives`` memoized on the natural point, for one fit: a Newton
+    stage asks for the gradient and the Hessian of each point apart, and the
+    certificate asks again at the stage's final point, which need not be
+    the last one evaluated, since trust-exact's last trial can be
+    rejected.  A fit evaluates a few dozen points at most."""
+    table = {}
+
+    def memoized(theta: np.ndarray):
+        key = theta.tobytes()
+        if key not in table:
+            table[key] = derivatives(theta)
+        return table[key]
+
+    return memoized
 
 
 def _require_positive_count(window: np.ndarray) -> None:
@@ -802,41 +813,45 @@ def _fit(
     or (given ``orders = (p, q)``) past stationarity; a start point the
     kernels refuse raises their ``PrecisionError``.
 
-    Given ``derivatives`` (every :class:`ModelSpec` fit; not TINARS(1)),
-    the first stage is a trust-region Newton run (:func:`_newton`) from
-    ``theta0`` on the chain-ruled gradient ``g s`` and Hessian ``H s s' +
-    diag(g s'')``, ``s`` and ``s''`` being the kinds' ``slope`` and
-    ``curvature`` (:func:`_search_derivatives`).  Its point is returned,
-    with ``converged`` true, only when ``kink_free`` holds there and the
-    natural gradient ``g`` and Hessian ``H`` of :func:`_point_derivatives`
-    certify it: a positive definite ``-H`` and a Newton decrement ``g'
-    (-H)^-1 g`` of at most ``_CERTIFICATE (1 + |loglik|)``.  Those are
-    ``derivatives`` at a kink-free point, and elsewhere, or without
-    ``derivatives``, the stencil (:func:`numerical_hessian` on
-    :func:`_difference_steps`); both are withheld where the steps are.
-    ``kink_free``, given with ``derivatives``, takes the natural parameters
-    and says whether the likelihood is smooth there; for a
-    :class:`ModelSpec` it is every conditional mean of the window being
-    positive, since ``lambda1,2 = (|m| +- m + delta) / 2`` kinks at ``m =
-    0``.  On zero-heavy series, where the means cross zero, Newton from the
-    start can certify a lower local maximum among the kinks than the coarse
-    stages find, so such a point is left to them.
+    Given ``derivatives`` (every likelihood fit: each :class:`ModelSpec`
+    one and TINARS(1); only this function's unit tests omit them), the first
+    stage is a trust-region Newton run (:func:`_newton`) from ``theta0`` on
+    the chain-ruled gradient ``g s`` and Hessian ``H s s' + diag(g s'')``,
+    ``s`` and ``s''`` being the kinds' ``slope`` and ``curvature``
+    (:func:`_search_derivatives`).  Its point is returned, with
+    ``converged`` true, only when ``kink_free`` holds there and the natural
+    gradient ``g`` and Hessian ``H`` of :func:`_point_derivatives` certify
+    it: a positive definite ``-H`` and a Newton decrement ``g' (-H)^-1 g``
+    of at most ``_CERTIFICATE (1 + |loglik|)``.  Those are ``derivatives``
+    at a kink-free point, and elsewhere, or without ``derivatives``, the
+    stencil (:func:`numerical_hessian` on :func:`_difference_steps`); both
+    are withheld where the steps are.  ``kink_free``, given with
+    ``derivatives``, takes the natural parameters and says whether the
+    likelihood is smooth there; for a :class:`ModelSpec` it is every
+    conditional mean of the window being positive, since ``lambda1,2 =
+    (|m| +- m + delta) / 2`` kinks at ``m = 0``, and for TINARS(1) it is
+    ``alpha1 != 0``, since the thinning's sign convention ``sgn(0) = 1``
+    kinks there.  On zero-heavy series, where the means cross zero, Newton
+    from the start can certify a lower local maximum among the kinks than
+    the coarse stages find, so such a point is left to them.
 
     Any other outcome (a point at a kink, derivatives withheld or not
-    certifying, or a first stage that raises), and every fit without
-    ``derivatives``, runs the coarse stages from ``theta0`` as if the
-    first stage had not run.  A Nelder-Mead pass runs at the coarse
-    tolerances ``_COARSE``.  Given ``derivatives``, a second Newton stage
-    finishes it and the better point is kept.  Unless there are no
-    ``derivatives``, that stage raises or it gains more than ``_COARSE``
-    (the simplex had not reached its tail), :func:`_point_derivatives` are
-    taken there and a certified point is returned with ``converged`` true.
-    Otherwise the one fallback runs: the coarse pass resumes from its final
-    simplex to the full tolerances, the better point is kept, the
-    derivatives are taken again only at a point that had none yet, and
-    ``converged`` is true when they certify that point or the resumed pass
-    reports success.
-    ``iterations`` sums every stage, the first one included.
+    certifying, or a first stage that raises), and a fit without
+    ``derivatives`` (a unit test's derivative-free objective), runs the
+    coarse stages from ``theta0`` as if the first stage had not run.  A
+    Nelder-Mead pass runs at the coarse tolerances ``_COARSE``.  Given
+    ``derivatives``, a second Newton stage finishes it and the better point
+    is kept.  Unless there are no ``derivatives``, that stage raises or it
+    gains more than ``_COARSE`` (the simplex had not reached its tail),
+    :func:`_point_derivatives` are taken there and a certified point is
+    returned with ``converged`` true.  Otherwise the one fallback runs: the
+    coarse pass resumes from its final simplex to the full tolerances, the
+    better point is kept, the derivatives are taken again only at a point
+    that had none yet, and ``converged`` is true when they certify that
+    point or the resumed pass reports success.
+    ``iterations`` sums every stage, the first one included.  The
+    derivatives a Newton stage took at its final point serve the
+    certificate there (:func:`_point_memo`).
 
     ``loglik`` is ``natural_loglik`` at the estimates, and standard errors
     invert the Hessian of :func:`_point_derivatives` there (none for
@@ -848,6 +863,8 @@ def _fit(
     penalty value.
     """
     _require_positive_count(window)
+    if derivatives is not None:
+        derivatives = _point_memo(derivatives)
     table = [_KINDS[kind] for kind in kinds]
     mapped = [(i, _KINDS[kind]) for i, kind in enumerate(kinds) if kind != "free"]
 

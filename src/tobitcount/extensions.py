@@ -1,7 +1,8 @@
 """Model variants beyond the unbounded STINGARCH core.
 
 * Poisson Tobit INARS(1): signed binomial thinning plus Poisson innovations,
-  censored at zero, with transition-probability likelihood.
+  censored at zero, with transition-probability likelihood and its
+  analytic gradient and Hessian.
 * Skellam Tobit bounded INGARCH (STBINGARCH): the latent variable is clipped
   into {0..N} and the conditional law may carry extra one-inflation mass.
   That law is a :class:`ModelSpec` with ``bound`` and ``kappa`` like any
@@ -92,8 +93,9 @@ def simulate_tinars1(
     return CountSeries(out)
 
 
-def _transition_arr(prev: np.ndarray, nxt: np.ndarray, spec: TinarsSpec) -> np.ndarray:
-    """``P(X_t = nxt[i] | X_{t-1} = prev[i])`` for every pair ``i``.
+def _transition_arr(prev: np.ndarray, nxt: np.ndarray, spec: TinarsSpec, order: int = 0):
+    """``P(X_t = nxt[i] | X_{t-1} = prev[i])`` for every pair ``i``, and with
+    ``order = 2`` also its first and second derivatives.
 
     Each probability sums over the thinning outcome ``j``: the binomial
     weight ``C(prev, j) |a|^j (1 - |a|)^(prev - j)`` times the innovation
@@ -104,25 +106,60 @@ def _transition_arr(prev: np.ndarray, nxt: np.ndarray, spec: TinarsSpec) -> np.n
     (j, distinct nxt) grid, so one matrix product gives every pair.  Cells
     with ``j > prev`` or ``k < 0`` are masked after their indices are
     clipped, so no ``inf`` or ``nan`` reaches the product.
+
+    ``order`` is 0 or 2.  With 2 the result is ``(P, dP, d2P)``: ``dP[i]``
+    holds the derivatives in ``(innovation_mean, alpha1)`` and ``d2P[i]``
+    their 2 x 2 matrix.  They come from differences on the same layout:
+    ``dBin(j; x, |a|)/d|a| = x [Bin(j - 1; x - 1) - Bin(j; x - 1)]``,
+    ``dpois(k)/dlambda = pois(k - 1) - pois(k)`` and ``dpdtr(k)/dlambda =
+    -pois(k)``, each taken once more for the second derivatives, and
+    ``d/dalpha1 = sgn(a) d/d|a|``.  At ``alpha1 = 0`` they are those of the
+    ``sgn(0) = 1`` side.
     """
     a, sgn, rate = abs(spec.alpha1), _sgn(spec.alpha1), spec.innovation_mean
     prevs, row = np.unique(prev, return_inverse=True)
     nxts, col = np.unique(nxt, return_inverse=True)
     j = np.arange(prevs[-1] + 1)
     log_fact = gammaln(np.arange(1, prevs[-1] + nxts[-1] + 2))
-    rest = prevs[:, None] - j
+    # order 2 stacks the weights of Bin(.; prev - 1) and Bin(.; prev - 2) below
+    n = prevs if order == 0 else np.concatenate([prevs, prevs - 1, prevs - 2])
+    rest = n[:, None] - j
     kept = np.maximum(rest, 0)
     log_w = (
-        log_fact[prevs][:, None] - log_fact[j] - log_fact[kept]
+        log_fact[np.maximum(n, 0)][:, None] - log_fact[j] - log_fact[kept]
         + xlogy(j, a) + xlog1py(kept, -a)
     )
     weights = np.where(rest >= 0, np.exp(log_w), 0.0)
     k = nxts - sgn * j[:, None]
     k_c = np.maximum(k, 0)
     terms = np.exp(xlogy(k_c, rate) - rate - log_fact[k_c])
-    terms[:, nxts == 0] = pdtr(k_c[:, nxts == 0], rate)
+    zero = nxts == 0
+    terms[:, zero] = pdtr(k_c[:, zero], rate)
     terms = np.where(k >= 0, terms, 0.0)
-    return (weights @ terms)[row, col]
+    if order == 0:
+        return (weights @ terms)[row, col]
+    # pois(k - 2), pois(k - 1) and pois(k) from one table led by two zeros
+    ks = np.arange(k.max() + 1)
+    pois = np.concatenate([[0.0, 0.0], np.exp(xlogy(ks, rate) - rate - log_fact[ks])])
+    at = np.maximum(k + 2, 0)
+    p2, p1, p0 = pois[np.maximum(at - 2, 0)], pois[np.maximum(at - 1, 0)], pois[at]
+    terms_l = np.where(zero, -p0, p1 - p0)
+    terms_ll = np.where(zero, p0 - p1, p2 - 2.0 * p1 + p0)
+    # the differences in j, on the zero-led lower grids
+    weights, once, twice = np.split(np.hstack([np.zeros((n.size, 2)), weights]), 3)
+    weights_a = prevs[:, None] * (once[:, 1:-1] - once[:, 2:])
+    weights_aa = (prevs * (prevs - 1))[:, None] * (
+        twice[:, :-2] - 2.0 * twice[:, 1:-1] + twice[:, 2:]
+    )
+    grid = np.vstack([weights[:, 2:], weights_a, weights_aa]) @ np.hstack([terms, terms_l, terms_ll])
+    # grid[i, d, e]: the d-th |a| and e-th lambda derivative of pair i
+    grid = grid.reshape(3, prevs.size, 3, nxts.size)[:, row, :, col]
+    signs = np.array([[1.0, sgn], [sgn, 1.0]])
+    return (
+        grid[:, 0, 0],
+        grid[:, [0, 1], [1, 0]] * signs[0],
+        grid[:, [[0, 1], [1, 2]], [[2, 1], [1, 0]]] * signs,
+    )
 
 
 def tinars1_transition(x_next: int, x_prev: int, spec: TinarsSpec) -> float:
@@ -187,17 +224,33 @@ def _tinars_loglik_pairs(spec: TinarsSpec, pairs: np.ndarray, counts: np.ndarray
     return float(counts @ np.log(probs))
 
 
+def _tinars_score_hessian(spec: TinarsSpec, pairs: np.ndarray, counts: np.ndarray):
+    """Gradient ``sum c P_i / P`` and Hessian ``sum c (P_ij / P - P_i P_j / P^2)``
+    of :func:`_tinars_loglik_pairs` in ``(innovation_mean, alpha1)``, from
+    one :func:`_transition_arr` call of order 2.  Raises ``ArithmeticError``
+    where an observed transition has probability zero."""
+    probs, first, second = _transition_arr(pairs[:, 0], pairs[:, 1], spec, order=2)
+    if not np.all(probs > 0.0):
+        raise ArithmeticError("an observed transition has probability zero")
+    weights = counts / probs
+    ratios = first / probs[:, None]
+    hess = (weights @ second.reshape(-1, 4)).reshape(2, 2) - ratios.T @ (counts[:, None] * ratios)
+    return weights @ first, hess
+
+
 def fit_tinars1_mle(series: CountSeries) -> FitResult:
     """Conditional MLE of the Tobit INARS(1) model.
 
     Runs the stages of :func:`~tobitcount.estimation._fit` on ``log
     innovation_mean`` and ``atanh alpha1``, so both constraints are
-    automatic, from the lag-1 autocorrelation and the mean it implies.
-    Without analytic derivatives the coarse pass always resumes.
-    ``converged`` is true when the numerical Hessian certifies the returned
-    point as a maximum or the resumed simplex reports success; standard
-    errors come from the same Hessian.  ``spec`` holds the fitted
-    :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
+    automatic, from the lag-1 autocorrelation and the mean it implies.  The
+    Newton stages run on the analytic gradient and Hessian of
+    :func:`_tinars_score_hessian`.  ``converged`` is true when the
+    log-likelihood Hessian certifies the returned point as a maximum or the
+    resumed simplex reports success; that Hessian is the analytic one where
+    ``alpha1 != 0`` and a central-difference one at the kink ``alpha1 = 0``
+    of the sign convention.  Standard errors come from the same Hessian.
+    ``spec`` holds the fitted :class:`TinarsSpec`.  Raises ``ValueError`` when the search drives
     ``alpha1`` to ``-1`` or ``1`` in floating point: the likelihood then has
     no interior maximum.
     """
@@ -220,6 +273,8 @@ def fit_tinars1_mle(series: CountSeries) -> FitResult:
         "mle-tinars1",
         x[1:],
         spec=spec,
+        derivatives=lambda theta: _tinars_score_hessian(spec(theta), pairs, counts),
+        kink_free=lambda theta: bool(theta[1] != 0.0),
     )
 
 

@@ -840,6 +840,33 @@ class TestFitDriver:
         )
         assert len(stencils) == 1 and local is stencils[0]
 
+    def test_each_point_takes_its_derivatives_once(self, monkeypatch):
+        # the certificate after either Newton stage reuses the derivatives
+        # that stage took at its final point: the first fit ends in the
+        # first stage, the second after the coarse pass and its Newton stage.
+        # The series is mc_study(..., seed=2203055991)'s (paper-mc seed 401
+        # rep 0), where the first stage's last trial point is rejected, so
+        # its final point is not the last one it evaluated
+        stream = np.random.SeedSequence(2203055991).spawn(1)[0]
+        rng = np.random.Generator(np.random.PCG64(stream))
+        series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
+        points = []
+        score_hessian = estimation.analytic_score_hessian
+
+        def recorded(theta, *args):
+            points.append(np.asarray(theta).tobytes())
+            return score_hessian(theta, *args)
+
+        monkeypatch.setattr(estimation, "analytic_score_hessian", recorded)
+        newtons = self._count(monkeypatch, "_newton")
+        assert fit_mle(series, (1, 1), SC2).converged and len(newtons) == 1
+        assert "bad approximation" in newtons[0].message
+        first = points[:]
+        self._first_stage_rejected(monkeypatch)
+        assert fit_mle(series, (1, 1), SC2).converged and len(newtons) == 3
+        second = points[len(first):]
+        assert len(set(first)) == len(first) and len(set(second)) == len(second)
+
     def test_certified_first_pass_ends_the_search(self, monkeypatch):
         # with the first stage rejected, the coarse pass and its Newton
         # finish run and a certificate there ends the search

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, pdtr, xlog1py, xlogy
 
 from tobitcount import cli, estimation, extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
@@ -141,6 +142,33 @@ def _ref_transition(x_next, x_prev, spec):
     return total
 
 
+def _order_zero_reference(prev, nxt, spec):
+    # _transition_arr as it was before it gained a derivative order, which
+    # its order-0 path reproduces bit for bit
+    a, sgn, rate = abs(spec.alpha1), 1 if spec.alpha1 >= 0 else -1, spec.innovation_mean
+    prevs, row = np.unique(prev, return_inverse=True)
+    nxts, col = np.unique(nxt, return_inverse=True)
+    j = np.arange(prevs[-1] + 1)
+    log_fact = gammaln(np.arange(1, prevs[-1] + nxts[-1] + 2))
+    rest = prevs[:, None] - j
+    kept = np.maximum(rest, 0)
+    log_w = (
+        log_fact[prevs][:, None] - log_fact[j] - log_fact[kept]
+        + xlogy(j, a) + xlog1py(kept, -a)
+    )
+    weights = np.where(rest >= 0, np.exp(log_w), 0.0)
+    k = nxts - sgn * j[:, None]
+    k_c = np.maximum(k, 0)
+    terms = np.exp(xlogy(k_c, rate) - rate - log_fact[k_c])
+    terms[:, nxts == 0] = pdtr(k_c[:, nxts == 0], rate)
+    terms = np.where(k >= 0, terms, 0.0)
+    return (weights @ terms)[row, col]
+
+
+def _pair_grid(rows: int, cols: int):
+    return (g.ravel() for g in np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij"))
+
+
 def _ref_moments(spec, x_prev):
     means, variances = [], []
     for xp in x_prev:
@@ -162,7 +190,7 @@ class TestTransitionKernel:
     @pytest.mark.parametrize("rate", RATES)
     def test_matches_scalar_sums(self, alpha1, rate):
         spec = TinarsSpec(alpha1=alpha1, innovation_mean=rate)
-        prev, nxt = (g.ravel() for g in np.meshgrid(np.arange(61), np.arange(61), indexing="ij"))
+        prev, nxt = _pair_grid(61, 61)
         # a masked inf or nan leaking into the product would raise here
         with np.errstate(all="raise"):
             got = extensions._transition_arr(prev, nxt, spec)
@@ -173,9 +201,48 @@ class TestTransitionKernel:
 
     @pytest.mark.parametrize("alpha1", ALPHAS)
     @pytest.mark.parametrize("rate", RATES)
+    def test_order_zero_is_unchanged(self, alpha1, rate):
+        spec = TinarsSpec(alpha1=alpha1, innovation_mean=rate)
+        prev, nxt = _pair_grid(61, 61)
+        with np.errstate(all="raise"):
+            got = extensions._transition_arr(prev, nxt, spec)
+            probs = extensions._transition_arr(prev, nxt, spec, order=2)[0]
+        assert np.array_equal(got, _order_zero_reference(prev, nxt, spec))
+        np.testing.assert_allclose(probs, got, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("alpha1", [-0.9, -0.5, 0.4, 0.9])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_derivatives_match_central_differences(self, alpha1, rate):
+        prev, nxt = _pair_grid(61, 61)
+        h = 1e-4
+
+        def at(d_rate, d_alpha):
+            spec = TinarsSpec(alpha1=alpha1 + d_alpha, innovation_mean=rate + d_rate)
+            return extensions._transition_arr(prev, nxt, spec)
+
+        # a masked inf or nan leaking into the product would raise here
+        with np.errstate(all="raise"):
+            _, first, second = extensions._transition_arr(
+                prev, nxt, TinarsSpec(alpha1=alpha1, innovation_mean=rate), order=2
+            )
+            probs = at(0.0, 0.0)
+            numeric = [
+                ((at(h, 0.0) - at(-h, 0.0)) / (2.0 * h), first[:, 0]),
+                ((at(0.0, h) - at(0.0, -h)) / (2.0 * h), first[:, 1]),
+                ((at(h, 0.0) - 2.0 * probs + at(-h, 0.0)) / h**2, second[:, 0, 0]),
+                ((at(0.0, h) - 2.0 * probs + at(0.0, -h)) / h**2, second[:, 1, 1]),
+                ((at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h**2), second[:, 0, 1]),
+            ]
+        assert np.array_equal(second[:, 0, 1], second[:, 1, 0])
+        # the differences are good to about 5e-6 of each derivative's largest value
+        for want, got in numeric:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-5 * np.abs(got).max())
+
+    @pytest.mark.parametrize("alpha1", ALPHAS)
+    @pytest.mark.parametrize("rate", RATES)
     def test_rows_sum_to_one(self, alpha1, rate):
         spec = TinarsSpec(alpha1=alpha1, innovation_mean=rate)
-        prev, nxt = (g.ravel() for g in np.meshgrid(np.arange(61), np.arange(121), indexing="ij"))
+        prev, nxt = _pair_grid(61, 121)
         # far-tail probabilities below 1e-308 underflow to 0, which is right
         with np.errstate(all="raise", under="ignore"):
             rows = extensions._transition_arr(prev, nxt, spec).reshape(61, 121)
@@ -193,7 +260,12 @@ class TestTransitionKernel:
 
 
 def _counted_stencils(monkeypatch) -> list:
-    """The results of every ``numerical_hessian`` call the fits make."""
+    """The results of every ``numerical_hessian`` call the fits make.
+
+    Every likelihood fit has analytic derivatives, so the stencil runs only
+    at a kink: ``alpha1 = 0`` for TINARS(1), a conditional mean at or below
+    zero for a :class:`ModelSpec`.
+    """
     results = []
     stencil = estimation.numerical_hessian
 
@@ -265,9 +337,52 @@ class TestTinarsFit:
         pairs, counts = extensions._transition_pair_counts(series.counts)
         assert fit.loglik == extensions._tinars_loglik_pairs(fit.spec, pairs, counts)
 
+    def test_kink_free_fit_runs_no_stencil(self, monkeypatch):
+        # alpha1 is not 0 at the estimates, so the analytic Hessian certifies
+        # the point and gives the standard errors, which match a stencil's
+        # to 1e-5 relative
+        series = simulate_tinars1(
+            TinarsSpec(alpha1=-0.4, innovation_mean=5.0), 500, rng=np.random.default_rng(45)
+        )
+        hessians = _counted_stencils(monkeypatch)
+        fit = fit_tinars1_mle(series)
+        assert hessians == [] and fit.converged and fit.hessian_invertible
+        pairs, counts = extensions._transition_pair_counts(series.counts)
+        hess = extensions._tinars_score_hessian(fit.spec, pairs, counts)[1]
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
+        numeric = estimation._stencil(
+            lambda t: extensions._tinars_loglik_pairs(TinarsSpec(t[1], t[0]), pairs, counts),
+            fit.estimates, ("positive", "signed"),
+        )
+        np.testing.assert_allclose(
+            fit.std_errors, estimation._se_from_loglik_hessian(numeric[1]), rtol=1e-5, atol=0.0
+        )
+
+    def test_point_derivatives_at_zero_run_the_stencil(self, monkeypatch):
+        # alpha1 = 0 is the kink of the sign convention sgn(0) = 1, where the
+        # analytic derivatives are one-sided
+        series = simulate_tinars1(
+            TinarsSpec(alpha1=0.3, innovation_mean=2.0), 400, rng=np.random.default_rng(46)
+        )
+        calls = []
+        monkeypatch.setattr(extensions, "_fit", lambda *args, **kwargs: calls.append((args, kwargs)))
+        fit_tinars1_mle(series)
+        [((natural_loglik, _, kinds, *_), kwargs)] = calls
+        kink_free = kwargs["kink_free"]
+        assert kink_free(np.array([2.0, 1e-300])) and kink_free(np.array([2.0, -1e-300]))
+        hessians = _counted_stencils(monkeypatch)
+        for zero in (0.0, -0.0):
+            local = estimation._point_derivatives(
+                natural_loglik, np.array([2.0, zero]), kinds, kwargs["derivatives"], kink_free
+            )
+            assert local is hessians[-1]
+        assert len(hessians) == 2
+
     # (spec, n, seed, estimates, loglik, standard errors), recorded as
-    # literals from the full-tolerance first pass, which the coarse pass and
-    # its resume reproduce bit for bit
+    # literals from the simplex-and-stencil path the fit took without
+    # analytic derivatives.  The Newton path reaches the same maximum: its
+    # loglik is no lower beyond 1e-9 (1 + |loglik|), and its estimates and
+    # standard errors agree to 1e-6 and 1e-5 relative.
     @pytest.mark.parametrize(
         "spec, n, seed, estimates, ll, std_errors",
         [
@@ -283,16 +398,13 @@ class TestTinarsFit:
             ),
         ],
     )
-    def test_fit_is_pinned(self, spec, n, seed, estimates, ll, std_errors, monkeypatch):
+    def test_fit_is_pinned(self, spec, n, seed, estimates, ll, std_errors):
         series = simulate_tinars1(spec, n, rng=np.random.default_rng(seed))
-        hessians = _counted_stencils(monkeypatch)
         fit = fit_tinars1_mle(series)
         assert fit.converged
-        assert fit.estimates.tolist() == estimates
-        assert fit.loglik == ll
-        assert fit.std_errors.tolist() == std_errors
-        # without analytic derivatives the stencil gives the standard errors
-        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hessians[-1][1]))
+        assert fit.loglik >= ll - 1e-9 * (1.0 + abs(ll))
+        np.testing.assert_allclose(fit.estimates, estimates, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(fit.std_errors, std_errors, rtol=1e-5, atol=0.0)
 
     def test_pearson_residuals_dispatch(self):
         spec = TinarsSpec(alpha1=-0.4, innovation_mean=5.0)
