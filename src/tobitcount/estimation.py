@@ -39,9 +39,9 @@ evaluates about 3,900 trial points in about 650 rounds, each one batched
 objective call of about six points.  The CLADE and CLS objective
 (:func:`_censored_objective`), the CLS residuals and Jacobian
 (:func:`_censored_residuals`) and the kink rule of :func:`_fit_spec` each
-build their mean kernel once per fit; :func:`loglik` and the score build
-one per call.  The kernel solves a block of parameter rows in one banded
-solve.
+build their mean kernel once per fit; :func:`loglik` and the score share
+one set-up (:func:`_prologue`), which builds one per call.  The kernel
+solves a block of parameter rows in one banded solve.
 """
 
 from __future__ import annotations
@@ -218,6 +218,23 @@ def _spec_from_theta(theta, p, q, r, scenario, bound=None) -> ModelSpec:
     )
 
 
+def _prologue(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None):
+    """The set-up :func:`loglik` and :func:`_score_parts` share: ``(theta,
+    (p, q, r), start, delta, kappa, kernel)``, with ``theta`` as a float
+    array, ``start = max(p, q)`` the conditioning prefix and ``kernel`` the
+    series' :func:`_mean_kernel`.  Raises ``ValueError`` for ``delta <= 0``
+    or a series no longer than the prefix."""
+    p, q, r = _orders(orders, series)
+    theta = np.asarray(theta, dtype=float)
+    _, _, _, _, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
+    if not (delta > 0.0):
+        raise ValueError("log-likelihood requires delta > 0")
+    start = max(p, q)
+    if len(series) <= start:
+        raise ValueError("series shorter than the conditioning prefix")
+    return theta, (p, q, r), start, delta, kappa, _mean_kernel(series, p, q, r)
+
+
 def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> float:
     """Conditional log-likelihood, conditioning on the first ``max(p, q)`` counts.
 
@@ -228,14 +245,8 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bou
     ``kappa``, as in :func:`analytic_score_hessian`.  Returns ``-inf`` when
     a mean is not finite or any term underflows to zero probability.
     """
-    p, q, r = _orders(orders, series)
-    _, _, _, _, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
-    if not (delta > 0.0):
-        raise ValueError("log-likelihood requires delta > 0")
-    start = max(p, q)
-    if len(series) <= start:
-        raise ValueError("series shorter than the conditioning prefix")
-    m = _mean_kernel(series, p, q, r).means(theta[: 1 + p + q + r])[start:]
+    theta, (p, q, r), start, delta, kappa, kernel = _prologue(theta, series, orders, scenario, bound)
+    m = kernel.means(theta[: 1 + p + q + r])[start:]
     if not np.all(np.isfinite(m)):
         return -math.inf
     logs = skellam._log_obs_arr(series.counts[start:], m, delta, bound, kappa)
@@ -315,14 +326,8 @@ def _score_parts(theta, series: CountSeries, orders, scenario, bound=None):
     dkappa = ([x = 1] - Q) / L``, ``d2 ln L / dkappa2`` its negated square
     and ``d2 ln L / dkappa d theta = -[x = 1] Q g / L^2``.
     """
-    p, q, r = _orders(orders, series)
-    theta = np.asarray(theta, dtype=float)
-    _, _, _, _, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
-    if not (delta > 0.0):
-        raise ValueError("score requires delta > 0")
-    start = max(p, q)
+    theta, (p, q, r), start, delta, kappa, kernel = _prologue(theta, series, orders, scenario, bound)
     k_dyn = 1 + p + q + r
-    kernel = _mean_kernel(series, p, q, r)
     m, dm = kernel.gradient(theta[:k_dyn])
     d2m_beta = kernel.beta_rows(theta[:k_dyn], dm)
     k_nat = k_dyn + (1 if scenario.estimates_delta else 0)
@@ -539,19 +544,6 @@ def _search_derivatives(kinds: tuple[str, ...], theta, grad: np.ndarray, hess: n
     return grad * slope, hess * np.outer(slope, slope) + np.diag(grad * curvature)
 
 
-def _stencil(natural_loglik, theta: np.ndarray, kinds: tuple[str, ...]):
-    """:func:`numerical_hessian` of ``natural_loglik`` at ``theta`` on
-    :func:`_difference_steps`; ``None`` when the steps are withheld or a
-    stencil point raises."""
-    steps = _difference_steps(theta, kinds)
-    if steps is None:
-        return None
-    try:
-        return numerical_hessian(natural_loglik, theta, steps)
-    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
-        return None
-
-
 def _point_derivatives(natural_loglik, theta: np.ndarray, kinds, derivatives, kink_free):
     """The natural gradient and Hessian of ``natural_loglik`` at ``theta``
     that :func:`_certifies` judges and :func:`_se_from_loglik_hessian`
@@ -559,16 +551,20 @@ def _point_derivatives(natural_loglik, theta: np.ndarray, kinds, derivatives, ki
     standard errors.  Where ``kink_free`` holds at ``theta`` they are
     ``derivatives(theta)``, the analytic ones; at a kink (a conditional mean
     at or below zero, or TINARS(1)'s ``alpha1 = 0``) or where they raise
-    they are the :func:`_stencil`'s, as they are without ``derivatives``,
-    which only the unit tests of :func:`_fit` omit."""
-    if derivatives is not None and kink_free(theta):
-        if _difference_steps(theta, kinds) is None:
-            return None
+    they are the stencil's, :func:`numerical_hessian` on those steps, or
+    ``None`` where a stencil point raises."""
+    steps = _difference_steps(theta, kinds)
+    if steps is None:
+        return None
+    if kink_free(theta):
         try:
             return derivatives(theta)
         except (ArithmeticError, ValueError):
             pass  # the stencil's, as at a kink
-    return _stencil(natural_loglik, theta, kinds)
+    try:
+        return numerical_hessian(natural_loglik, theta, steps)
+    except (np.linalg.LinAlgError, ValueError, ArithmeticError):
+        return None
 
 
 def _certifies(grad: np.ndarray, hess: np.ndarray, ll: float) -> bool:
@@ -794,55 +790,51 @@ def _fit(
     names: tuple[str, ...],
     method: str,
     window: np.ndarray,
+    derivatives,
+    kink_free,
     spec=None,
-    derivatives=None,
     orders: Optional[tuple[int, int]] = None,
-    kink_free=None,
 ) -> FitResult:
     """Maximum-likelihood pipeline shared by every likelihood fitter.
 
-    ``natural_loglik``, ``spec`` and the optional ``derivatives``, which
-    returns the analytic gradient and Hessian of ``natural_loglik``, take
-    the natural parameters and ``theta0`` is the natural start.  Each of
-    ``kinds`` names a row of ``_KINDS``: ``free`` (identity), ``positive``
-    (``exp``, with ``|log theta| < _LOG_DELTA_LIMIT``), ``unit`` (logistic
-    onto (0, 1)) or ``signed`` (``tanh`` onto (-1, 1)).  The search
-    minimizes the negative log-likelihood over the search coordinates,
-    charged ``_PENALTY`` outside the search domain, where it is not finite,
-    where the special-function kernels refuse it with ``PrecisionError``,
-    or (given ``orders = (p, q)``) past stationarity; a start point the
-    kernels refuse raises their ``PrecisionError``.
+    ``natural_loglik``, ``spec``, ``derivatives``, which returns the
+    analytic gradient and Hessian of ``natural_loglik``, and ``kink_free``,
+    which says whether the likelihood is smooth at a point, take the natural
+    parameters and ``theta0`` is the natural start.  Each of ``kinds`` names
+    a row of ``_KINDS``: ``free`` (identity), ``positive`` (``exp``, with
+    ``|log theta| < _LOG_DELTA_LIMIT``), ``unit`` (logistic onto (0, 1)) or
+    ``signed`` (``tanh`` onto (-1, 1)).  The search minimizes the negative
+    log-likelihood over the search coordinates, charged ``_PENALTY`` outside
+    the search domain, where it is not finite, where the special-function
+    kernels refuse it with ``PrecisionError``, or (given ``orders = (p,
+    q)``) past stationarity; a start point the kernels refuse raises their
+    ``PrecisionError``.
 
-    Given ``derivatives`` (every likelihood fit: each :class:`ModelSpec`
-    one and TINARS(1); only this function's unit tests omit them), the first
-    stage is a trust-region Newton run (:func:`_newton`) from ``theta0`` on
-    the chain-ruled gradient ``g s`` and Hessian ``H s s' + diag(g s'')``,
-    ``s`` and ``s''`` being the kinds' ``slope`` and ``curvature``
-    (:func:`_search_derivatives`).  Its point is returned, with
-    ``converged`` true, only when ``kink_free`` holds there and the natural
-    gradient ``g`` and Hessian ``H`` of :func:`_point_derivatives` certify
-    it: a positive definite ``-H`` and a Newton decrement ``g' (-H)^-1 g``
-    of at most ``_CERTIFICATE (1 + |loglik|)``.  Those are ``derivatives``
-    at a kink-free point, and elsewhere, or without ``derivatives``, the
-    stencil (:func:`numerical_hessian` on :func:`_difference_steps`); both
-    are withheld where the steps are.  ``kink_free``, given with
-    ``derivatives``, takes the natural parameters and says whether the
-    likelihood is smooth there; for a :class:`ModelSpec` it is every
-    conditional mean of the window being positive, since ``lambda1,2 =
-    (|m| +- m + delta) / 2`` kinks at ``m = 0``, and for TINARS(1) it is
-    ``alpha1 != 0``, since the thinning's sign convention ``sgn(0) = 1``
-    kinks there.  On zero-heavy series, where the means cross zero, Newton
-    from the start can certify a lower local maximum among the kinks than
-    the coarse stages find, so such a point is left to them.
+    The first stage is a trust-region Newton run (:func:`_newton`) from
+    ``theta0`` on the chain-ruled gradient ``g s`` and Hessian ``H s s' +
+    diag(g s'')``, ``s`` and ``s''`` being the kinds' ``slope`` and
+    ``curvature`` (:func:`_search_derivatives`).  Its point is returned,
+    with ``converged`` true, only when ``kink_free`` holds there and the
+    natural gradient ``g`` and Hessian ``H`` of :func:`_point_derivatives`
+    certify it: a positive definite ``-H`` and a Newton decrement ``g'
+    (-H)^-1 g`` of at most ``_CERTIFICATE (1 + |loglik|)``.  Those are
+    ``derivatives`` at a kink-free point, and elsewhere or where they raise
+    the stencil (:func:`numerical_hessian` on :func:`_difference_steps`);
+    both are withheld where the steps are.  For a :class:`ModelSpec`
+    ``kink_free`` is every conditional mean of the window being positive,
+    since ``lambda1,2 = (|m| +- m + delta) / 2`` kinks at ``m = 0``, and
+    for TINARS(1) it is ``alpha1 != 0``, since the thinning's sign
+    convention ``sgn(0) = 1`` kinks there.  On zero-heavy series, where the
+    means cross zero, Newton from the start can certify a lower local
+    maximum among the kinks than the coarse stages find, so such a point is
+    left to them.
 
     Any other outcome (a point at a kink, derivatives withheld or not
-    certifying, or a first stage that raises), and a fit without
-    ``derivatives`` (a unit test's derivative-free objective), runs the
-    coarse stages from ``theta0`` as if the first stage had not run.  A
-    Nelder-Mead pass runs at the coarse tolerances ``_COARSE``.  Given
-    ``derivatives``, a second Newton stage finishes it and the better point
-    is kept.  Unless there are no ``derivatives``, that stage raises or it
-    gains more than ``_COARSE`` (the simplex had not reached its tail),
+    certifying, or a first stage that raises) runs the coarse stages from
+    ``theta0`` as if the first stage had not run.  A Nelder-Mead pass runs
+    at the coarse tolerances ``_COARSE``, a second Newton stage finishes it
+    and the better point is kept.  Unless that stage raises or it gains more
+    than ``_COARSE`` (the simplex had not reached its tail),
     :func:`_point_derivatives` are taken there and a certified point is
     returned with ``converged`` true.  Otherwise the one fallback runs: the
     coarse pass resumes from its final simplex to the full tolerances, the
@@ -863,8 +855,7 @@ def _fit(
     penalty value.
     """
     _require_positive_count(window)
-    if derivatives is not None:
-        derivatives = _point_memo(derivatives)
+    derivatives = _point_memo(derivatives)
     table = [_KINDS[kind] for kind in kinds]
     mapped = [(i, _KINDS[kind]) for i, kind in enumerate(kinds) if kind != "free"]
 
@@ -911,17 +902,16 @@ def _fit(
     natural_loglik(np.asarray(theta0, dtype=float))  # a start the kernels refuse raises
     x0 = np.array([kind.to_search(t) for kind, t in zip(table, theta0)])
     iterations, converged = 0, False
-    if derivatives is not None:
-        try:
-            first = _newton(objective, search_derivatives, x0)
-        except (ArithmeticError, ValueError):
-            pass  # the coarse stages run, as after a rejected point
-        else:
-            iterations = int(first.nit)
-            theta = np.array(natural(first.x))
-            if first.fun < _PENALTY / 2 and kink_free(theta):
-                local = _point_derivatives(natural_loglik, theta, kinds, derivatives, kink_free)
-                converged = local is not None and _certifies(*local, -first.fun)
+    try:
+        first = _newton(objective, search_derivatives, x0)
+    except (ArithmeticError, ValueError):
+        pass  # the coarse stages run, as after a rejected point
+    else:
+        iterations = int(first.nit)
+        theta = np.array(natural(first.x))
+        if first.fun < _PENALTY / 2 and kink_free(theta):
+            local = _point_derivatives(natural_loglik, theta, kinds, derivatives, kink_free)
+            converged = local is not None and _certifies(*local, -first.fun)
     if converged:
         best_x, best_f = first.x, first.fun
     else:
@@ -929,18 +919,17 @@ def _fit(
         best_x, best_f = res.x, res.fun
         iterations += int(res.nit)
         finished = False
-        if derivatives is not None:
-            try:
-                pol = _newton(objective, search_derivatives, res.x)
-            except (ArithmeticError, ValueError):
-                pass  # an unfinished point, which the resumed pass finishes
-            else:
-                iterations += int(pol.nit)
-                if pol.fun < best_f:
-                    best_x, best_f = pol.x, pol.fun
-                # a gain beyond the simplex's own tolerance means the simplex
-                # had not reached its tail
-                finished = res.fun - best_f <= _COARSE
+        try:
+            pol = _newton(objective, search_derivatives, res.x)
+        except (ArithmeticError, ValueError):
+            pass  # an unfinished point, which the resumed pass finishes
+        else:
+            iterations += int(pol.nit)
+            if pol.fun < best_f:
+                best_x, best_f = pol.x, pol.fun
+            # a gain beyond the simplex's own tolerance means the simplex
+            # had not reached its tail
+            finished = res.fun - best_f <= _COARSE
         local = None
         if finished and best_f < _PENALTY / 2:
             local = _point_derivatives(
@@ -1055,10 +1044,11 @@ def fit_mle(
     Hessian certifies the returned point as a maximum or the resumed
     simplex reports success.  That Hessian is the analytic one where every
     conditional mean of the window is positive, and a central-difference
-    one at a point where a mean is not.  Standard errors are the square
-    roots of the diagonal of its negated inverse; a singular (non
-    positive-definite) Hessian leaves ``std_errors`` at ``None`` (so
-    ``hessian_invertible`` is false) instead of failing.
+    one at a point where a mean is not or where the analytic derivatives
+    raise.  Standard errors are the square roots of the diagonal of its
+    negated inverse; a singular (non positive-definite) Hessian leaves
+    ``std_errors`` at ``None`` (so ``hessian_invertible`` is false) instead
+    of failing.
     """
     return _fit_spec(series, orders, _as_scenario(scenario))
 

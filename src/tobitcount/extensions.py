@@ -188,11 +188,12 @@ def tinars_conditional_moments(
     ``x_prev`` are summed over ``0..cap`` with
     ``cap = ceil(lambda + 12 sqrt(lambda + 1)) + 10``, whatever ``x_prev``;
     a row that leaves more than 1e-13 of its mass above ``cap`` raises
-    ``ArithmeticError``.
+    ``ArithmeticError``.  An empty ``x_prev`` gives empty arrays for either
+    sign.
     """
     x_prev = np.asarray(x_prev, dtype=np.int64)
     alpha, rate = spec.alpha1, spec.innovation_mean
-    if alpha >= 0.0:
+    if alpha >= 0.0 or x_prev.size == 0:
         return alpha * x_prev + rate, alpha * (1.0 - alpha) * x_prev + rate
     prevs, row = np.unique(x_prev, return_inverse=True)
     ys = np.arange(int(math.ceil(rate + 12.0 * math.sqrt(rate + 1.0))) + 11)

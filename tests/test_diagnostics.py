@@ -13,6 +13,7 @@ from tobitcount.diagnostics import (
     sample_acf,
     sample_acf_pacf,
 )
+from tobitcount.extensions import TinarsSpec
 from tobitcount.skellam import SkellamStar, censored_moments, pmf
 from tobitcount.stingarch import CountSeries, ModelSpec, conditional_mean_path, simulate
 
@@ -108,11 +109,19 @@ class TestPearsonResiduals:
         reduced_var = float(full.residuals[mask].var(ddof=1))
         assert reduced_var < full.variance
 
-    def test_degenerate_variance_rejected(self):
-        spec = ModelSpec(alpha0=-1.0, delta=0.0)
-        series = CountSeries(np.array([0, 0, 0]))
-        with pytest.raises(ValueError):
-            pearson_residuals(spec, series)
+    @pytest.mark.parametrize(
+        "spec, counts, message",
+        [
+            (ModelSpec(alpha0=-1.0, delta=0.0), [0, 0, 0], "zero conditional variance"),
+            # one count leaves no TINARS(1) residual, whatever the sign of alpha1
+            (TinarsSpec(alpha1=-0.5, innovation_mean=1.0), [1], "must exceed max_lag"),
+            (TinarsSpec(alpha1=0.5, innovation_mean=1.0), [1], "must exceed max_lag"),
+        ],
+        ids=["zero-variance", "tinars-negative", "tinars-positive"],
+    )
+    def test_degenerate_input_rejected(self, spec, counts, message):
+        with pytest.raises(ValueError, match=message):
+            pearson_residuals(spec, CountSeries(np.array(counts)))
 
     def test_residuals_start_after_conditioning_prefix(self):
         spec = ModelSpec(alpha0=2.0, alphas=(0.3,), betas=(0.2,), delta=0.25)

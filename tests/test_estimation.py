@@ -35,6 +35,15 @@ SC1 = EstimationScenario.fixed(0.25)
 SC2 = EstimationScenario.free()
 
 
+def _raising_derivatives(theta):
+    raise ArithmeticError("no analytic derivatives")
+
+
+# the fit driver's derivatives and kink rule for an objective without
+# derivatives: both Newton stages raise and the stencil gives the Hessian
+RAISING_DERIVATIVES = {"derivatives": _raising_derivatives, "kink_free": lambda theta: True}
+
+
 def _mean_path(theta_dyn, series, p, q, r):
     """``M_1..M_n`` of the dynamics block from a fresh mean kernel."""
     return _mean_kernel(series, p, q, r).means(theta_dyn)
@@ -149,6 +158,12 @@ class TestLoglik:
             loglik(np.array([1.0, 0.2, -0.1]), series, (1, 0), SC2)
         with pytest.raises(ValueError):
             EstimationScenario.fixed(0.0)
+
+    @pytest.mark.parametrize("function", [loglik, analytic_score_hessian, information_matrices])
+    def test_series_no_longer_than_the_prefix_is_refused(self, function):
+        # the likelihood, its score and the information matrices share the check
+        with pytest.raises(ValueError, match="series shorter than the conditioning prefix"):
+            function(np.array([1.0, 0.2]), CountSeries(np.array([3])), (1, 0), SC1)
 
     @pytest.mark.parametrize("orders", [(-1, 0), (1, -1), (0, 0, -1)])
     def test_negative_order_refused(self, orders):
@@ -720,12 +735,19 @@ class TestFitDriver:
             raise ArithmeticError("score failed")
 
         monkeypatch.setattr(estimation, "analytic_score_hessian", broken)
-        # the Newton stage raises, so the coarse pass resumes as it does
-        # without derivatives
+        # both Newton stages raise, so the coarse pass resumes and the one
+        # stencil gives the standard errors; the simplex-and-stencil fit is
+        # pinned with ==
         newtons = self._count(monkeypatch, "_newton")
+        passes = self._count(monkeypatch)
+        stencils = self._count(monkeypatch, "numerical_hessian")
         fit = fit_mle(series, (1, 0), SC1)
-        assert newtons == []
-        self._assert_same_fit(fit, self._simplex_only(monkeypatch, lambda: fit_mle(series, (1, 0), SC1)))
+        assert newtons == [] and len(passes) == 2 and len(stencils) == 1
+        assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(stencils[0][1]))
+        assert fit.estimates.tolist() == [7.489891295204917, -0.491846930465613]
+        assert fit.loglik == -680.0188969092359
+        assert fit.std_errors.tolist() == [0.2794347167575237, 0.04163382762078348]
+        assert (fit.iterations, fit.converged) == (54, True)
         assert fit.loglik == loglik(fit.estimates, series, (1, 0), SC1)
 
     @staticmethod
@@ -755,11 +777,15 @@ class TestFitDriver:
 
     @staticmethod
     def _simplex_only(monkeypatch, fit):
-        # the fit driver without derivatives: the coarse pass and its resume
+        # the fit driver with raising derivatives: the coarse pass and its resume
         driver = estimation._fit
         with monkeypatch.context() as patched:
             patched.setattr(
-                estimation, "_fit", lambda *args, derivatives=None, **kwargs: driver(*args, **kwargs)
+                estimation,
+                "_fit",
+                lambda *args, derivatives, kink_free, **kwargs: driver(
+                    *args, **RAISING_DERIVATIVES, **kwargs
+                ),
             )
             return fit()
 
@@ -778,10 +804,10 @@ class TestFitDriver:
 
     @staticmethod
     def _quadratic_fit():
-        # a derivative-free fit of a concave quadratic peaking at (1, 2)
+        # a fit of a concave quadratic peaking at (1, 2), with raising derivatives
         return estimation._fit(
             lambda t: -((t[0] - 1.0) ** 2) - (t[1] - 2.0) ** 2, np.array([0.0, 0.0]),
-            ("free", "free"), ("a", "b"), "quadratic", np.array([1]),
+            ("free", "free"), ("a", "b"), "quadratic", np.array([1]), **RAISING_DERIVATIVES,
         )
 
     @staticmethod
@@ -821,7 +847,10 @@ class TestFitDriver:
         assert stencils == [] and fit.converged and fit.hessian_invertible
         hess = analytic_score_hessian(fit.estimates, series, orders, scenario)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
-        stencil = estimation._stencil(lambda t: loglik(t, series, orders, scenario), fit.estimates, kinds)
+        stencil = numerical_hessian(
+            lambda t: loglik(t, series, orders, scenario), fit.estimates,
+            estimation._difference_steps(fit.estimates, kinds),
+        )
         np.testing.assert_allclose(
             fit.std_errors, estimation._se_from_loglik_hessian(stencil[1]), rtol=1e-5, atol=0.0
         )
@@ -922,7 +951,7 @@ class TestFitDriver:
         assert np.array_equal(fit.std_errors, rejected.std_errors)
         assert fit.iterations == rejected.iterations - newtons[0].nit
 
-    def test_uncertified_fit_without_derivatives_counts_both_passes(self, monkeypatch):
+    def test_uncertified_fit_with_raising_derivatives_counts_both_passes(self, monkeypatch):
         passes = self._count(monkeypatch)
         fit = self._uncertified(monkeypatch, self._quadratic_fit)
         assert len(passes) == 2
@@ -988,7 +1017,7 @@ class TestFitDriver:
         # the coarse stages' to the bit; the first stage adds its iterations
         series = simulate(self.ZIGZAG, 1000, rng=np.random.default_rng(7))
         newtons = self._count(monkeypatch, "_newton")
-        stencils = self._count(monkeypatch, "_stencil")
+        stencils = self._count(monkeypatch, "numerical_hessian")
         fit = fit_mle(series, (1, 1), 1.0)
         assert np.min(_mean_path(newtons[0].x, series, 1, 1, 0)[1:]) <= 0.0
         assert len(stencils) == 1  # the coarse stages' only
@@ -1121,7 +1150,7 @@ class TestFitDriver:
         calls = []
         fit = estimation._fit(
             self._refused_past(1.05, calls), np.array([0.0]), ("free",), ("theta",),
-            "quadratic", np.array([1]),
+            "quadratic", np.array([1]), **RAISING_DERIVATIVES,
         )
         assert any(t > 1.05 for t in calls)
         assert fit.estimates[0] == pytest.approx(1.0, abs=1e-4)
@@ -1132,7 +1161,7 @@ class TestFitDriver:
         with pytest.raises(PrecisionError, match="refused trial point"):
             estimation._fit(
                 self._refused_past(1.05, []), np.array([2.0]), ("free",), ("theta",),
-                "quadratic", np.array([1]),
+                "quadratic", np.array([1]), **RAISING_DERIVATIVES,
             )
 
     def test_all_zero_window_cli_exit_code(self, tmp_path):
@@ -1234,6 +1263,7 @@ class TestFitDriver:
                 ("a", "theta"),
                 "gaussian",
                 np.array([1]),
+                **RAISING_DERIVATIVES,
             )
 
         interior = fit(inner, 0.01)
@@ -1255,6 +1285,7 @@ class TestFitDriver:
                 ("rho",),
                 "linear",
                 np.array([1]),
+                **RAISING_DERIVATIVES,
             )
 
     @pytest.mark.parametrize("scenario", [SC1, SC2], ids=["scenario1", "scenario2"])

@@ -350,9 +350,9 @@ class TestTinarsFit:
         pairs, counts = extensions._transition_pair_counts(series.counts)
         hess = extensions._tinars_score_hessian(fit.spec, pairs, counts)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
-        numeric = estimation._stencil(
+        numeric = estimation.numerical_hessian(
             lambda t: extensions._tinars_loglik_pairs(TinarsSpec(t[1], t[0]), pairs, counts),
-            fit.estimates, ("positive", "signed"),
+            fit.estimates, estimation._difference_steps(fit.estimates, ("positive", "signed")),
         )
         np.testing.assert_allclose(
             fit.std_errors, estimation._se_from_loglik_hessian(numeric[1]), rtol=1e-5, atol=0.0
@@ -634,8 +634,9 @@ class TestBoundedFit:
         scenario = EstimationScenario.fixed(0.01)
         hess = estimation.analytic_score_hessian(fit.estimates, series, (1, 1), scenario, 5)[1]
         assert np.array_equal(fit.std_errors, estimation._se_from_loglik_hessian(hess))
-        numeric = estimation._stencil(
-            lambda t: loglik(t, series, (1, 1), scenario, 5), fit.estimates, ("free",) * 3 + ("unit",)
+        numeric = estimation.numerical_hessian(
+            lambda t: loglik(t, series, (1, 1), scenario, 5), fit.estimates,
+            estimation._difference_steps(fit.estimates, ("free",) * 3 + ("unit",)),
         )
         np.testing.assert_allclose(
             fit.std_errors, estimation._se_from_loglik_hessian(numeric[1]), rtol=1e-5, atol=0.0
