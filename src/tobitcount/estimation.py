@@ -38,10 +38,10 @@ On an n = 250 series of the paper's simulation study a CLADE fit
 evaluates about 3,900 trial points in about 650 rounds, each one batched
 objective call of about six points.  The CLADE and CLS objective
 (:func:`_censored_objective`), the CLS residuals and Jacobian
-(:func:`_censored_residuals`) and the kink rule of :func:`_fit_spec` each
-build their mean kernel once per fit; :func:`loglik` and the score share
-one set-up (:func:`_prologue`), which builds one per call.  The kernel
-solves a block of parameter rows in one banded solve.
+(:func:`_censored_residuals`) and the likelihood, score, kink rule and
+fitted spec of a :class:`ModelSpec` fit (:func:`_likelihood`) each build
+their mean kernel once per fit, and :func:`loglik` and the score once per
+call.  The kernel solves a block of parameter rows in one banded solve.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .stingarch import (
     CountSeries,
     ModelSpec,
     _mean_kernel,
+    _positive_bound,
     _stationarity_sum,
     simulate,
 )
@@ -192,47 +193,123 @@ def _orders(orders, series: CountSeries) -> tuple[int, int, int]:
     return int(p), int(q), int(r)
 
 
-def _unpack(theta, p: int, q: int, r: int, scenario: EstimationScenario, bound=None):
-    """``(alpha0, alphas, betas, gammas, delta, kappa)`` of a parameter vector
-    laid out as the dynamics block, then ``delta`` under scenario 2, then
-    ``kappa`` given a ``bound``; ``kappa`` is 0 without one."""
-    theta = np.asarray(theta, dtype=float)
-    k_dyn = 1 + p + q + r
-    want = k_dyn + (1 if scenario.estimates_delta else 0) + (0 if bound is None else 1)
-    if theta.shape[0] != want:
-        raise ValueError(f"theta has {theta.shape[0]} entries, expected {want}")
-    alpha0 = float(theta[0])
-    alphas = tuple(theta[1 : 1 + p])
-    betas = tuple(theta[1 + p : 1 + p + q])
-    gammas = tuple(theta[1 + p + q : k_dyn])
-    delta = float(theta[k_dyn]) if scenario.estimates_delta else float(scenario.fixed_delta)
-    kappa = 0.0 if bound is None else float(theta[-1])
-    return alpha0, alphas, betas, gammas, delta, kappa
+_Likelihood = namedtuple("_Likelihood", "value score_parts kink_free spec")
 
 
-def _spec_from_theta(theta, p, q, r, scenario, bound=None) -> ModelSpec:
-    alpha0, alphas, betas, gammas, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
-    return ModelSpec(
-        alpha0=alpha0, alphas=alphas, betas=betas, delta=delta, gammas=gammas,
-        bound=bound, kappa=kappa,
-    )
-
-
-def _prologue(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None):
-    """The set-up :func:`loglik` and :func:`_score_parts` share: ``(theta,
-    (p, q, r), start, delta, kappa, kernel)``, with ``theta`` as a float
-    array, ``start = max(p, q)`` the conditioning prefix and ``kernel`` the
-    series' :func:`_mean_kernel`.  Raises ``ValueError`` for ``delta <= 0``
-    or a series no longer than the prefix."""
+def _likelihood(series: CountSeries, orders, scenario, bound=None) -> _Likelihood:
+    """The conditional log-likelihood of a :class:`ModelSpec` on ``series``,
+    set up once: the orders, the window after the prefix ``max(p, q)``, one
+    :func:`_mean_kernel` and the layout of ``theta``, the dynamics block,
+    then ``delta`` under scenario 2, then ``kappa`` given a ``bound``.
+    Raises ``ValueError`` for a ``bound`` that is not a positive integer, a
+    count above it, or a series no longer than the prefix.  Its closures
+    ``value`` (:func:`loglik`), ``score_parts``, ``kink_free`` (every mean of
+    the window positive) and ``spec`` (the fitted model) refuse a ``theta``
+    of another length, ``delta <= 0`` or ``kappa`` outside [0, 1].
+    """
     p, q, r = _orders(orders, series)
-    theta = np.asarray(theta, dtype=float)
-    _, _, _, _, delta, kappa = _unpack(theta, p, q, r, scenario, bound)
-    if not (delta > 0.0):
-        raise ValueError("log-likelihood requires delta > 0")
+    if bound is not None and np.any(series.counts > _positive_bound(bound)):
+        raise ValueError("series exceeds the declared bound")
     start = max(p, q)
     if len(series) <= start:
         raise ValueError("series shorter than the conditioning prefix")
-    return theta, (p, q, r), start, delta, kappa, _mean_kernel(series, p, q, r)
+    k_dyn = 1 + p + q + r
+    k_all = k_dyn + (1 if scenario.estimates_delta else 0) + (0 if bound is None else 1)
+    x = series.counts[start:]
+    kernel = _mean_kernel(series, p, q, r)
+
+    def unpack(theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape[0] != k_all:
+            raise ValueError(f"theta has {theta.shape[0]} entries, expected {k_all}")
+        delta = float(theta[k_dyn]) if scenario.estimates_delta else float(scenario.fixed_delta)
+        kappa = 0.0 if bound is None else float(theta[-1])
+        if not (delta > 0.0 and 0.0 <= kappa <= 1.0):
+            raise ValueError("log-likelihood requires delta > 0 and 0 <= kappa <= 1")
+        return theta, delta, kappa
+
+    def value(theta) -> float:
+        theta, delta, kappa = unpack(theta)
+        m = kernel.means(theta[:k_dyn])[start:]
+        if not np.all(np.isfinite(m)):
+            return -math.inf
+        logs = skellam._log_obs_arr(x, m, delta, bound, kappa)
+        if not np.all(np.isfinite(logs)):
+            return -math.inf
+        return float(logs.sum())
+
+    def score_parts(theta):
+        """Per-observation gradients and the summed Hessian of ``value``.
+
+        Returns ``(grads, hess)``.  Row ``t`` of the ``(n_eff, k)`` array
+        ``grads`` is term ``t``'s gradient in the natural parameters:
+        ``dM_t g_m,t``, then ``g_d,t`` under scenario 2, then ``g_kappa,t``
+        given a bound.  ``hess`` is the ``(k, k)`` Hessian of the summed
+        terms.  A bounded term is ``L = (1 - kappa) Q + kappa [x = 1]`` of
+        the clipped law's ``Q`` (:func:`_per_term_derivs`).  With ``w = (1 -
+        kappa) Q / L`` the chain rule gives ``d ln L = w d ln Q`` and ``d2 ln
+        L = w h + w (1 - w) g g'`` from ``ln Q``'s gradient ``g`` and Hessian
+        ``h``, ``d ln L / dkappa = ([x = 1] - Q) / L``, ``d2 ln L / dkappa2``
+        its negated square and ``d2 ln L / dkappa d theta = -[x = 1] Q g /
+        L^2``.
+        """
+        theta, delta, kappa = unpack(theta)
+        m, dm = kernel.gradient(theta[:k_dyn])
+        d2m_beta = kernel.beta_rows(theta[:k_dyn], dm)
+        g_m, g_d, h_mm, h_dd, h_md, log_q = _per_term_derivs(x, m[start:], delta, bound)
+        if bound is not None:
+            one = x == 1
+            q_one = np.exp(log_q[one])
+            like = (1.0 - kappa) * q_one + kappa
+            # w = 1 and d ln L / dkappa = -1 / (1 - kappa) off the inflated cell
+            w = np.ones(x.shape)
+            w[one] = (1.0 - kappa) * q_one / like
+            g_kappa = np.full(x.shape, -1.0 / (1.0 - kappa))
+            g_kappa[one] = (1.0 - q_one) / like
+            c_kappa = np.zeros(x.shape)
+            c_kappa[one] = -q_one / (like * like)
+            v = w * (1.0 - w)
+            h_mm = w * h_mm + v * g_m * g_m
+            h_dd = w * h_dd + v * g_d * g_d
+            h_md = w * h_md + v * g_m * g_d
+            c_m, c_d = c_kappa * g_m, c_kappa * g_d
+            g_m, g_d = w * g_m, w * g_d
+        dm_w = dm[start:]
+        grads = np.empty((dm_w.shape[0], k_all))
+        grads[:, :k_dyn] = dm_w * g_m[:, None]
+        # sum_t g_m d2M_t is nonzero only in the beta rows and columns
+        curvature = np.zeros((k_dyn, k_dyn))
+        beta_rows = np.tensordot(g_m, d2m_beta[start:], axes=1)
+        curvature[:, 1 + p : 1 + p + q] = beta_rows.T
+        curvature[1 + p : 1 + p + q] = beta_rows
+        hess = np.zeros((k_all, k_all))
+        hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None]) + curvature
+        if scenario.estimates_delta:
+            grads[:, k_dyn] = g_d
+            cross = dm_w.T @ h_md
+            hess[:k_dyn, k_dyn] = hess[k_dyn, :k_dyn] = cross
+            hess[k_dyn, k_dyn] = h_dd.sum()
+        if bound is not None:
+            grads[:, -1] = g_kappa
+            cross = dm_w.T @ c_m
+            if scenario.estimates_delta:
+                cross = np.append(cross, c_d.sum())
+            hess[:-1, -1] = hess[-1, :-1] = cross
+            hess[-1, -1] = -(g_kappa @ g_kappa)
+        return grads, hess
+
+    def kink_free(theta) -> bool:
+        return bool(np.all(kernel.means(theta[:k_dyn])[start:] > 0.0))
+
+    def spec(theta) -> ModelSpec:
+        theta, delta, kappa = unpack(theta)
+        alphas, betas, gammas = np.split(theta[1:k_dyn], [p, p + q])
+        return ModelSpec(
+            alpha0=float(theta[0]), alphas=tuple(alphas), betas=tuple(betas), delta=delta,
+            gammas=tuple(gammas), bound=bound, kappa=kappa,
+        )
+
+    return _Likelihood(value, score_parts, kink_free, spec)
 
 
 def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> float:
@@ -243,16 +320,10 @@ def loglik(theta, series: CountSeries, orders, scenario: EstimationScenario, bou
     of the entire nonpositive latent mass for a zero.  Given a ``bound`` N
     it is the bounded one-inflated model's law and ``theta`` ends with
     ``kappa``, as in :func:`analytic_score_hessian`.  Returns ``-inf`` when
-    a mean is not finite or any term underflows to zero probability.
+    a mean is not finite or any term underflows to zero probability.  Its
+    :func:`_likelihood` is built for this one call.
     """
-    theta, (p, q, r), start, delta, kappa, kernel = _prologue(theta, series, orders, scenario, bound)
-    m = kernel.means(theta[: 1 + p + q + r])[start:]
-    if not np.all(np.isfinite(m)):
-        return -math.inf
-    logs = skellam._log_obs_arr(series.counts[start:], m, delta, bound, kappa)
-    if not np.all(np.isfinite(logs)):
-        return -math.inf
-    return float(logs.sum())
+    return _likelihood(series, orders, scenario, bound).value(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -310,74 +381,6 @@ def _per_term_derivs(x: np.ndarray, m: np.ndarray, delta: float, bound=None):
     return g_m, g_d, h_mm, h_dd, h_md, log_q
 
 
-def _score_parts(theta, series: CountSeries, orders, scenario, bound=None):
-    """Per-observation gradients and the summed Hessian of the conditional
-    log-likelihood: :func:`loglik`, or given a ``bound`` N the bounded
-    one-inflated model's, whose ``theta`` ends with the weight ``kappa``.
-
-    Returns ``(grads, hess)``.  Row ``t`` of the ``(n_eff, k)`` array
-    ``grads`` is term ``t``'s gradient in the natural parameters:
-    ``dM_t g_m,t``, then ``g_d,t`` under scenario 2, then ``g_kappa,t``
-    given a bound.  ``hess`` is the ``(k, k)`` Hessian of the summed terms.
-    A bounded term is ``L = (1 - kappa) Q + kappa [x = 1]`` of the clipped
-    law's ``Q`` (:func:`_per_term_derivs`).  With ``w = (1 - kappa) Q / L``
-    the chain rule gives ``d ln L = w d ln Q`` and ``d2 ln L = w h + w (1 -
-    w) g g'`` from ``ln Q``'s gradient ``g`` and Hessian ``h``, ``d ln L /
-    dkappa = ([x = 1] - Q) / L``, ``d2 ln L / dkappa2`` its negated square
-    and ``d2 ln L / dkappa d theta = -[x = 1] Q g / L^2``.
-    """
-    theta, (p, q, r), start, delta, kappa, kernel = _prologue(theta, series, orders, scenario, bound)
-    k_dyn = 1 + p + q + r
-    m, dm = kernel.gradient(theta[:k_dyn])
-    d2m_beta = kernel.beta_rows(theta[:k_dyn], dm)
-    k_nat = k_dyn + (1 if scenario.estimates_delta else 0)
-    k_all = k_nat + (0 if bound is None else 1)
-    x = series.counts[start:]
-    g_m, g_d, h_mm, h_dd, h_md, log_q = _per_term_derivs(x, m[start:], delta, bound)
-    if bound is not None:
-        one = x == 1
-        q_one = np.exp(log_q[one])
-        like = (1.0 - kappa) * q_one + kappa
-        # w = 1 and d ln L / dkappa = -1 / (1 - kappa) off the inflated cell
-        w = np.ones(x.shape)
-        w[one] = (1.0 - kappa) * q_one / like
-        g_kappa = np.full(x.shape, -1.0 / (1.0 - kappa))
-        g_kappa[one] = (1.0 - q_one) / like
-        c_kappa = np.zeros(x.shape)
-        c_kappa[one] = -q_one / (like * like)
-        v = w * (1.0 - w)
-        h_mm = w * h_mm + v * g_m * g_m
-        h_dd = w * h_dd + v * g_d * g_d
-        h_md = w * h_md + v * g_m * g_d
-        c_m, c_d = c_kappa * g_m, c_kappa * g_d
-        g_m, g_d = w * g_m, w * g_d
-    dm_w = dm[start:]
-    grads = np.empty((dm_w.shape[0], k_all))
-    grads[:, :k_dyn] = dm_w * g_m[:, None]
-    # sum_t g_m d2M_t is nonzero only in the beta rows and columns
-    curvature = np.zeros((k_dyn, k_dyn))
-    beta_rows = np.tensordot(g_m, d2m_beta[start:], axes=1)
-    curvature[:, 1 + p : 1 + p + q] = beta_rows.T
-    curvature[1 + p : 1 + p + q] = beta_rows
-    hess = np.zeros((k_all, k_all))
-    hess[:k_dyn, :k_dyn] = dm_w.T @ (dm_w * h_mm[:, None]) + curvature
-    if scenario.estimates_delta:
-        grads[:, k_dyn] = g_d
-        cross = dm_w.T @ h_md
-        hess[:k_dyn, k_dyn] = cross
-        hess[k_dyn, :k_dyn] = cross
-        hess[k_dyn, k_dyn] = h_dd.sum()
-    if bound is not None:
-        grads[:, -1] = g_kappa
-        cross = dm_w.T @ c_m
-        if scenario.estimates_delta:
-            cross = np.append(cross, c_d.sum())
-        hess[:k_nat, -1] = cross
-        hess[-1, :k_nat] = cross
-        hess[-1, -1] = -(g_kappa @ g_kappa)
-    return grads, hess
-
-
 def analytic_score_hessian(theta, series: CountSeries, orders, scenario, bound=None):
     """Closed-form score vector and Hessian matrix of :func:`loglik`, or
     given a ``bound`` of the bounded one-inflated model's log-likelihood,
@@ -386,9 +389,10 @@ def analytic_score_hessian(theta, series: CountSeries, orders, scenario, bound=N
     Both are derivatives of the conditional log-likelihood with respect to
     the natural parameters (dynamics block, then delta under scenario 2,
     then kappa given a bound); the Hessian is returned as ``d^2 L / dtheta
-    dtheta'`` (negative definite near the optimum).
+    dtheta'`` (negative definite near the optimum).  They sum the
+    ``score_parts`` of :func:`_likelihood`, built for this one call.
     """
-    grads, hess = _score_parts(theta, series, orders, scenario, bound)
+    grads, hess = _likelihood(series, orders, scenario, bound).score_parts(theta)
     return grads.sum(axis=0), hess
 
 
@@ -402,11 +406,11 @@ def information_matrices(theta, series: CountSeries, orders, scenario, bound=Non
     the bounded one-inflated model as in :func:`analytic_score_hessian`.
     Exposed for inspection; reported standard errors use the plain inverse
     ``-H^-1`` instead, of the analytic Hessian where the fit's means are all
-    positive (see :func:`_point_derivatives`).
+    positive (see :func:`_point_derivatives`).  Both come from the
+    ``score_parts`` of :func:`_likelihood`, built for this one call.
     """
-    grads, hess = _score_parts(theta, series, orders, scenario, bound)
-    count = grads.shape[0]
-    return -hess / count, grads.T @ grads / count
+    grads, hess = _likelihood(series, orders, scenario, bound).score_parts(theta)
+    return -hess / grads.shape[0], grads.T @ grads / grads.shape[0]
 
 
 def _se_from_loglik_hessian(hess: np.ndarray):
@@ -986,43 +990,40 @@ def _as_scenario(scenario: EstimationScenario | float | None) -> EstimationScena
 
 def _fit_spec(series: CountSeries, orders, scenario: EstimationScenario, bound=None) -> FitResult:
     """The :func:`_fit` of a :class:`ModelSpec` likelihood, laid out as
-    :func:`_unpack` reads it.
+    :func:`_likelihood` reads it.
 
     The dynamics block is searched as is and starts at :func:`_moment_start`;
     under scenario 2 ``delta`` follows, searched on the log scale from 0.25;
     given a ``bound`` ``kappa`` comes last, searched on the logit scale from
-    0.1.  The likelihood is :func:`loglik` and the derivatives are
-    :func:`analytic_score_hessian`, both with the ``bound``, trial points
-    past stationarity are penalized, and a point is kink-free when every
-    mean after the conditioning prefix is positive, by one
-    :func:`_mean_kernel` built here.  The method is ``mle-s1``, ``mle-s2`` or, given a bound,
-    ``mle-stbingarch``.
+    0.1.  One :func:`_likelihood` with the ``bound``, and so one
+    :func:`_mean_kernel`, serves the fit: its ``value``, summed
+    ``score_parts``, ``kink_free`` rule and ``spec``.  Trial points past
+    stationarity are penalized.  The method is ``mle-s1``, ``mle-s2`` or,
+    given a bound, ``mle-stbingarch``.
     """
     p, q, r = _orders(orders, series)
-    means = _mean_kernel(series, p, q, r).means
-    kinds = ("free",) * (1 + p + q + r)
-    theta0 = _moment_start(series, p, q, r)
-    names = _param_names(p, q, r, scenario.estimates_delta)
-    method = "mle-s2" if scenario.estimates_delta else "mle-s1"
-    if scenario.estimates_delta:
-        kinds += ("positive",)
-        theta0 = np.append(theta0, 0.25)
-    if bound is not None:
-        kinds += ("unit",)
-        theta0 = np.append(theta0, 0.1)
-        names += ("kappa",)
-        method = "mle-stbingarch"
+    likelihood = _likelihood(series, (p, q, r), scenario, bound)
+    with_delta, with_kappa = scenario.estimates_delta, bound is not None
+    kinds = ("free",) * (1 + p + q + r) + ("positive",) * with_delta + ("unit",) * with_kappa
+    theta0 = np.r_[_moment_start(series, p, q, r), [0.25] * with_delta, [0.1] * with_kappa]
+    names = _param_names(p, q, r, with_delta) + ("kappa",) * with_kappa
+    method = "mle-stbingarch" if with_kappa else "mle-s2" if with_delta else "mle-s1"
+
+    def derivatives(theta):
+        grads, hess = likelihood.score_parts(theta)
+        return grads.sum(axis=0), hess
+
     return _fit(
-        lambda theta: loglik(theta, series, (p, q, r), scenario, bound),
+        likelihood.value,
         theta0,
         kinds,
         names,
         method,
         series.counts[max(p, q):],
-        spec=lambda theta: _spec_from_theta(theta, p, q, r, scenario, bound),
-        derivatives=lambda theta: analytic_score_hessian(theta, series, (p, q, r), scenario, bound),
+        spec=likelihood.spec,
+        derivatives=derivatives,
         orders=(p, q),
-        kink_free=lambda theta: bool(np.all(means(theta[: 1 + p + q + r])[max(p, q):] > 0.0)),
+        kink_free=likelihood.kink_free,
     )
 
 

@@ -8,7 +8,7 @@
   That law is a :class:`ModelSpec` with ``bound`` and ``kappa`` like any
   other, so :func:`~tobitcount.stingarch.conditional_pmf`, ``simulate``,
   :func:`~tobitcount.estimation.loglik` and the fit driver serve it; this
-  module keeps its moments and its fit's checks.
+  module keeps its moments and its fit's entry point.
 
 Covariates need no code here: :class:`CountSeries` carries them into every estimator.
 """
@@ -25,7 +25,7 @@ from scipy.special import gammaln, pdtr, xlog1py, xlogy
 from . import skellam
 from .diagnostics import sample_acf
 from .estimation import EstimationScenario, FitResult, _fit, _fit_spec
-from .stingarch import CountSeries, ModelSpec, _positive_bound
+from .stingarch import CountSeries, ModelSpec
 
 __all__ = [
     "TinarsSpec",
@@ -315,10 +315,6 @@ def fit_stbingarch_mle(
     elsewhere.  Standard errors come from the same Hessian and are withheld
     for ``kappa`` within 1e-5 of 0 or 1.  ``delta`` is the
     fixed dispersion and must be positive and finite; ``bound`` must be an
-    integer >= 1 and no count may exceed it.
+    integer >= 1 and no count may exceed it; the likelihood refuses both.
     """
-    scenario = EstimationScenario.fixed(delta)
-    bound = _positive_bound(bound)
-    if np.any(series.counts > bound):
-        raise ValueError("series exceeds the declared bound")
-    return _fit_spec(series, orders, scenario, bound)
+    return _fit_spec(series, orders, EstimationScenario.fixed(delta), bound)

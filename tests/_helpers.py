@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammainc
 
-from tobitcount import skellam
+from tobitcount import estimation, skellam
 from tobitcount.skellam import SkellamParams
 from tobitcount.specialfn import _log_bessel_i_arr
 
@@ -73,3 +73,18 @@ def reg_incomplete_gamma_lower(s: float, x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"gamma argument must be finite and >= 0, got {x!r}")
     return float(gammainc(s, x))
+
+
+def hook_likelihood(monkeypatch, **wrappers) -> None:
+    """Patch ``estimation._likelihood`` so that every likelihood it builds, a
+    fit's included, has each named closure replaced by
+    ``wrappers[name](closure)``."""
+    build = estimation._likelihood
+
+    def hooked(*args, **kwargs):
+        likelihood = build(*args, **kwargs)
+        return likelihood._replace(
+            **{name: wrap(getattr(likelihood, name)) for name, wrap in wrappers.items()}
+        )
+
+    monkeypatch.setattr(estimation, "_likelihood", hooked)

@@ -20,6 +20,7 @@ from tobitcount.estimation import (
     mc_study,
     numerical_hessian,
 )
+from tobitcount.extensions import fit_stbingarch_mle
 from tobitcount.skellam import SkellamStar
 from tobitcount.specialfn import PrecisionError
 from tobitcount.stingarch import (
@@ -30,6 +31,8 @@ from tobitcount.stingarch import (
     conditional_pmf,
     simulate,
 )
+
+from _helpers import hook_likelihood
 
 SC1 = EstimationScenario.fixed(0.25)
 SC2 = EstimationScenario.free()
@@ -88,6 +91,12 @@ def series_10():
 def series_11():
     spec = ModelSpec(alpha0=8.5, alphas=(-0.45,), betas=(-0.25,), delta=0.25)
     return simulate(spec, 600, rng=np.random.default_rng(32))
+
+
+@pytest.fixture(scope="module")
+def bounded_11():
+    spec = ModelSpec(alpha0=1.0, alphas=(0.3,), betas=(0.3,), delta=0.01, bound=5, kappa=0.1)
+    return simulate(spec, 300, rng=np.random.default_rng(33))
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +173,24 @@ class TestLoglik:
         # the likelihood, its score and the information matrices share the check
         with pytest.raises(ValueError, match="series shorter than the conditioning prefix"):
             function(np.array([1.0, 0.2]), CountSeries(np.array([3])), (1, 0), SC1)
+
+    @pytest.mark.parametrize("function", [loglik, analytic_score_hessian, information_matrices])
+    @pytest.mark.parametrize(
+        "bound, kappa, message",
+        [
+            (5, 0.1, "series exceeds the declared bound"),
+            (0, 0.1, "bound must be a positive integer"),
+            (10, -0.2, "0 <= kappa <= 1"),
+        ],
+    )
+    def test_bounded_inputs_outside_the_model_are_refused(self, function, bound, kappa, message):
+        # the bounded law's formulas give finite numbers for each of these,
+        # none of them a likelihood: a count of 7 above the bound 5, a bound
+        # of 0 and a negative weight kappa
+        series = CountSeries(np.array([1, 0, 2, 7, 3, 1, 0, 2]))
+        theta = np.array([1.0, 0.3, kappa])
+        with pytest.raises(ValueError, match=message):
+            function(theta, series, (1, 0), EstimationScenario.fixed(0.5), bound)
 
     @pytest.mark.parametrize("orders", [(-1, 0), (1, -1), (0, 0, -1)])
     def test_negative_order_refused(self, orders):
@@ -734,7 +761,7 @@ class TestFitDriver:
         def broken(*args, **kwargs):
             raise ArithmeticError("score failed")
 
-        monkeypatch.setattr(estimation, "analytic_score_hessian", broken)
+        hook_likelihood(monkeypatch, score_parts=lambda score_parts: broken)
         # both Newton stages raise, so the coarse pass resumes and the one
         # stencil gives the standard errors; the simplex-and-stencil fit is
         # pinned with ==
@@ -880,13 +907,15 @@ class TestFitDriver:
         rng = np.random.Generator(np.random.PCG64(stream))
         series = simulate(self.PAPER_DGP, 250, burn_in=500, rng=rng, warn_nonstationary=False)
         points = []
-        score_hessian = estimation.analytic_score_hessian
 
-        def recorded(theta, *args):
-            points.append(np.asarray(theta).tobytes())
-            return score_hessian(theta, *args)
+        def recorded(score_parts):
+            def score(theta):
+                points.append(np.asarray(theta).tobytes())
+                return score_parts(theta)
 
-        monkeypatch.setattr(estimation, "analytic_score_hessian", recorded)
+            return score
+
+        hook_likelihood(monkeypatch, score_parts=recorded)
         newtons = self._count(monkeypatch, "_newton")
         assert fit_mle(series, (1, 1), SC2).converged and len(newtons) == 1
         assert "bad approximation" in newtons[0].message
@@ -894,6 +923,7 @@ class TestFitDriver:
         self._first_stage_rejected(monkeypatch)
         assert fit_mle(series, (1, 1), SC2).converged and len(newtons) == 3
         second = points[len(first):]
+        assert first and second
         assert len(set(first)) == len(first) and len(set(second)) == len(second)
 
     def test_certified_first_pass_ends_the_search(self, monkeypatch):
@@ -1123,7 +1153,7 @@ class TestFitDriver:
         assert np.array_equal(study.means["mle"], fit.estimates)
 
     def test_penalty_valued_optimum_raises(self, series, monkeypatch):
-        monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)
+        hook_likelihood(monkeypatch, value=lambda value: lambda theta: -math.inf)
         with pytest.raises(ArithmeticError):
             fit_mle(series, (1, 0), SC1)
 
@@ -1544,9 +1574,10 @@ class TestCensoredDeviationFits:
             numeric[:, i] = (residuals(theta + e) - residuals(theta - e)) / (2.0 * e[i])
         np.testing.assert_allclose(jacobian(theta), numeric, rtol=1e-6, atol=1e-6)
 
-    def test_each_fit_builds_its_mean_kernels_once(self, series_11, monkeypatch):
+    def test_each_fit_builds_its_mean_kernels_once(self, series_11, bounded_11, monkeypatch):
         # the CLS objective holds one kernel and its residuals and Jacobian
-        # share another; CLADE's objective holds one, and no call builds more
+        # share another; CLADE's objective holds one, and the likelihood of
+        # an MLE fit, bounded or not, holds one; no call builds more
         builds = []
         kernel = estimation._mean_kernel
 
@@ -1559,6 +1590,13 @@ class TestCensoredDeviationFits:
         assert 1 <= len(builds) <= 2
         builds.clear()
         fit_clade(series_11, (1, 1))
+        assert len(builds) == 1
+        for scenario in (SC1, SC2):
+            builds.clear()
+            fit_mle(series_11, (1, 1), scenario)
+            assert len(builds) == 1
+        builds.clear()
+        fit_stbingarch_mle(bounded_11, (1, 1), bound=5)
         assert len(builds) == 1
 
     def test_cls_without_an_admissible_result_is_the_simplex_multi_start(

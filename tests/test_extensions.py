@@ -11,7 +11,13 @@ from scipy.special import gammaln, pdtr, xlog1py, xlogy
 
 from tobitcount import cli, estimation, extensions
 from tobitcount.diagnostics import pearson_residuals, sample_acf
-from tobitcount.estimation import EstimationScenario, fit_mle, loglik
+from tobitcount.estimation import (
+    EstimationScenario,
+    analytic_score_hessian,
+    fit_mle,
+    information_matrices,
+    loglik,
+)
 from tobitcount.extensions import (
     TinarsSpec,
     fit_stbingarch_mle,
@@ -31,6 +37,8 @@ from tobitcount.stingarch import (
     conditional_pmf,
     simulate,
 )
+
+from _helpers import hook_likelihood
 
 
 class TestSignedThinning:
@@ -503,8 +511,9 @@ class TestBoundedConditionalPmf:
         assert all(math.isfinite(v) for v in values)
 
     def test_counts_above_the_bound_are_refused(self, tmp_path, capsys):
-        # an unbounded series: its fit and its residuals under bound 2 both
-        # refuse it, the CLI with the numerical exit code
+        # an unbounded series: its fit, its residuals and the likelihood, score
+        # and information matrices under bound 2 all refuse it, the CLI with
+        # the numerical exit code
         series = simulate(
             ModelSpec(alpha0=2.0, alphas=(0.4,), delta=0.25), 200, rng=np.random.default_rng(8)
         )
@@ -512,6 +521,10 @@ class TestBoundedConditionalPmf:
         spec = ModelSpec(alpha0=2.0, alphas=(0.4,), delta=0.25, bound=2)
         with pytest.raises(ValueError, match="series exceeds the declared bound"):
             pearson_residuals(spec, series)
+        theta, scenario = np.array([2.0, 0.4, 0.1]), EstimationScenario.fixed(0.25)
+        for function in (loglik, analytic_score_hessian, information_matrices):
+            with pytest.raises(ValueError, match="series exceeds the declared bound"):
+                function(theta, series, (1, 0), scenario, 2)
         path = tmp_path / "unbounded.csv"
         path.write_text("count\n" + "".join(f"{v}\n" for v in series.counts))
         flags = ["--alpha0", "2", "--alpha1", "0.4", "--delta", "0.25", "--bound", "2"]
@@ -573,7 +586,7 @@ class TestBoundedFit:
             fit_stbingarch_mle(CountSeries(np.zeros(200, dtype=np.int64)), (1, 1), bound=5)
 
     def test_penalty_valued_optimum_raises(self, monkeypatch):
-        monkeypatch.setattr(estimation, "loglik", lambda *args: -math.inf)
+        hook_likelihood(monkeypatch, value=lambda value: lambda theta: -math.inf)
         with pytest.raises(ArithmeticError):
             fit_stbingarch_mle(CountSeries(np.array([1, 0, 2, 3, 0, 1])), (1, 0), bound=5)
 
@@ -695,14 +708,20 @@ class TestBoundedFit:
         assert json.loads(out.read_text())["converged"] is True
 
     def test_newton_stage_runs_on_the_analytic_derivatives(self, monkeypatch):
+        # the bound of the likelihood each score call of the fit belongs to
         calls = []
-        score = estimation.analytic_score_hessian
+        build = estimation._likelihood
 
-        def counted(*args, **kwargs):
-            calls.append(args[-1])
-            return score(*args, **kwargs)
+        def counted(series, orders, scenario, bound=None):
+            likelihood = build(series, orders, scenario, bound)
 
-        monkeypatch.setattr(estimation, "analytic_score_hessian", counted)
+            def score_parts(theta):
+                calls.append(bound)
+                return likelihood.score_parts(theta)
+
+            return likelihood._replace(score_parts=score_parts)
+
+        monkeypatch.setattr(estimation, "_likelihood", counted)
         spec = ModelSpec(
             alpha0=0.787, alphas=(0.699,), betas=(-0.127,), delta=0.01, bound=5, kappa=0.118
         )
